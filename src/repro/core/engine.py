@@ -33,14 +33,16 @@ from repro.core.citation import Citation
 from repro.core.citation_view import CitationView, views_of
 from repro.core.expression import (
     Aggregate,
+    Alternative,
     CitationAtom,
     CitationExpression,
-    alternative,
+    Joint,
+    RewriteAlternative,
     joint,
-    rewrite_alternative,
 )
 from repro.core.policy import CitationPolicy
 from repro.core.record import CitationRecord, CitationSet
+from repro.resilience.deadline import current_deadline
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 from repro.analysis.ir import verify_citation_plan, verify_reduced
 from repro.analysis.query_rules import QueryAnalysis, analyze_query
@@ -53,7 +55,7 @@ from repro.errors import (
     StaticAnalysisError,
 )
 from repro.observability import NULL_SPAN, get_tracer
-from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
+from repro.query.ast import ConjunctiveQuery, Constant
 from repro.query.compiler import JoinProgram, PreludeCache, ReducedProgram
 from repro.query.evaluator import Binding, QueryEvaluator, Strategy
 from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
@@ -94,6 +96,92 @@ _ANALYSIS_CACHE_LIMIT = 1024
 #: results) is valid exactly as long as the engine's current token equals the
 #: token it was stamped with.
 PlanToken = tuple[int, int]
+
+#: A cited view atom: ``(view, name-ordered parameter items)``, as in ``CitationAtom``.
+CitationKey = tuple[str, tuple]
+
+
+class CitationProgram:
+    """Definitions 2.1/2.2 for one rewriting, resolved once.
+
+    Per view atom: ``(view, sources, key)``, one source per λ-parameter in
+    name order — ``(name, variable)``, or ``((name, value), None)`` for a
+    constant — and the atom's :data:`CitationKey` when no source is a
+    variable.  Bindings are ordered by the ``repr`` of their values, taken in
+    variable-name order (:attr:`order`).
+    """
+
+    __slots__ = ("atoms", "order")
+
+    def __init__(
+        self, rewriting: Rewriting, citation_views: Mapping[str, CitationView]
+    ) -> None:
+        atoms: list[tuple[str, tuple, CitationKey | None]] = []
+        for view_atom in rewriting.query.body:
+            citation_view = citation_views.get(view_atom.predicate)
+            if citation_view is None:
+                raise CitationError(
+                    f"rewriting uses view {view_atom.predicate!r} with no citation view"
+                )
+            positions = citation_view.view.parameter_positions()
+            sources: list[tuple] = []
+            for name in sorted(positions):
+                term = view_atom.terms[positions[name]]
+                sources.append(
+                    ((name, term.value), None) if isinstance(term, Constant) else (name, term)
+                )
+            fixed = all(var is None for _, var in sources)
+            key = (view_atom.predicate, tuple(item for item, _ in sources)) if fixed else None
+            atoms.append((view_atom.predicate, tuple(sources), key))
+        self.atoms = tuple(atoms)
+        self.order = tuple(sorted(rewriting.query.variables(), key=lambda v: v.name))
+
+    def keys(self, binding: Binding) -> tuple[CitationKey, ...]:
+        """Definition 2.1: the :data:`CitationKey` of each view atom under *binding*."""
+        try:
+            return tuple([
+                key if key is not None else (
+                    view, tuple([item if v is None else (item, binding[v]) for item, v in sources])
+                )
+                for view, sources, key in self.atoms
+            ])
+        except KeyError:
+            view, name = next(
+                (view, name)
+                for view, sources, _ in self.atoms
+                for name, v in sources
+                if v is not None and v not in binding
+            )
+            raise CitationError(
+                f"binding does not determine parameter {name!r} of view {view!r}"
+            ) from None
+
+    def alternative(self, bindings: Sequence[Binding]) -> tuple[tuple[CitationKey, ...], ...]:
+        """Definition 2.2: the distinct :meth:`keys` of *bindings*, in ``+`` order."""
+        if len(bindings) == 1:
+            return (self.keys(bindings[0]),)
+        order = self.order
+        ordered = sorted(bindings, key=lambda binding: [repr(binding[v]) for v in order])
+        return tuple(dict.fromkeys(map(self.keys, ordered)))
+
+
+class AtomCache(dict):
+    """One database generation's cited view atoms: :data:`CitationKey` →
+    ``(atom, {record})``.  A missing key fetches ``FV(CV(p̄))``."""
+
+    def __init__(self, database: Database, citation_views: Mapping[str, CitationView]) -> None:
+        super().__init__()
+        self.database = database
+        self.citation_views = citation_views
+
+    def __missing__(self, key: CitationKey) -> tuple[CitationAtom, CitationSet]:
+        view_name, items = key
+        citation_view = self.citation_views.get(view_name)
+        if citation_view is None:
+            raise CitationError(f"unknown citation view {view_name!r}")
+        values = dict(items)
+        atom = CitationAtom(view_name, values, citation_view.citation_for(self.database, values))
+        return self.setdefault(key, (atom, atom.evaluated_records()))
 
 
 @dataclass(frozen=True)
@@ -313,7 +401,9 @@ class CitationEngine:
             database, strategy="min_citation_size", keep=1
         )
         self._view_relations: dict[str, Relation] | None = None
-        self._record_cache: dict[tuple[str, tuple], CitationRecord] = {}
+        # Replaced, never cleared, on a generation change: an execution keeps
+        # the cache it started with.
+        self._atom_cache = AtomCache(database, self._citation_view_by_name)
         self._cache_generation = database.generation
         self._cache_epoch = 0
         # Shared across executions so that hash indexes built over
@@ -388,7 +478,7 @@ class CitationEngine:
         not data, so there is nothing data-derived in it to invalidate.
         """
         self._view_relations = None
-        self._record_cache.clear()
+        self._atom_cache = AtomCache(self.database, self._citation_view_by_name)
         self._index_manager.invalidate()
         self._statistics.invalidate()
         if self._evaluator is not None:
@@ -400,7 +490,7 @@ class CitationEngine:
         generation = self.database.generation
         if generation != self._cache_generation:
             self._view_relations = None
-            self._record_cache.clear()
+            self._atom_cache = AtomCache(self.database, self._citation_view_by_name)
             self._cache_generation = generation
 
     def view_relations(self) -> dict[str, Relation]:
@@ -479,76 +569,71 @@ class CitationEngine:
     ) -> CitationRecord:
         """``FV(CV(p̄))`` for one view and one parameter valuation (cached)."""
         self._refresh_generation()
-        parameter_values = dict(parameter_values or {})
-        key = (view_name, tuple(sorted(parameter_values.items(), key=repr)))
-        cached = self._record_cache.get(key)
-        if cached is None:
-            citation_view = self._citation_view_by_name.get(view_name)
-            if citation_view is None:
-                raise CitationError(f"unknown citation view {view_name!r}")
-            cached = citation_view.citation_for(self.database, parameter_values)
-            self._record_cache[key] = cached
-        return cached
-
-    def _atom_for(
-        self, view_name: str, parameter_values: Mapping[str, object]
-    ) -> CitationAtom:
-        record = self.citation_record(view_name, parameter_values)
-        return CitationAtom(view_name, parameter_values, record)
-
-    def _parameters_for_view_atom(
-        self, citation_view: CitationView, atom_terms: Sequence[Term], binding: Binding
-    ) -> dict[str, object]:
-        """Extract the parameter valuation of one view atom under one binding.
-
-        The paper: "Bi is the result of applying B to the variables occurring
-        in an atom involving Vi" — restricted here to the λ-parameter
-        positions of the view head.
-        """
-        values: dict[str, object] = {}
-        for name, position in citation_view.view.parameter_positions().items():
-            term = atom_terms[position]
-            if isinstance(term, Constant):
-                values[name] = term.value
-            else:
-                assert isinstance(term, Variable)
-                if term not in binding:
-                    raise CitationError(
-                        f"binding does not determine parameter {name!r} of view "
-                        f"{citation_view.name!r}"
-                    )
-                values[name] = binding[term]
-        return values
+        key = (view_name, tuple(sorted((parameter_values or {}).items())))
+        record = self._atom_cache[key][0].record
+        assert record is not None
+        return record
 
     # -- Definitions 2.1 / 2.2 ---------------------------------------------------------
     def citation_for_binding(
         self, rewriting: Rewriting, binding: Binding
     ) -> CitationExpression:
         """Definition 2.1: the joint citation of one binding of one rewriting."""
-        atoms: list[CitationExpression] = []
-        for view_atom in rewriting.query.body:
-            citation_view = self._citation_view_by_name.get(view_atom.predicate)
-            if citation_view is None:
-                raise CitationError(
-                    f"rewriting uses view {view_atom.predicate!r} with no citation view"
-                )
-            parameters = self._parameters_for_view_atom(
-                citation_view, view_atom.terms, binding
-            )
-            atoms.append(self._atom_for(view_atom.predicate, parameters))
-        return joint(atoms)
+        self._refresh_generation()
+        keys = CitationProgram(rewriting, self._citation_view_by_name).keys(binding)
+        return joint([self._atom_cache[key][0] for key in keys])
 
-    def citation_for_tuple_in_rewriting(
-        self, rewriting: Rewriting, bindings: Sequence[Binding]
-    ) -> CitationExpression:
-        """Definition 2.2: combine the citations of all bindings with ``+``.
+    def cite_row(
+        self, row: tuple, alternatives: Sequence[tuple[Rewriting, Sequence[Binding]]]
+    ) -> TupleCitation:
+        """The citation of *row*, given the bindings producing it per rewriting."""
+        self._refresh_generation()
+        programs = [
+            (CitationProgram(rewriting, self._citation_view_by_name), bindings)
+            for rewriting, bindings in alternatives
+        ]
+        return self._cite_row(row, programs, self._atom_cache, self.policy)
 
-        Bindings are processed in a deterministic order so that the symbolic
-        citation expression is reproducible across runs.
+    def _cite_row(
+        self,
+        row: tuple,
+        alternatives: Sequence[tuple[CitationProgram, Sequence[Binding]]],
+        cache: AtomCache,
+        policy: CitationPolicy,
+    ) -> TupleCitation:
+        """Definitions 2.1/2.2 for one row, folded under *policy* in one pass.
+
+        Duplicates are dropped as ``+`` and ``+R`` drop them; the fold then
+        makes the combinator calls ``policy.evaluate`` would make on the
+        expression, in the same order and with equal operands.
         """
-        ordered = sorted(bindings, key=lambda b: sorted((v.name, repr(b[v])) for v in b))
-        return alternative(
-            [self.citation_for_binding(rewriting, binding) for binding in ordered]
+        kept: dict[tuple, None] = {}
+        for program, bindings in alternatives:
+            kept[program.alternative(bindings)] = None
+        expressions: list[CitationExpression] = []
+        folded: list[CitationSet] = []
+        for alternative in kept:
+            terms: list[CitationExpression] = []
+            operands: list[CitationSet] = []
+            for keys in alternative:
+                entries = [cache[key] for key in keys]
+                if len(entries) == 1:
+                    term, records = entries[0]
+                else:
+                    atoms, sets = zip(*entries)
+                    term, records = Joint(atoms), policy.joint(list(sets))
+                terms.append(term)
+                operands.append(records)
+            if len(terms) == 1:
+                expression, records = terms[0], operands[0]
+            else:
+                expression, records = Alternative(terms), policy.alternative(operands)
+            expressions.append(expression)
+            folded.append(records)
+        if len(expressions) == 1:
+            return TupleCitation(row, expressions[0], folded[0])
+        return TupleCitation(
+            row, RewriteAlternative(expressions), policy.rewrite_alternative(folded)
         )
 
     # -- main entry point -----------------------------------------------------------------
@@ -738,8 +823,9 @@ class CitationEngine:
         if plan._prelude_epoch[0] != self._cache_epoch:
             plan.drop_preludes()
             plan._prelude_epoch[0] = self._cache_epoch
-        per_rewriting: list[tuple[Rewriting, dict[tuple, list[Binding]]]] = []
-        all_rows: set[tuple] = set()
+        # Read after the evaluator, which refreshes the generation.
+        cache = self._atom_cache
+        alternatives_by_row: dict[tuple, list[tuple[CitationProgram, list[Binding]]]] = {}
         for position, rewriting in enumerate(plan.rewritings):
             program = plan.compiled_program(position)
             if program is None:
@@ -771,32 +857,30 @@ class CitationEngine:
                     rewriting.query, program=program, reduced=reduced, prelude=prelude
                 )
                 rewriting_span.set_attribute("rows", len(bindings_by_row))
-            per_rewriting.append((rewriting, bindings_by_row))
-            all_rows.update(bindings_by_row)
+            citation = CitationProgram(rewriting, self._citation_view_by_name)
+            for row, bindings in bindings_by_row.items():
+                alternatives_by_row.setdefault(row, []).append((citation, bindings))
 
         assemble_span = (
-            tracer.span("engine.assemble_citations", rows=len(all_rows))
+            tracer.span("engine.assemble_citations", rows=len(alternatives_by_row))
             if tracer.enabled
             else NULL_SPAN
         )
+        # One clock read per row: a row's record fetches can outweigh the
+        # stride a join loop amortizes its checks over.
+        deadline = current_deadline()
         tuple_citations: list[TupleCitation] = []
         with assemble_span:
-            for row in sorted(all_rows, key=repr):
-                alternatives: list[CitationExpression] = []
-                for rewriting, bindings_by_row in per_rewriting:
-                    bindings = bindings_by_row.get(row)
-                    if not bindings:
-                        continue
-                    alternatives.append(
-                        self.citation_for_tuple_in_rewriting(rewriting, bindings)
-                    )
-                expression = rewrite_alternative(alternatives)
-                records = policy.evaluate(expression)
-                tuple_citations.append(TupleCitation(row, expression, records))
+            for row in sorted(alternatives_by_row, key=repr):
+                if deadline is not None:
+                    deadline.check("assembly")
+                tuple_citations.append(
+                    self._cite_row(row, alternatives_by_row[row], cache, policy)
+                )
 
         aggregate_expression = Aggregate([tc.expression for tc in tuple_citations])
         aggregate_records = policy.aggregate([tc.records for tc in tuple_citations])
-        result_relation = self._result_relation(query, all_rows)
+        result_relation = self._result_relation(query, alternatives_by_row)
         citation = Citation(
             aggregate_records,
             expression=aggregate_expression,

@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Mapping
 
 from repro.core.engine import CitationEngine, CitedResult, TupleCitation
 from repro.core.citation import Citation
-from repro.core.expression import Aggregate, alternative, rewrite_alternative
+from repro.core.expression import Aggregate
 from repro.errors import CitationError
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
 from repro.query.evaluator import Binding, QueryEvaluator
@@ -270,20 +270,12 @@ class IncrementalCitationMaintainer:
 
     def _recompute_tuple(self, row: tuple) -> TupleCitation | None:
         """Re-derive the citation of one output row (``None`` when it vanished)."""
-        alternatives = []
-        for rewriting in self._rewritings():
-            bindings = self._bindings_for_row(rewriting, row)
-            if not bindings:
-                continue
-            expressions = [
-                self.engine.citation_for_binding(rewriting, binding) for binding in bindings
-            ]
-            alternatives.append(alternative(expressions))
-        if not alternatives:
-            return None
-        expression = rewrite_alternative(alternatives)
-        records = self.engine.policy.evaluate(expression)
-        return TupleCitation(row, expression, records)
+        alternatives = [
+            (rewriting, bindings)
+            for rewriting in self._rewritings()
+            if (bindings := self._bindings_for_row(rewriting, row))
+        ]
+        return self.engine.cite_row(row, alternatives) if alternatives else None
 
     def _patch_rows(self, rows: Iterable[tuple]) -> None:
         rows = set(rows)

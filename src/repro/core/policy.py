@@ -72,20 +72,14 @@ class Combinators:
         candidates = [operand for operand in operands if operand] or list(operands)
         if not candidates:
             return frozenset()
-        return min(
-            candidates,
-            key=lambda records: (set_size(records), sorted(repr(r) for r in records)),
-        )
+        return _pick(min, candidates)
 
     @staticmethod
     def max_coverage(operands: Sequence[CitationSet]) -> CitationSet:
         """Pick the operand with the *largest* size (most comprehensive citation)."""
         if not operands:
             return frozenset()
-        return max(
-            operands,
-            key=lambda records: (set_size(records), sorted(repr(r) for r in records)),
-        )
+        return _pick(max, operands)
 
     @staticmethod
     def first(operands: Sequence[CitationSet]) -> CitationSet:
@@ -105,6 +99,17 @@ class Combinators:
         if not callable(combinator):
             raise PolicyError(f"{name!r} is not a combinator")
         return combinator
+
+
+def _pick(best: Callable, candidates: Sequence[CitationSet]) -> CitationSet:
+    """The first candidate that is *best* by size, then by the sorted ``repr``
+    of its records — rendered only for the candidates tied on size."""
+    sizes = [set_size(records) for records in candidates]
+    target = best(sizes)
+    tied = [records for records, size in zip(candidates, sizes) if size == target]
+    if len(tied) == 1:
+        return tied[0]
+    return best(tied, key=lambda records: sorted(repr(r) for r in records))
 
 
 @dataclass(frozen=True)

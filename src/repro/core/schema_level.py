@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.citation import Citation
-from repro.core.engine import CitationEngine
-from repro.core.expression import Aggregate, alternative, joint
+from repro.core.engine import CitationEngine, CitationProgram
+from repro.core.expression import Aggregate, CitationAtom, alternative, joint
 from repro.errors import NoRewritingError
 from repro.query.ast import ConjunctiveQuery, Constant
 from repro.query.evaluator import QueryEvaluator
@@ -61,23 +61,23 @@ def cite_schema_level(
     rewriting = selected[0]
 
     evaluator = QueryEvaluator(engine.database, extra_relations=engine.view_relations())
+    program = CitationProgram(rewriting, engine._citation_view_by_name)
     valuations_per_atom: list[tuple[str, set[tuple]]] = [
         (atom.predicate, set()) for atom in rewriting.query.body
     ]
     result_rows: set[tuple] = set()
     for binding in evaluator.bindings(rewriting.query):
         result_rows.add(evaluator.output_tuple(rewriting.query, binding))
-        for (view_name, seen), atom in zip(valuations_per_atom, rewriting.query.body):
-            citation_view = engine._citation_view_by_name[view_name]
-            values = engine._parameters_for_view_atom(citation_view, atom.terms, binding)
-            seen.add(tuple(sorted(values.items())))
+        for (_view, seen), (_name, items) in zip(valuations_per_atom, program.keys(binding)):
+            seen.add(items)
 
     per_atom_expressions = []
     total_valuations = 0
     for view_name, seen in valuations_per_atom:
         total_valuations += len(seen)
         atoms = [
-            engine._atom_for(view_name, dict(valuation)) for valuation in sorted(seen, key=repr)
+            CitationAtom(view_name, dict(values), engine.citation_record(view_name, dict(values)))
+            for values in sorted(seen, key=repr)
         ]
         if atoms:
             per_atom_expressions.append(alternative(atoms))

@@ -7,6 +7,7 @@ from repro.core.record import CitationRecord
 from repro.core.rewriting_selector import RewritingSelector
 from repro.errors import CitationError, NoRewritingError
 from repro.query.evaluator import evaluate
+from repro.workloads import gtopdb
 
 
 class TestRewritings:
@@ -40,6 +41,35 @@ class TestCitationRecords:
         first = paper_engine.citation_record("V1", {"FID": 11})
         paper_engine.invalidate_caches()
         assert paper_engine.citation_record("V1", {"FID": 11}) is not first
+
+    def test_cite_and_citation_record_share_one_cache(self, paper_engine, paper_query):
+        result = paper_engine.cite(paper_query)
+        (atom,) = [
+            atom
+            for atom in result.citation_for(("Calcitonin",)).expression.atoms()
+            if atom.view_name == "V1" and atom.parameter_values == {"FID": 11}
+        ]
+        assert paper_engine.citation_record("V1", {"FID": 11}) is atom.record
+
+    def test_contributor_edit_refreshes_the_record(self):
+        database = gtopdb.generate(families=6, targets_per_family=2, seed=3)
+        engine = CitationEngine(database, gtopdb.citation_views(extended=True))
+        query = "Q5(TName, FName) :- Target(TID, FID, TName, Type), Family(FID, FName, Desc)"
+
+        def contributors(result, tid):
+            names = set()
+            for tc in result.tuple_citations:
+                for atom in tc.expression.atoms():
+                    if atom.view_name == "V4" and atom.parameter_values == {"TID": tid}:
+                        value = atom.record["contributors"]
+                        names.update(value if isinstance(value, tuple) else (value,))
+            return names
+
+        tid = min(row[0] for row in database.relation("Target").rows)
+        before = contributors(engine.cite(query), tid)
+        assert before and "A. Newcomer" not in before
+        database.insert("Contributor", (tid, "A. Newcomer"))
+        assert contributors(engine.cite(query), tid) == before | {"A. Newcomer"}
 
 
 class TestCite:
@@ -166,6 +196,19 @@ class TestValidation:
         rewriting = Rewriting(parse_query("Q(FID, Text) :- VX(FID, Text)"), [stray_view])
         with pytest.raises(CitationError):
             paper_engine.citation_for_binding(rewriting, {})
+
+    def test_binding_must_determine_every_view_parameter(self, paper_engine):
+        # Renamed variables: the message names the view's parameter, not the
+        # query variable bound to it.
+        (rewriting,) = [
+            r for r in paper_engine.rewritings("Q(N) :- Family(F, N, D), FamilyIntro(F, T)")
+            if any(atom.predicate == "V1" for atom in r.query.body)
+        ]
+        n = next(v for v in rewriting.query.variables() if v.name == "N")
+        with pytest.raises(
+            CitationError, match="does not determine parameter 'FID' of view 'V1'"
+        ):
+            paper_engine.citation_for_binding(rewriting, {n: "Calcitonin"})
 
 
 class TestCompiledJoinPrograms:

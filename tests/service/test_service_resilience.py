@@ -16,6 +16,7 @@ import pytest
 
 from repro import CitationEngine, CitationPolicy, CitationService
 from repro.api.envelope import CitationRequest
+from repro.core.citation_view import CitationView, DefaultCitationFunction
 from repro.errors import DeadlineExceeded, Overloaded
 from repro.resilience import RetryPolicy
 from repro.resilience.faults import FaultSpec, plan as fault_plan
@@ -89,6 +90,40 @@ class TestRequestDeadline:
         payload = response.to_payload()
         assert payload["ok"] is False
         assert payload["error_code"] == "DEADLINE_EXCEEDED"
+
+
+class TestAssemblyDeadline:
+    @pytest.mark.parametrize(
+        "families, fetch_s, timeout",
+        [(300, 0.003, 0.3), (20, 0.03, 0.2)],
+        ids=["many-fast-rows", "few-slow-rows"],
+    )
+    def test_slow_citation_function_is_cut_at_the_assembly_checkpoint(
+        self, families, fetch_s, timeout
+    ):
+        # Without citation queries a record fetch runs no query, so only the
+        # assembly checkpoint polls the deadline while each row fetches one
+        # slow record.  A result too small for a join loop's check stride
+        # must still be cut.
+        class SlowCitationFunction(DefaultCitationFunction):
+            def __call__(self, parameter_values, snippet_results):
+                time.sleep(fetch_s)
+                return super().__call__(parameter_values, snippet_results)
+
+        view = CitationView(
+            "lambda FID. V1(FID, FName, Desc) :- Family(FID, FName, Desc)",
+            citation_function=SlowCitationFunction(),
+        )
+        engine = CitationEngine(gtopdb.generate(families=families, seed=5), [view])
+        with CitationService(engine) as service:
+            started = time.monotonic()
+            response = service.submit(
+                CitationRequest(query="Q(FID, FName) :- Family(FID, FName, Desc)", timeout=timeout)
+            )
+            elapsed = time.monotonic() - started
+        assert isinstance(response.error, DeadlineExceeded)
+        assert response.error.where == "assembly"
+        assert elapsed < timeout + 0.5
 
 
 class TestErrorCodes:
