@@ -55,7 +55,7 @@ from repro.errors import (
     StaticAnalysisError,
 )
 from repro.observability import NULL_SPAN, get_tracer
-from repro.query.ast import ConjunctiveQuery, Constant
+from repro.query.ast import ConjunctiveQuery, Constant, Variable
 from repro.query.compiler import JoinProgram, PreludeCache, ReducedProgram
 from repro.query.evaluator import Binding, QueryEvaluator, Strategy
 from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
@@ -99,6 +99,39 @@ PlanToken = tuple[int, int]
 
 #: A cited view atom: ``(view, name-ordered parameter items)``, as in ``CitationAtom``.
 CitationKey = tuple[str, tuple]
+
+#: relation → view → the positions of the view's λ-parameters (name order)
+#: in each atom over the relation in its citation queries, or ``None`` when
+#: a changed row can reach any of the view's records.
+RecordReach = dict[str, dict[str, set[tuple[int, ...]] | None]]
+
+
+def record_reach(citation_views: Iterable[CitationView]) -> RecordReach:
+    """Which records a changed row of each relation can reach.
+
+    An atom that holds every λ-parameter of its view as a variable the
+    citation query takes as a parameter only matches rows carrying a
+    record's own values there, so a changed row reaches the one record keyed
+    by those values.  Any other atom reaches the whole view.  A record
+    depends only on its citation function's inputs, the parameters and the
+    citation queries' answers; a citation function that reads other state
+    needs :meth:`CitationEngine.invalidate_caches`.
+    """
+    reach: RecordReach = {}
+    for citation_view in citation_views:
+        parameters = [Variable(name) for name in sorted(citation_view.parameter_names())]
+        for citation_query in citation_view.citation_queries:
+            for atom in citation_query.body:
+                views = reach.setdefault(atom.predicate, {})
+                keyed = views.get(citation_view.name, set())
+                if keyed is not None and all(
+                    p in atom.terms and p in citation_query.parameters for p in parameters
+                ):
+                    keyed.add(tuple(atom.terms.index(p) for p in parameters))
+                    views[citation_view.name] = keyed
+                else:
+                    views[citation_view.name] = None
+    return reach
 
 
 class CitationProgram:
@@ -166,8 +199,12 @@ class CitationProgram:
 
 
 class AtomCache(dict):
-    """One database generation's cited view atoms: :data:`CitationKey` →
-    ``(atom, {record})``.  A missing key fetches ``FV(CV(p̄))``."""
+    """Cited view atoms: :data:`CitationKey` → ``(atom, {record})``.  A
+    missing key fetches ``FV(CV(p̄))``.
+
+    Never mutated but by the fetch: a database change makes the engine copy
+    it minus the keys the change can reach (see :func:`record_reach`).
+    """
 
     def __init__(self, database: Database, citation_views: Mapping[str, CitationView]) -> None:
         super().__init__()
@@ -340,6 +377,9 @@ class CitedResult:
 
 
 @shared_state("_analysis_cache", "_analysis_stats", lock="_analysis_lock")
+@shared_state(
+    "_atom_cache", "_view_relations", "_cache_generation", "_refresh_stats", lock="_refresh_lock"
+)
 class CitationEngine:
     """Constructs citations for general queries over a cited database."""
 
@@ -400,12 +440,30 @@ class CitationEngine:
         self.selector = selector or RewritingSelector(
             database, strategy="min_citation_size", keep=1
         )
+        # Both caches are brought to the database's generation under the
+        # refresh lock, from its change log: a view whose body reads a
+        # changed relation is dropped from the mapping (and re-materialised
+        # on next use), and the atom cache is replaced by a copy minus the
+        # keys the changes reach, so an execution keeps the cache it started
+        # with.  ``None``: no view materialised yet.
+        self._refresh_lock = threading.Lock()
         self._view_relations: dict[str, Relation] | None = None
-        # Replaced, never cleared, on a generation change: an execution keeps
-        # the cache it started with.
         self._atom_cache = AtomCache(database, self._citation_view_by_name)
         self._cache_generation = database.generation
         self._cache_epoch = 0
+        self._record_reach = record_reach(self.citation_views)
+        self._parameter_names = {
+            cv.name: tuple(sorted(cv.parameter_names())) for cv in self.citation_views
+        }
+        self._view_reads = {
+            view.name: {atom.predicate for atom in view.query.body} for view in self._views
+        }
+        self._refresh_stats = {
+            "records_kept": 0,
+            "records_evicted": 0,
+            "full_drops": 0,
+            "views_rematerialized": 0,
+        }
         # Shared across executions so that hash indexes built over
         # materialised views survive from one request to the next (they are
         # re-validated against the views' identity and version on every probe).
@@ -463,11 +521,13 @@ class CitationEngine:
     def invalidate_caches(self) -> None:
         """Force-drop materialised views and every derived cache.
 
-        Ordinary data updates do **not** require calling this: the caches are
-        keyed on :attr:`Database.generation` and refresh themselves.  It
-        remains for out-of-band changes (e.g. a citation function whose output
-        depends on external state) and bumps the cache epoch so that compiled
-        plans held elsewhere are invalidated too.
+        Ordinary data updates do **not** require calling this: the caches
+        follow :attr:`Database.generation` and evict what each change can
+        reach.  That assumes a record depends only on its citation function's
+        inputs (the parameters and the citation queries' answers), so this
+        remains for changes outside the database's view (e.g. a citation
+        function whose output depends on external state).  It bumps the
+        cache epoch so that compiled plans held elsewhere are invalidated too.
 
         Besides the views, citation records and view indexes, this clears the
         statistics catalog and the evaluator's compiled-program, reduction,
@@ -477,43 +537,115 @@ class CitationEngine:
         evaluator's shard worker pool survives on purpose: it holds threads,
         not data, so there is nothing data-derived in it to invalidate.
         """
-        self._view_relations = None
-        self._atom_cache = AtomCache(self.database, self._citation_view_by_name)
+        with self._refresh_lock:
+            self._drop_caches_locked()
+            self._cache_generation = self.database.generation
         self._index_manager.invalidate()
         self._statistics.invalidate()
         if self._evaluator is not None:
             self._evaluator.invalidate_caches()
         self._cache_epoch += 1
 
+    def refresh_stats(self) -> dict[str, int]:
+        """How precisely database changes invalidated the caches: records
+        kept and evicted over all refreshes, wholesale drops (log overrun or
+        :meth:`invalidate_caches`) and views materialised again."""
+        with self._refresh_lock:
+            return dict(self._refresh_stats)
+
+    def _drop_caches_locked(self) -> None:
+        self._refresh_stats["full_drops"] += 1
+        self._refresh_stats["records_evicted"] += len(self._atom_cache)
+        self._atom_cache = AtomCache(self.database, self._citation_view_by_name)
+        if self._view_relations is not None:
+            self._view_relations = {}
+
     def _refresh_generation(self) -> None:
-        """Drop content-derived caches when the database has changed."""
-        generation = self.database.generation
-        if generation != self._cache_generation:
-            self._view_relations = None
-            self._atom_cache = AtomCache(self.database, self._citation_view_by_name)
-            self._cache_generation = generation
+        """Evict what the database's changes since the caches' generation reach."""
+        if self.database.generation != self._cache_generation:
+            with self._refresh_lock:
+                self._refresh_locked()
+
+    def _refresh_locked(self) -> None:
+        if self.database.generation == self._cache_generation:
+            return
+        changes = self.database.changes_since(self._cache_generation)
+        if changes is None:
+            self._drop_caches_locked()
+            self._cache_generation = self.database.generation
+            return
+        self._cache_generation, entries = changes
+        keys: set[CitationKey] = set()
+        whole: set[str] = set()
+        for relation, row in entries:
+            for view, positions in self._record_reach.get(relation, {}).items():
+                if row is None or positions is None:
+                    whole.add(view)
+                else:
+                    names = self._parameter_names[view]
+                    keys.update(
+                        (view, tuple(zip(names, [row[i] for i in at]))) for at in positions
+                    )
+        reached = whole | {view for view, _ in keys}
+        if reached:
+            # One C-level copy: readers may be filling the old cache meanwhile.
+            snapshot = dict.copy(self._atom_cache)
+            cache = AtomCache(self.database, self._citation_view_by_name)
+            cache.update(
+                (key, entry)
+                for key, entry in snapshot.items()
+                if key[0] not in reached
+                or not (
+                    key[0] in whole
+                    or key in keys
+                    # A key naming other parameters than the view's own.
+                    or tuple([name for name, _ in key[1]]) != self._parameter_names[key[0]]
+                )
+            )
+            self._refresh_stats["records_evicted"] += len(snapshot) - len(cache)
+            self._atom_cache = cache
+        self._refresh_stats["records_kept"] += len(self._atom_cache)
+        changed = {relation for relation, _ in entries}
+        relations = self._view_relations
+        if relations and any(self._view_reads[name] & changed for name in relations):
+            self._view_relations = {
+                name: relation
+                for name, relation in relations.items()
+                if not self._view_reads[name] & changed
+            }
 
     def view_relations(self) -> dict[str, Relation]:
         """Materialisations of all citation views.
 
-        Computed once per database generation: repeated ``cite()`` calls
-        against an unchanged database reuse the same relations, and any
-        insert/delete automatically triggers re-materialisation on next use.
+        Materialised on first use; after that a database change
+        re-materialises, on next use, only the views whose body reads a
+        relation it changed.  The other views keep their relation objects
+        (and so their indexes and warm preludes), and while no view is stale
+        repeated calls return the same mapping.
         """
-        self._refresh_generation()
-        if self._view_relations is None:
+        with self._refresh_lock:
+            self._refresh_locked()
+            relations = self._view_relations or {}
+            stale = [view for view in self._views if view.name not in relations]
+            if not stale:
+                return relations
             tracer = get_tracer()
             span = (
-                tracer.span("engine.materialize_views", views=len(self._views))
+                tracer.span("engine.materialize_views", views=len(stale))
                 if tracer.enabled
                 else NULL_SPAN
             )
             with span:
-                self._view_relations = materialize_views(self._views, self.database)
-                span.set_attribute(
-                    "rows", sum(len(r) for r in self._view_relations.values())
-                )
-        return self._view_relations
+                fresh = materialize_views(stale, self.database)
+                span.set_attribute("rows", sum(len(r) for r in fresh.values()))
+            if self._view_relations is not None:
+                self._refresh_stats["views_rematerialized"] += len(stale)
+            relations = {
+                view.name: (fresh if view.name in fresh else relations)[view.name]
+                for view in self._views
+            }
+            self._view_relations = relations
+            return relations
 
     # -- static analysis ---------------------------------------------------------
     def analyze(self, query: ConjunctiveQuery | str) -> QueryAnalysis:
@@ -567,7 +699,8 @@ class CitationEngine:
     def citation_record(
         self, view_name: str, parameter_values: Mapping[str, object] | None = None
     ) -> CitationRecord:
-        """``FV(CV(p̄))`` for one view and one parameter valuation (cached)."""
+        """``FV(CV(p̄))`` for one view and one parameter valuation (cached
+        until a database change reaches it)."""
         self._refresh_generation()
         key = (view_name, tuple(sorted((parameter_values or {}).items())))
         record = self._atom_cache[key][0].record

@@ -164,9 +164,9 @@ class IncrementalCitationMaintainer:
     def _refresh_citation_records(self) -> None:
         """Rebuild the citation records of all tuples after a snippet update.
 
-        The engine's record cache is generation-aware, so the mutation that
-        triggered this call has already made it refresh on next access; only
-        the stored tuple citations need re-deriving.
+        On next access the engine evicts just the records the mutation that
+        triggered this call can reach and re-fetches those; only the stored
+        tuple citations need re-deriving.
         """
         self._patch_rows({tc.row for tc in self.result.tuple_citations})
 
@@ -174,9 +174,9 @@ class IncrementalCitationMaintainer:
     def _apply_view_deltas(self) -> None:
         """Refresh view extents, find added/removed view rows and patch the result.
 
-        ``engine.view_relations()`` re-materialises by itself after the
-        mutation (generation-keyed cache), so no forced invalidation is
-        needed here.
+        ``engine.view_relations()`` re-materialises by itself the views over
+        the mutated relation (the others keep their relations), so no forced
+        invalidation is needed here.
         """
         new_extents = {
             name: set(relation.rows)

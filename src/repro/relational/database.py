@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping
+from itertools import islice
 
+from repro.concurrency import shared_state
 from repro.errors import IntegrityError, UnknownRelationError
 from repro.relational.index import HashIndex
 from repro.relational.relation import Relation
@@ -21,7 +24,18 @@ from repro.relational.schema import DatabaseSchema, ForeignKey, RelationSchema
 #: one of ``"insert"`` / ``"delete"``, called after the change is applied.
 MutationListener = Callable[[str, str, tuple], None]
 
+#: One generation's change: ``(relation, row)`` for an applied insert or
+#: delete, ``(relation, None)`` for out-of-band drift on that relation.
+Change = tuple[str, tuple | None]
 
+#: How many generations the change log reaches back (see
+#: :meth:`Database.changes_since`).  A writer in a tight loop logs a few
+#: thousand changes per thread switch, so concurrent readers can fall that
+#: far behind between two refreshes; 2**16 entries cost at most a few MB.
+_CHANGE_LOG_LIMIT = 65536
+
+
+@shared_state("_generation", "_changes", lock="_sync_lock")
 class Database:
     """An in-memory relational database instance.
 
@@ -43,16 +57,19 @@ class Database:
         }
         self._indexes: dict[tuple[str, tuple[int, ...]], HashIndex] = {}
         self._generation = 0
+        # The change of each of the last generations, oldest first.
+        self._changes: deque[Change] = deque(maxlen=_CHANGE_LOG_LIMIT)
         self._mutation_listeners: list[MutationListener] = []
         self._relation_versions: dict[str, int] = {
             name: rel.version for name, rel in self._relations.items()
         }
         # Drift detection runs on the concurrent *read* path (generation
-        # reads, index probes), so drift folding and index build/store must
-        # be serialized: without the lock two readers could bump the
-        # generation twice for one drift, or one reader's index store could
-        # land while another iterates ``_indexes`` dropping stale entries.
-        # Re-entrant because index_on_positions syncs while holding it.
+        # reads, index probes), so drift folding, in-band writes and index
+        # build/store are serialized: without the lock two readers could bump
+        # the generation twice for one drift, a write racing a drift fold
+        # could lose an increment, or one index store could land while
+        # another thread iterates ``_indexes``.  Re-entrant because
+        # index_on_positions and the writes sync while holding it.
         self._sync_lock = threading.RLock()
 
     # -- generations ---------------------------------------------------------
@@ -62,7 +79,8 @@ class Database:
 
         Caches derived from the database content (materialised views, citation
         records, compiled citation plans) key their validity on this value: a
-        cache entry stamped with an older generation is stale.
+        cache entry stamped with an older generation is stale, or is brought
+        forward by the changes :meth:`changes_since` reports.
 
         Reading the generation also detects *out-of-band* mutations: rows
         changed directly on a database-owned :class:`Relation` (bypassing
@@ -90,7 +108,7 @@ class Database:
             for name, relation in self._relations.items():
                 if self._relation_versions[name] != relation.version:
                     self._relation_versions[name] = relation.version
-                    self._generation += 1
+                    self._log_change_locked(name, None)
                     self._drop_indexes_for(name)
 
     def _drop_indexes_for(self, relation: str) -> None:
@@ -109,8 +127,27 @@ class Database:
         with self._sync_lock:
             if self._relation_versions[relation] != target.version:
                 self._relation_versions[relation] = target.version
-                self._generation += 1
+                self._log_change_locked(relation, None)
                 self._drop_indexes_for(relation)
+
+    def _log_change_locked(self, relation: str, row: tuple | None) -> None:
+        self._generation += 1
+        self._changes.append((relation, row))
+
+    def changes_since(self, generation: int) -> tuple[int, list[Change]] | None:
+        """The current generation and the changes after *generation*, oldest
+        first: one :data:`Change` per generation.
+
+        ``None`` when the log no longer reaches back to *generation* (it
+        keeps the last ``_CHANGE_LOG_LIMIT``), or *generation* is not one of
+        this database's past generations.
+        """
+        with self._sync_lock:
+            self._sync_out_of_band()
+            behind = self._generation - generation
+            if not 0 <= behind <= len(self._changes):
+                return None
+            return self._generation, list(islice(self._changes, len(self._changes) - behind, None))
 
     def add_mutation_listener(self, listener: MutationListener) -> None:
         """Register a callback invoked after every applied insert/delete."""
@@ -124,7 +161,6 @@ class Database:
             pass
 
     def _notify_mutation(self, kind: str, relation: str, row: tuple) -> None:
-        self._generation += 1
         for listener in self._mutation_listeners:
             listener(kind, relation, row)
 
@@ -151,17 +187,20 @@ class Database:
     def insert(self, relation: str, row: tuple | Mapping[str, object]) -> bool:
         """Insert *row* into *relation*; return ``True`` when the DB changed."""
         target = self.relation(relation)
-        self._sync_relation(relation, target)
         if isinstance(row, Mapping):
             row = target.schema.row_from_mapping(row)
         else:
             row = target.schema.validate_row(row)
         if self.enforce_foreign_keys:
             self._check_foreign_keys_on_insert(relation, row)
-        changed = target.insert(row)
+        with self._sync_lock:
+            self._sync_relation(relation, target)
+            changed = target.insert(row)
+            if changed:
+                self._relation_versions[relation] = target.version
+                self._update_indexes_on_insert(relation, row)
+                self._log_change_locked(relation, row)
         if changed:
-            self._relation_versions[relation] = target.version
-            self._update_indexes_on_insert(relation, row)
             self._notify_mutation("insert", relation, row)
         return changed
 
@@ -172,14 +211,17 @@ class Database:
     def delete(self, relation: str, row: tuple) -> bool:
         """Delete *row* from *relation*; return ``True`` when it was present."""
         target = self.relation(relation)
-        self._sync_relation(relation, target)
         row = tuple(row)
         if self.enforce_foreign_keys and row in target:
             self._check_foreign_keys_on_delete(relation, row)
-        changed = target.delete(row)
+        with self._sync_lock:
+            self._sync_relation(relation, target)
+            changed = target.delete(row)
+            if changed:
+                self._relation_versions[relation] = target.version
+                self._update_indexes_on_delete(relation, row)
+                self._log_change_locked(relation, row)
         if changed:
-            self._relation_versions[relation] = target.version
-            self._update_indexes_on_delete(relation, row)
             self._notify_mutation("delete", relation, row)
         return changed
 

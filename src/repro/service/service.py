@@ -270,7 +270,11 @@ class CitationService:
         }
         if self.engine is not None:
             generation, epoch = self.engine.plan_token()
-            extra["engine"] = {"generation": generation, "cache_epoch": epoch}
+            extra["engine"] = {
+                "generation": generation,
+                "cache_epoch": epoch,
+                "refresh": self.engine.refresh_stats(),
+            }
         return self.metrics.to_prometheus(extra=extra)
 
     # -- backend management ----------------------------------------------------
@@ -506,6 +510,7 @@ class CitationService:
                 if self.engine.workers is not None
                 else default_worker_count(),
                 "parallel_backend": self.engine.parallel_backend,
+                "refresh": self.engine.refresh_stats(),
             }
         if self.startup_lint_report is not None:
             snapshot["startup_lint"] = self.startup_lint_report.as_dict()

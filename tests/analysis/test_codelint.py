@@ -324,12 +324,21 @@ class TestRepoGate:
         from repro.core.engine import CitationEngine
         from repro.query.evaluator import QueryEvaluator
         from repro.query.stats import EvaluationMetrics
+        from repro.relational.database import Database
         from repro.service.metrics import ServiceMetrics
         from repro.service.plan_cache import GenerationalLRU
 
         assert declared_shared_state(CitationEngine) == {
             "_analysis_cache": "_analysis_lock",
             "_analysis_stats": "_analysis_lock",
+            "_atom_cache": "_refresh_lock",
+            "_view_relations": "_refresh_lock",
+            "_cache_generation": "_refresh_lock",
+            "_refresh_stats": "_refresh_lock",
+        }
+        assert declared_shared_state(Database) == {
+            "_generation": "_sync_lock",
+            "_changes": "_sync_lock",
         }
         assert declared_shared_state(QueryEvaluator) == {
             "_programs": "_cache_lock",

@@ -72,6 +72,83 @@ class TestCitationRecords:
         assert contributors(engine.cite(query), tid) == before | {"A. Newcomer"}
 
 
+class TestDeltaScopedRefresh:
+    """A write evicts only the records and views it can change."""
+
+    @pytest.fixture
+    def database(self):
+        return gtopdb.generate(families=6, targets_per_family=2, seed=3)
+
+    @pytest.fixture
+    def engine(self, database):
+        return CitationEngine(database, gtopdb.citation_views(extended=True))
+
+    @staticmethod
+    def records(engine, view, parameter, values):
+        return {v: engine.citation_record(view, {parameter: v}) for v in values}
+
+    def test_write_no_citation_query_reads_keeps_every_record(self, engine, database):
+        family = min(row[0] for row in database.relation("Family").rows)
+        target = min(row[0] for row in database.relation("Target").rows)
+        v1 = engine.citation_record("V1", {"FID": family})
+        v4 = engine.citation_record("V4", {"TID": target})
+        database.insert("Ligand", (10_000, "Newcomer", "synthetic"))
+        database.delete("Ligand", (10_000, "Newcomer", "synthetic"))
+        assert engine.citation_record("V1", {"FID": family}) is v1
+        assert engine.citation_record("V4", {"TID": target}) is v4
+        assert engine.refresh_stats()["records_evicted"] == 0
+
+    def test_contributor_insert_replaces_only_that_targets_record(self, engine, database):
+        targets = sorted(row[0] for row in database.relation("Target").rows)
+        before = self.records(engine, "V4", "TID", targets)
+        database.insert("Contributor", (targets[0], "A. Newcomer"))
+        after = self.records(engine, "V4", "TID", targets)
+        assert after[targets[0]] is not before[targets[0]]
+        assert "A. Newcomer" in after[targets[0]]["contributors"]
+        assert all(after[t] is before[t] for t in targets[1:])
+        assert engine.refresh_stats()["records_evicted"] == 1
+
+    def test_committee_drift_replaces_every_v1_record(self, engine, database):
+        families = sorted(row[0] for row in database.relation("Family").rows)
+        targets = sorted(row[0] for row in database.relation("Target").rows)
+        v1 = self.records(engine, "V1", "FID", families)
+        v4 = self.records(engine, "V4", "TID", targets)
+        database.relation("Committee").insert((families[0], "A. Rogue"))  # out of band
+        assert all(
+            engine.citation_record("V1", {"FID": f}) is not v1[f] for f in families
+        )
+        assert self.records(engine, "V4", "TID", targets) == v4
+        assert all(engine.citation_record("V4", {"TID": t}) is v4[t] for t in targets)
+
+    def test_only_views_over_the_changed_relation_rematerialize(self, engine, database):
+        views = engine.view_relations()
+        database.insert("Contributor", (min(database.relation("Target").rows)[0], "X"))
+        assert engine.view_relations() is views  # no view reads Contributor
+        row = min(database.relation("Interaction").rows)
+        database.delete("Interaction", row)
+        fresh = engine.view_relations()
+        assert fresh is not views and row not in fresh["V6"]
+        assert {name for name in views if fresh[name] is not views[name]} == {"V6"}
+        assert engine.refresh_stats()["views_rematerialized"] == 1
+
+    def test_log_overrun_and_invalidate_drop_everything(self, monkeypatch):
+        import repro.relational.database as database_module
+
+        monkeypatch.setattr(database_module, "_CHANGE_LOG_LIMIT", 8)  # a short log
+        database = gtopdb.generate(families=6, targets_per_family=2, seed=3)
+        engine = CitationEngine(database, gtopdb.citation_views(extended=True))
+        target = min(row[0] for row in database.relation("Target").rows)
+        record = engine.citation_record("V4", {"TID": target})
+        for _ in range(5):
+            database.insert("Ligand", (10_000, "Churn", "synthetic"))
+            database.delete("Ligand", (10_000, "Churn", "synthetic"))
+        assert engine.citation_record("V4", {"TID": target}) is not record
+        record = engine.citation_record("V4", {"TID": target})
+        engine.invalidate_caches()
+        assert engine.citation_record("V4", {"TID": target}) is not record
+        assert engine.refresh_stats()["full_drops"] == 2
+
+
 class TestCite:
     def test_result_matches_direct_evaluation(self, paper_engine, paper_query, paper_db):
         result = paper_engine.cite(paper_query)

@@ -6,7 +6,9 @@ database generation, invalidating plan/result caches mid-flight — and then
 audits the aftermath: no lost requests (the metrics counters balance
 exactly), no cross-request plan corruption (every plan in sight passes the
 IR verifier), stable answers (the churned relation feeds none of the
-queries).  :class:`TestEngineCacheRaces` is the regression suite for the
+queries), and stable records (it feeds no citation query either, so the
+engine's delta-scoped refreshes must keep every record object).
+:class:`TestEngineCacheRaces` is the regression suite for the
 engine/evaluator cache locks: tiny cache caps plus many distinct query
 shapes force concurrent FIFO eviction, which without ``_cache_lock`` /
 ``_analysis_lock`` raced destructively (``RuntimeError: dictionary changed
@@ -72,6 +74,9 @@ class TestServiceUnderChurn:
         with CitationService(engine, max_workers=THREADS) as service:
             expected = {
                 query: frozenset(engine.cite(query).result.rows) for query in QUERIES
+            }
+            pre_churn = {
+                query: cited_records(engine.cite(query)) for query in QUERIES
             }
             stop = threading.Event()
             writer_ops = 0
@@ -142,6 +147,24 @@ class TestServiceUnderChurn:
             stats = engine.analysis_stats()
             assert stats["verify_violations"] == 0
             assert stats["plans_verified"] >= len(QUERIES)
+
+            # 4. Delta-scoped refresh: the churned Ligand feeds no citation
+            # query, so concurrent refreshes kept every record object.
+            for query in QUERIES:
+                after = cited_records(engine.cite(query))
+                assert after.keys() == pre_churn[query].keys()
+                assert all(after[key] is record for key, record in pre_churn[query].items())
+            refresh = engine.refresh_stats()
+            assert refresh["full_drops"] == refresh["records_evicted"] == 0
+
+
+def cited_records(result) -> dict:
+    """``(view, parameter items) -> record`` of every atom a result cites."""
+    return {
+        (atom.view_name, tuple(sorted(atom.parameter_values.items()))): atom.record
+        for tc in result.tuple_citations
+        for atom in tc.expression.atoms()
+    }
 
 
 class TestShardedEvaluationUnderChurn:

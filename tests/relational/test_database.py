@@ -176,6 +176,80 @@ class TestOutOfBandMutations:
         assert evaluator.evaluate(query).rows == {(1,), (77,)}
 
 
+class TestChangeLog:
+    """``changes_since`` replays the change of each generation: the engine
+    evicts only what those changes can reach."""
+
+    def test_one_entry_per_generation(self, db):
+        before = db.generation
+        db.insert("Family", (5, "Opioid"))
+        db.delete("Committee", (1, "D. Hoyer"))
+        db.insert("Family", (5, "Opioid"))  # no change, no generation
+        db.delete("Family", (5, "Opioid"))
+        assert db.changes_since(before) == (
+            before + 3,
+            [
+                ("Family", (5, "Opioid")),
+                ("Committee", (1, "D. Hoyer")),
+                ("Family", (5, "Opioid")),
+            ],
+        )
+        assert db.changes_since(before + 2) == (before + 3, [("Family", (5, "Opioid"))])
+        assert db.changes_since(before + 3) == (before + 3, [])
+
+    def test_drift_is_logged_without_a_row(self, db):
+        before = db.generation
+        db.relation("Committee").insert((2, "Rogue"))  # out of band
+        db.insert("Committee", (2, "Next"))  # folds its relation's drift first
+        assert db.changes_since(before) == (
+            before + 2, [("Committee", None), ("Committee", (2, "Next"))]
+        )
+
+    def test_a_reader_too_far_behind_gets_none(self, schema, monkeypatch):
+        import repro.relational.database as database_module
+
+        monkeypatch.setattr(database_module, "_CHANGE_LOG_LIMIT", 8)  # a short log
+        db = Database(schema)
+        for _ in range(5):
+            db.insert("Family", (9, "Churn"))
+            db.delete("Family", (9, "Churn"))
+        assert db.changes_since(1) is None
+        generation, entries = db.changes_since(2)
+        assert generation == 10 and len(entries) == 8
+        assert db.changes_since(11) is None
+
+    def test_copy_starts_with_an_empty_log(self, db):
+        clone = db.copy()
+        assert clone.changes_since(clone.generation) == (clone.generation, [])
+        assert clone.changes_since(clone.generation - 1) is None
+        clone.insert("Family", (10, "Clone"))
+        assert clone.changes_since(0) == (1, [("Family", (10, "Clone"))])
+        assert db.changes_since(db.generation) == (db.generation, [])
+
+    def test_writes_racing_drift_folds_lose_no_generation(self, db):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        before = db.generation
+
+        def write(i):
+            db.insert("Family", (100 + i, f"F{i}"))
+            db.relation("Committee").insert((1, f"Rogue {i}"))  # out of band
+            return db.generation
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(write, range(200), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        generation, entries = db.changes_since(before)
+        assert generation - before == len(entries)
+        assert sum(row is not None for _, row in entries) == 200
+        assert {relation for relation, row in entries if row is None} == {"Committee"}
+
+
 class TestInspection:
     def test_total_rows_and_sizes(self, db):
         assert db.total_rows() == 3

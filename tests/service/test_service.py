@@ -7,7 +7,7 @@ import time
 import pytest
 
 import repro.core.engine as engine_module
-from repro import CitationEngine, CitationPolicy, CitationService, parse_query
+from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
 from repro.core.incremental import IncrementalCitationMaintainer
 from repro.errors import NoRewritingError
 from repro.workloads import gtopdb
@@ -243,6 +243,26 @@ class TestStats:
         snapshot = stats["latency_ms"]["request"]
         assert snapshot["count"] == 2
         assert snapshot["max_ms"] >= snapshot["min_ms"] >= 0.0
+
+    def test_refresh_counters_show_how_precise_invalidation_is(self, service, engine, db):
+        q5 = CitationRequest(
+            query="Q5(TName, FName) :- Target(TID, FID, TName, Type), Family(FID, FName, Desc)"
+        )
+        assert service.submit(q5).ok
+        tid = min(row[0] for row in db.relation("Target").rows)
+        db.insert("Contributor", (tid, "A. Newcomer"))
+        assert service.submit(q5).ok
+        # Only V4(tid) was evicted, and no view reads Contributor.
+        refresh = service.stats()["engine"]["refresh"]
+        assert refresh["records_evicted"] == 1 and refresh["records_kept"] > 1
+        assert refresh["full_drops"] == refresh["views_rematerialized"] == 0
+        db.delete("Interaction", min(db.relation("Interaction").rows))
+        engine.view_relations()  # re-materializes V6 only
+        refresh = service.stats()["engine"]["refresh"]
+        assert refresh["views_rematerialized"] == 1
+        exposition = service.to_prometheus()
+        for name in ("records_kept", "records_evicted", "full_drops", "views_rematerialized"):
+            assert f"repro_engine_refresh_{name} {refresh[name]}\n" in exposition
 
     def test_mutations_observed_counter(self, service, db):
         db.insert("Ligand", (9100, "Ligand-X", "peptide"))
