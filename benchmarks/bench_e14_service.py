@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 
-from repro import CitationEngine, CitationPolicy, CitationService
+from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService
 from repro.workloads import gtopdb
 from benchmarks.conftest import report
 
@@ -33,6 +33,10 @@ def _make_engine(families: int = 150) -> CitationEngine:
     )
 
 
+def _cite(service: CitationService, query):
+    return service.submit(CitationRequest(query=query)).unwrap()
+
+
 def _timed(callable_):
     started = time.perf_counter()
     value = callable_()
@@ -43,18 +47,18 @@ def test_e14_cold_vs_warm_latency():
     engine = _make_engine()
     query = gtopdb.paper_query()
     with CitationService(engine) as service:
-        cold_result, cold = _timed(lambda: service.cite(query))
+        cold_result, cold = _timed(lambda: _cite(service, query))
 
         warm_times = []
         for _ in range(WARM_ROUNDS):
-            warm_result, elapsed = _timed(lambda: service.cite(query))
+            warm_result, elapsed = _timed(lambda: _cite(service, query))
             warm_times.append(elapsed)
         warm = sum(warm_times) / len(warm_times)
 
         # A structurally identical (renamed, reordered) query: plan +
         # result-cache reuse, only the rebinding is fresh work.
         renamed = "Q(N) :- FamilyIntro(F, T), Family(F, N, D)"
-        renamed_result, alpha = _timed(lambda: service.cite(renamed))
+        renamed_result, alpha = _timed(lambda: _cite(service, renamed))
 
         speedup = cold / warm if warm > 0 else float("inf")
         report(
@@ -86,7 +90,9 @@ def test_e14_batch_matches_sequential():
     service_engine = _make_engine()
     with CitationService(service_engine) as service:
         responses, batch_elapsed = _timed(
-            lambda: service.cite_many(queries, max_workers=8)
+            lambda: service.submit_batch(
+                [CitationRequest(query=query) for query in queries], max_workers=8
+            )
         )
         assert all(response.ok for response in responses)
         for expected, response in zip(sequential, responses):
@@ -109,7 +115,7 @@ def test_e14_batch_matches_sequential():
                     "qps": round(len(queries) / sequential_elapsed, 1),
                 },
                 {
-                    "path": "service.cite_many (dedup)",
+                    "path": "service.submit_batch (dedup)",
                     "total_ms": round(batch_elapsed * 1e3, 1),
                     "qps": round(throughput, 1),
                 },
@@ -131,11 +137,11 @@ def test_e14_invalidation_cost():
     engine = _make_engine(families=60)
     query = gtopdb.paper_query()
     with CitationService(engine) as service:
-        service.cite(query)
+        _cite(service, query)
         engine.database.insert("Family", (7001, "Fresh family", "d"))
         engine.database.insert("FamilyIntro", (7001, "intro"))
-        _result, stale_refresh = _timed(lambda: service.cite(query))
-        _result, warm_again = _timed(lambda: service.cite(query))
+        _result, stale_refresh = _timed(lambda: _cite(service, query))
+        _result, warm_again = _timed(lambda: _cite(service, query))
         report(
             "E14 invalidation: first request after a mutation",
             [
@@ -146,5 +152,5 @@ def test_e14_invalidation_cost():
         assert service.metrics.counter("plan_compilations") == 1
         assert service.metrics.counter("plan_cache_hits") == 1
         assert service.metrics.counter("executions") == 2
-        rows = {tc.row for tc in service.cite(query).tuple_citations}
+        rows = {tc.row for tc in _cite(service, query).tuple_citations}
         assert ("Fresh family",) in rows

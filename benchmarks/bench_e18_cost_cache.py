@@ -1,24 +1,22 @@
 """E18 — statistics-driven cost model + version-keyed prelude cache.
 
-PR 4's semi-join reduction (E17) left two taxes on the serving hot path:
-every evaluation re-ran the full reduction prelude even when nothing had
-changed, and ``strategy="auto"`` gated the reduction on a blunt 4096-row
-cardinality threshold that is wrong in both directions.  This experiment
-gates the two fixes:
+The semi-join reduction (E17) would tax the serving hot path twice if left
+alone: every evaluation would re-run the full reduction prelude even when
+nothing had changed, and a blunt 4096-row cardinality gate on the reduction
+is wrong in both directions.  This experiment gates the two fixes:
 
 1. **Warm traffic skips the reduction.**  On a wide acyclic citation view
    (four-atom chain, dangling tuples everywhere, ~8 reference keys carrying
-   all the answers) a warm re-evaluation — the :class:`PreludeCache`
-   snapshot current, candidates and prepared buckets reused — must be at
-   least **5x** faster than a cold reduced evaluation that runs the
-   bottom-up/top-down passes.  Drifting one relation refreshes partially:
-   only the drifted step re-prefilters.
+   all the answers) a warm re-evaluation through a held
+   :class:`PreludeCache` — snapshot current, candidates and prepared
+   buckets reused — must be at least **5x** faster than a cold reduced
+   evaluation that runs the bottom-up/top-down passes.  Drifting one
+   relation refreshes partially: only the drifted step re-prefilters.
 
-2. **The cost model out-decides the fixed threshold**, pinned in both
-   directions: a dense fully joining instance *above* the old threshold
-   (where the threshold wrongly reduces) must run the plain program, and a
-   sparse dangling-heavy instance *below* it (where the threshold wrongly
-   refuses) must reduce.
+2. **The cost model out-decides a fixed 4096-row gate**, pinned in both
+   directions: a dense fully joining instance *above* 4096 rows must run
+   the plain program, and a sparse dangling-heavy instance *below* it must
+   reduce — and each pick must win on the clock.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, set by CI) shrinks the instances so the
 experiment stays a quick regression gate.  Machine-readable results land in
@@ -31,12 +29,8 @@ from __future__ import annotations
 import os
 import random
 import time
-import warnings
 
-from repro.query.evaluator import (
-    DEFAULT_REDUCTION_THRESHOLD,
-    QueryEvaluator,
-)
+from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
@@ -117,7 +111,7 @@ def _sparse_instance(rows: int, seed: int = 23, fanout: int = 8) -> Database:
     Fan-out ~8 per join step and a last relation whose keys are ~99%
     disjoint: the plain program enumerates a large frontier of partial
     bindings that die at the final probe, so the prelude pays for itself
-    even though the instance sits far below the old 4096-row threshold.
+    even though the instance sits far below 4096 rows.
     """
     rng = random.Random(seed)
     domain = rows // fanout
@@ -146,15 +140,6 @@ def _sparse_instance(rows: int, seed: int = 23, fanout: int = 8) -> Database:
     return database
 
 
-def _legacy_evaluator(database: Database) -> QueryEvaluator:
-    """An evaluator on the deprecated fixed-threshold gate of PR 4."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return QueryEvaluator(
-            database, reduction_threshold=DEFAULT_REDUCTION_THRESHOLD
-        )
-
-
 def _best_of(callable_, rounds: int = ROUNDS):
     best = float("inf")
     value = None
@@ -169,31 +154,34 @@ def test_e18_warm_prelude_skips_the_reduction():
     database = _dangling_instance()
     evaluator = QueryEvaluator(database, strategy="reduced")
 
-    # Warm-up: compile the program, run the analysis, build the shared hash
+    # Compile the program and its reduction once, and warm the shared hash
     # indexes — the comparison is prelude-cold vs. prelude-warm, not
     # compile-cold vs. everything-warm.
-    reference = evaluator.evaluate(WIDE_VIEW).rows
+    reduced = evaluator.reduce(WIDE_VIEW)
+    prelude = evaluator.prelude_for(WIDE_VIEW, reduced)
+    reference = set(evaluator.evaluate_with_bindings(WIDE_VIEW, prelude=prelude))
     assert reference == QueryEvaluator(database, strategy="program").evaluate(
         WIDE_VIEW
     ).rows, "strategies diverged"
 
     def cold():
-        evaluator.invalidate_preludes()
-        return evaluator.evaluate(WIDE_VIEW)
+        fresh = evaluator.prelude_for(WIDE_VIEW, reduced)
+        return set(evaluator.evaluate_with_bindings(WIDE_VIEW, prelude=fresh))
+
+    def warm():
+        return set(evaluator.evaluate_with_bindings(WIDE_VIEW, prelude=prelude))
 
     cold_rows, cold_time = _best_of(cold)
-    warm_rows, warm_time = _best_of(lambda: evaluator.evaluate(WIDE_VIEW))
-    assert warm_rows.rows == cold_rows.rows == reference
+    warm_rows, warm_time = _best_of(warm)
+    assert warm_rows == cold_rows == reference
     speedup = cold_time / warm_time if warm_time else float("inf")
-
-    prelude = evaluator._preludes[WIDE_VIEW]
-    assert prelude.hits >= ROUNDS - 1  # the warm rounds never re-reduced
+    assert prelude.hits >= ROUNDS  # the warm rounds never re-reduced
 
     # Drift one relation: the refresh must reuse the three untouched steps.
     recomputed_before = prelude.steps_recomputed
     reused_before = prelude.steps_reused
     database.insert("Family", (10_000_000, 0))
-    _rows, drift_time = _best_of(lambda: evaluator.evaluate(WIDE_VIEW), 1)
+    _rows, drift_time = _best_of(warm, 1)
     assert prelude.steps_recomputed == recomputed_before + 1
     assert prelude.steps_reused == reused_before + 3
 
@@ -221,26 +209,18 @@ def test_e18_cost_model_beats_the_fixed_threshold():
     sparse_rows = 500
     dense = _dense_instance(dense_rows)
     sparse = _sparse_instance(sparse_rows)
-    assert dense.total_rows() >= DEFAULT_REDUCTION_THRESHOLD
-    assert sparse.total_rows() < DEFAULT_REDUCTION_THRESHOLD
-
-    dense_cost = QueryEvaluator(dense)
-    sparse_cost = QueryEvaluator(sparse)
-    dense_legacy = _legacy_evaluator(dense)
-    sparse_legacy = _legacy_evaluator(sparse)
+    # The two size classes a fixed 4096-row gate misjudges.
+    assert dense.total_rows() >= 4096
+    assert sparse.total_rows() < 4096
 
     picks = {
-        "dense_cost": dense_cost.select_strategy(WIDE_VIEW),
-        "dense_threshold": dense_legacy.select_strategy(WIDE_VIEW),
-        "sparse_cost": sparse_cost.select_strategy(WIDE_VIEW),
-        "sparse_threshold": sparse_legacy.select_strategy(WIDE_VIEW),
+        "dense_cost": QueryEvaluator(dense).select_strategy(WIDE_VIEW),
+        "sparse_cost": QueryEvaluator(sparse).select_strategy(WIDE_VIEW),
     }
 
-    # Both pick-directions the fixed threshold gets wrong, pinned:
+    # Both pick-directions a fixed gate gets wrong, pinned:
     assert picks["dense_cost"] == "program", picks
-    assert picks["dense_threshold"] == "reduced", picks  # the old mistake
     assert picks["sparse_cost"] == "reduced", picks
-    assert picks["sparse_threshold"] == "program", picks  # the old mistake
 
     # The picks must also be the right call on the clock.
     _r, dense_program = _best_of(
@@ -259,32 +239,30 @@ def test_e18_cost_model_beats_the_fixed_threshold():
 
     rows = [
         {
-            "op": "cost_vs_threshold",
+            "op": "cost_model_pick",
             "instance": "dense_fully_joining",
             "total_rows": dense.total_rows(),
             "cost_pick": picks["dense_cost"],
-            "threshold_pick": picks["dense_threshold"],
             "program_ms": round(dense_program * 1000, 2),
             "reduced_ms": round(dense_reduced * 1000, 2),
         },
         {
-            "op": "cost_vs_threshold",
+            "op": "cost_model_pick",
             "instance": "sparse_dangling_heavy",
             "total_rows": sparse.total_rows(),
             "cost_pick": picks["sparse_cost"],
-            "threshold_pick": picks["sparse_threshold"],
             "program_ms": round(sparse_program * 1000, 2),
             "reduced_ms": round(sparse_reduced * 1000, 2),
         },
     ]
-    report("E18: cost-model picks vs the fixed 4096-row threshold", rows)
-    record_json("e18", rows, reduction_threshold=DEFAULT_REDUCTION_THRESHOLD)
+    report("E18: cost-model picks on both sides of a 4096-row gate", rows)
+    record_json("e18", rows)
 
 
 def test_e18_service_traffic_rides_the_warm_prelude():
     """End to end: repeated serving traffic leaves hit-rate evidence."""
     from repro.core.spec import default_views_for_schema
-    from repro import CitationEngine, CitationService
+    from repro import CitationEngine, CitationRequest, CitationService
 
     database = _dangling_instance(600 if SMOKE else 1500, seed=31)
     views = default_views_for_schema(SCHEMA)
@@ -295,7 +273,7 @@ def test_e18_service_traffic_rides_the_warm_prelude():
     )
     with CitationService(engine, cache_results=False) as service:
         for _ in range(4):
-            service.cite(query)
+            service.submit(CitationRequest(query=query)).unwrap()
         snapshot = service.stats()["evaluation"]
     prelude = snapshot["prelude_cache"]
     assert prelude["hits"] >= 3, snapshot

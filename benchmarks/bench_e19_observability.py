@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro import CitationEngine, CitationService
+from repro import CitationEngine, CitationRequest, CitationService
 from repro.core.spec import default_views_for_schema
 from repro.observability import (
     RingBufferSink,
@@ -76,13 +76,14 @@ def _service(tracer: Tracer | None = None) -> CitationService:
 
 def _warm_request_seconds(service: CitationService) -> float:
     """Best-of mean seconds per warm ``submit`` of the benchmark query."""
+    request = CitationRequest(query=QUERY)
     for _ in range(5):  # warm plan cache, prelude and indexes
-        service.cite(QUERY)
+        service.submit(request).unwrap()
     best = float("inf")
     for _ in range(REPEATS):
         started = time.perf_counter()
         for _ in range(ROUNDS):
-            service.cite(QUERY)
+            service.submit(request).unwrap()
         best = min(best, (time.perf_counter() - started) / ROUNDS)
     return best
 

@@ -2,8 +2,8 @@
 
 The ``verify_plans`` knob must be cheap enough to leave on outside tests:
 verification runs once per plan compile (never on the warm per-request
-path), and the programs/reductions it compiles eagerly are exactly the
-objects the executor would build lazily anyway.  This experiment measures
+path), over the programs and reductions ``compile_plan`` builds for every
+plan anyway.  This experiment measures
 the knob both where it is most visible (compile-heavy traffic: every
 request compiles a fresh plan) and where production traffic actually lives
 (serving-shaped: one compile, many executions), and gates the

@@ -22,8 +22,8 @@ themselves:
   and the prepared bucket plan) must agree with the very steps it was
   snapshotted from (I007);
 * :func:`verify_citation_plan` — all of the above over everything compiled
-  onto a :class:`~repro.core.engine.CitationPlan`, plus the cross-object
-  identity pairing the execution path relies on;
+  onto a :class:`~repro.core.engine.CitationPlan`, plus a check that each
+  rewriting's program was compiled from that rewriting;
 * :func:`verify_shard_partition` — sharded execution state: the partition of
   a program's driving rows must be an exact multiset cover, with every row
   routed to the shard its join-key hash dictates (I008), so the union of
@@ -540,41 +540,27 @@ def verify_shard_partition(
 def verify_citation_plan(plan) -> AnalysisReport:
     """Verify everything compiled onto a :class:`~repro.core.engine.CitationPlan`.
 
-    Checks each cached program/reduction/prelude per rewriting position plus
-    the cross-object identity pairing the executor relies on
-    (``reduced.program is program``, ``prelude.reduced is reduced``).  Duck
-    typed on purpose — importing the engine here would be an import cycle.
+    Walks ``plan.compiled``: one entry per rewriting, whose prelude (with
+    the reduced and plain programs under it) must verify and whose program
+    must have been compiled from that rewriting's query.  Duck typed on
+    purpose — importing the engine here would be an import cycle.
     """
     report = AnalysisReport()
-    for position, rewriting in enumerate(plan.rewritings):
-        loc = f"plan {plan.query.name!r}, rewriting {position}"
-        program = plan.compiled_program(position)
-        reduced = plan.compiled_reduced(position)
-        prelude = plan.compiled_prelude(position)
-        if program is not None:
-            if program.query != rewriting.query:
-                report.add(diagnostic(
-                    "I004",
-                    "cached program was compiled from a different query than the rewriting",
-                    loc,
-                ))
-            if reduced is None and prelude is None:
-                report.extend(verify_program(program))
-        if reduced is not None:
-            if program is not None and reduced.program is not program:
-                report.add(diagnostic(
-                    "I006",
-                    "cached reduced program wraps a different join program than the plan",
-                    loc,
-                ))
-            if prelude is None:
-                report.extend(verify_reduced(reduced))
-        if prelude is not None:
-            if reduced is not None and prelude.reduced is not reduced:
-                report.add(diagnostic(
-                    "I007",
-                    "cached prelude belongs to a different reduced program than the plan",
-                    loc,
-                ))
-            report.extend(verify_prelude(prelude))
+    if len(plan.compiled) != len(plan.rewritings):
+        report.add(diagnostic(
+            "I004",
+            f"plan carries {len(plan.compiled)} compiled rewritings "
+            f"for {len(plan.rewritings)} rewritings",
+            f"plan {plan.query.name!r}",
+        ))
+    for position, (rewriting, (_citation, prelude)) in enumerate(
+        zip(plan.rewritings, plan.compiled)
+    ):
+        if prelude.reduced.program.query != rewriting.query:
+            report.add(diagnostic(
+                "I004",
+                "program was compiled from a different query than the rewriting",
+                f"plan {plan.query.name!r}, rewriting {position}",
+            ))
+        report.extend(verify_prelude(prelude))
     return report

@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--strategy", choices=STRATEGY_CHOICES, default="auto",
-            help="join execution strategy: auto/cost price the semi-join "
+            help="join execution strategy: auto prices the semi-join "
             "reduction with the statistics-driven cost model (and always "
             "reuse a warm prelude), program/reduced force one executor, "
             "parallel forces sharded evaluation across the worker pool",

@@ -44,7 +44,7 @@ from repro.core.policy import CitationPolicy
 from repro.core.record import CitationRecord, CitationSet
 from repro.resilience.deadline import current_deadline
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
-from repro.analysis.ir import verify_citation_plan, verify_reduced
+from repro.analysis.ir import verify_citation_plan
 from repro.analysis.query_rules import QueryAnalysis, analyze_query
 from repro.concurrency import shared_state
 from repro.core.rewriting_selector import RewritingSelector
@@ -56,7 +56,7 @@ from repro.errors import (
 )
 from repro.observability import NULL_SPAN, get_tracer
 from repro.query.ast import ConjunctiveQuery, Constant, Variable
-from repro.query.compiler import JoinProgram, PreludeCache, ReducedProgram
+from repro.query.compiler import PreludeCache
 from repro.query.evaluator import Binding, QueryEvaluator, Strategy
 from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
 from repro.query.parser import parse_query
@@ -227,10 +227,11 @@ class CitationPlan:
     :meth:`CitationEngine.cite`.
 
     Compiling a plan runs the expensive view-rewriting search (Bucket /
-    MiniCon) and, in economical mode, the cost-based rewriting selection.
-    Executing a plan only evaluates the chosen rewritings and assembles the
-    citation expressions, so a cached plan lets structurally identical queries
-    skip the search entirely (the serving layer in :mod:`repro.service` builds
+    MiniCon) and, in economical mode, the cost-based rewriting selection,
+    then compiles each rewriting (:attr:`compiled`).  Executing a plan only
+    evaluates the chosen rewritings and assembles the citation expressions,
+    so a cached plan lets structurally identical queries skip the search and
+    the compile entirely (the serving layer in :mod:`repro.service` builds
     on this split).
     """
 
@@ -246,69 +247,17 @@ class CitationPlan:
     core: ConjunctiveQuery | None = field(default=None, compare=False)
     #: Static-analysis findings from compile time (empty when analysis off).
     diagnostics: tuple[Diagnostic, ...] = field(default=(), compare=False)
-    #: Compiled join programs per rewriting position, filled lazily on first
-    #: execution.  A program is pure description (atom order, slot layout,
-    #: bound-position accessors) and independent of the data, so it rides
-    #: along with the plan through the serving layer's plan cache and is
-    #: compiled once per plan rather than once per request.  Excluded from
-    #: equality/hash; concurrent fills race benignly (both compute the same
-    #: program).
-    _programs: dict[int, JoinProgram] = field(
-        default_factory=dict, compare=False, repr=False
+    #: Per rewriting, in order: its :class:`CitationProgram` and the
+    #: :class:`~repro.query.compiler.PreludeCache` over its semi-join-reduced
+    #: join program.  The reduced program is ``prelude.reduced`` and the
+    #: plain one ``prelude.reduced.program``, so the three are paired by
+    #: construction.  Programs are pure description; the prelude's warm
+    #: state is data-derived, stamped with every relation's identity and
+    #: version, and refreshes itself when they move.  This is the only copy
+    #: of a plan's compiled state.
+    compiled: tuple[tuple[CitationProgram, PreludeCache], ...] = field(
+        default=(), compare=False, repr=False
     )
-    #: Semi-join-reduced programs per rewriting position, filled alongside
-    #: :attr:`_programs` — the acyclicity analysis and reduction prelude are
-    #: likewise pure description, so a plan cached by the serving layer
-    #: carries both executors and serving traffic never re-analyses a query
-    #: shape it has seen.
-    _reduced: dict[int, ReducedProgram] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    #: Warm-prelude caches per rewriting position — unlike the programs these
-    #: carry *data-derived* state (per-step candidate lists keyed by relation
-    #: versions), so a plan held by the serving layer's plan cache serves
-    #: warm traffic without re-running the semi-join passes at all.  The
-    #: state self-invalidates on data drift via its version stamps; a forced
-    #: engine invalidation drops it wholesale (see
-    #: :meth:`CitationEngine.execute_plan`).
-    _preludes: dict[int, PreludeCache] = field(
-        default_factory=dict, compare=False, repr=False
-    )
-    #: Engine cache epoch the preludes were warmed under (mutable cell so a
-    #: frozen plan can track it); ``-1`` = never executed.
-    _prelude_epoch: list[int] = field(
-        default_factory=lambda: [-1], compare=False, repr=False
-    )
-
-    def compiled_program(self, position: int) -> JoinProgram | None:
-        """The cached join program of rewriting *position* (``None`` before
-        first execution)."""
-        return self._programs.get(position)
-
-    def cache_program(self, position: int, program: JoinProgram) -> None:
-        """Attach the compiled join program of rewriting *position*."""
-        self._programs[position] = program
-
-    def compiled_reduced(self, position: int) -> ReducedProgram | None:
-        """The cached reduced program of rewriting *position* (``None`` before
-        first execution)."""
-        return self._reduced.get(position)
-
-    def cache_reduced(self, position: int, reduced: ReducedProgram) -> None:
-        """Attach the semi-join-reduced program of rewriting *position*."""
-        self._reduced[position] = reduced
-
-    def compiled_prelude(self, position: int) -> PreludeCache | None:
-        """The warm-prelude cache of rewriting *position* (``None`` when cold)."""
-        return self._preludes.get(position)
-
-    def cache_prelude(self, position: int, prelude: PreludeCache) -> None:
-        """Attach the warm-prelude cache of rewriting *position*."""
-        self._preludes[position] = prelude
-
-    def drop_preludes(self) -> None:
-        """Discard every warmed prelude (the next execution runs cold)."""
-        self._preludes.clear()
 
     @property
     def data_dependent(self) -> bool:
@@ -468,7 +417,7 @@ class CitationEngine:
         # materialised views survive from one request to the next (they are
         # re-validated against the views' identity and version on every probe).
         self._index_manager = IndexManager(database)
-        # Statistics and cost model feeding strategy="auto"/"cost" — reading
+        # Statistics and cost model feeding strategy="auto" — reading
         # off the shared index manager, so pricing a query warms the very
         # indexes its execution probes.  Evaluation metrics aggregate every
         # strategy decision, cost estimate and prelude-cache outcome; the
@@ -476,14 +425,13 @@ class CitationEngine:
         self._statistics = StatisticsCatalog(self._index_manager)
         self._cost_model = CostModel(self._statistics)
         self.evaluation_metrics = EvaluationMetrics()
-        # One persistent evaluator per engine: its program/reduction/prelude
-        # caches then persist across cite() calls and serving requests (the
-        # views it reads are re-pointed per execution, see
+        # One persistent evaluator per engine, shared by compile_plan and
+        # every execution (the views it reads are re-pointed per call, see
         # _execution_evaluator).
         self._evaluator: QueryEvaluator | None = None
         # Static analysis is pure query-shape work (schema + containment, no
         # instance data), so one bounded cache serves every compile and every
-        # fingerprint computation of the same query object.  cite_many fans
+        # fingerprint computation of the same query object.  submit_batch fans
         # requests out over a thread pool, so lookup/evict/insert and the
         # counter bumps must be atomic (the analysis itself runs unlocked —
         # it is pure, so concurrent duplicate work races benignly).
@@ -530,12 +478,12 @@ class CitationEngine:
         cache epoch so that compiled plans held elsewhere are invalidated too.
 
         Besides the views, citation records and view indexes, this clears the
-        statistics catalog and the evaluator's compiled-program, reduction,
-        warm-prelude and shard-partition caches — warmed prelude state
-        attached to plans held elsewhere is dropped lazily the next time the
-        engine executes them (their recorded epoch no longer matches).  The
-        evaluator's shard worker pool survives on purpose: it holds threads,
-        not data, so there is nothing data-derived in it to invalidate.
+        statistics catalog and the evaluator's shard-partition cache.  Warm
+        preludes on plans held elsewhere need no action: the views are
+        materialised anew, and a prelude refreshes whenever a relation's
+        identity or version moves.  The evaluator's shard worker pool
+        survives on purpose: it holds threads, not data, so there is nothing
+        data-derived in it to invalidate.
         """
         with self._refresh_lock:
             self._drop_caches_locked()
@@ -834,6 +782,7 @@ class CitationEngine:
             if mode == "economical":
                 rewritings = self.selector.select(rewritings)
                 span.set_attribute("rewritings_selected", len(rewritings))
+            evaluator = self._execution_evaluator()
             plan = CitationPlan(
                 query,
                 tuple(rewritings),
@@ -841,6 +790,15 @@ class CitationEngine:
                 token,
                 core=analysis.core,
                 diagnostics=analysis.diagnostics,
+                compiled=tuple(
+                    (
+                        CitationProgram(rewriting, self._citation_view_by_name),
+                        evaluator.prelude_for(
+                            rewriting.query, evaluator.reduce(rewriting.query)
+                        ),
+                    )
+                    for rewriting in rewritings
+                ),
             )
             self._verify_compiled_plan(plan, span)
             return plan
@@ -849,26 +807,13 @@ class CitationEngine:
         """Run the IR verifier over *plan*'s compiled join IR (see
         ``verify_plans``).
 
-        Programs and reductions are compiled eagerly here — the executor
-        would compile the very same objects lazily on first execution, so
-        under ``warn``/``strict`` the verification itself is the only extra
-        work, it happens once per plan compile, and warm traffic through the
-        serving layer's plan cache never pays again.
+        Verification runs once per plan compile, over the programs and
+        reductions :meth:`compile_plan` just built, so warm traffic through
+        the serving layer's plan cache never pays again.
         """
         if self.verify_plans == "off" or not plan.rewritings:
             return
-        evaluator = self._execution_evaluator()
-        report = AnalysisReport()
-        for position, rewriting in enumerate(plan.rewritings):
-            program = plan.compiled_program(position)
-            if program is None:
-                program = evaluator.compile(rewriting.query)
-                plan.cache_program(position, program)
-            reduced = plan.compiled_reduced(position)
-            if reduced is None or reduced.program is not program:
-                reduced = evaluator.reduction_of(rewriting.query, program)
-                plan.cache_reduced(position, reduced)
-            report.extend(verify_reduced(reduced))
+        report = verify_citation_plan(plan)
         with self._analysis_lock:
             self._analysis_stats["plans_verified"] += 1
             if report.has_errors:
@@ -891,9 +836,8 @@ class CitationEngine:
         """IR-verify everything compiled onto *plan* (programs, reductions
         and warm preludes), regardless of the ``verify_plans`` knob.
 
-        Unlike the compile-time hook this also checks warm prelude state, so
-        tests and the race harness can assert plans stay verifier-clean
-        *after* being executed and cached.
+        Tests and the race harness use it to assert plans stay
+        verifier-clean *after* being executed and cached.
         """
         return verify_citation_plan(plan)
 
@@ -902,7 +846,12 @@ class CitationEngine:
         query: ConjunctiveQuery | str,
         mode: Mode | None = None,
     ) -> CitedResult:
-        """Answer *query* and construct per-tuple and aggregate citations."""
+        """Answer *query* and construct per-tuple and aggregate citations.
+
+        Compiles a new plan on every call: to reuse compiled programs and
+        warm preludes, hold the plan (:meth:`compile_plan`,
+        :meth:`execute_plan`) or serve through the service's plan cache.
+        """
         return self.execute_plan(self.compile_plan(query, mode))
 
     def execute_plan(
@@ -949,33 +898,12 @@ class CitationEngine:
 
         tracer = get_tracer()
         evaluator = self._execution_evaluator()
-        # Warmed prelude state is version-stamped and survives ordinary data
-        # drift (only drifted steps recompute), but a forced invalidation
-        # must also retire state warmed before the epoch bump — even on plans
-        # the engine cannot reach at invalidation time.
-        if plan._prelude_epoch[0] != self._cache_epoch:
-            plan.drop_preludes()
-            plan._prelude_epoch[0] = self._cache_epoch
         # Read after the evaluator, which refreshes the generation.
         cache = self._atom_cache
         alternatives_by_row: dict[tuple, list[tuple[CitationProgram, list[Binding]]]] = {}
-        for position, rewriting in enumerate(plan.rewritings):
-            program = plan.compiled_program(position)
-            if program is None:
-                program = evaluator.compile(rewriting.query)
-                plan.cache_program(position, program)
-            prelude = None
-            reduced = plan.compiled_reduced(position)
-            if self.strategy != "program":
-                if reduced is None:
-                    reduced = evaluator.reduction_of(rewriting.query, program)
-                    plan.cache_reduced(position, reduced)
-                prelude = plan.compiled_prelude(position)
-                if prelude is None or prelude.reduced is not reduced:
-                    # Shared with the evaluator's per-query cache, so direct
-                    # cite() calls and plan-cache hits warm the same state.
-                    prelude = evaluator.prelude_for(rewriting.query, reduced)
-                    plan.cache_prelude(position, prelude)
+        for position, (rewriting, (citation, prelude)) in enumerate(
+            zip(plan.rewritings, plan.compiled, strict=True)
+        ):
             rewriting_span = (
                 tracer.span(
                     "engine.rewriting",
@@ -987,10 +915,9 @@ class CitationEngine:
             )
             with rewriting_span:
                 bindings_by_row = evaluator.evaluate_with_bindings(
-                    rewriting.query, program=program, reduced=reduced, prelude=prelude
+                    rewriting.query, prelude=prelude
                 )
                 rewriting_span.set_attribute("rows", len(bindings_by_row))
-            citation = CitationProgram(rewriting, self._citation_view_by_name)
             for row, bindings in bindings_by_row.items():
                 alternatives_by_row.setdefault(row, []).append((citation, bindings))
 
@@ -1033,13 +960,14 @@ class CitationEngine:
     def _execution_evaluator(self) -> QueryEvaluator:
         """The engine's persistent evaluator, pointed at the current views.
 
-        Built once and reused so its compiled-program, reduction and
-        warm-prelude caches persist across executions.  The view relations it
-        resolves against are re-bound per call: within one database
-        generation they are the same objects, and after a mutation the fresh
-        materialisations replace them (the prelude caches notice via their
-        identity stamps).  Mutations must not race in-flight executions —
-        the usual reader/writer discipline of the in-memory store.
+        Built once and reused so its shard-partition cache and worker pool
+        persist across executions; compiled state lives on the plans.  The
+        view relations it resolves against are re-bound per call: within one
+        database generation they are the same objects, and after a mutation
+        the fresh materialisations replace them (the plans' prelude caches
+        notice via their identity stamps).  Mutations must not race
+        in-flight executions — the usual reader/writer discipline of the
+        in-memory store.
         """
         views = self.view_relations()
         evaluator = self._evaluator

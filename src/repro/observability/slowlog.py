@@ -4,7 +4,7 @@ The tracer offers every finished request-boundary span; the log keeps the
 *capacity* slowest by duration (a min-heap on duration, so each offer is
 O(log N) and the cheapest retained trace is evicted first), optionally
 ignoring requests faster than *threshold_ms*.  Entirely in memory and
-thread-safe — ``cite_many`` finishes requests on worker threads.
+thread-safe — ``submit_batch`` finishes requests on worker threads.
 """
 
 from __future__ import annotations

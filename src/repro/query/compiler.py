@@ -1316,12 +1316,15 @@ class PreludeCache:
       version vector (:attr:`ReducedProgram.subtrees`) — a subtree with no
       drifted relation contributes its previous semi-joined key set.
 
-    The cache rides along with its reduced program: on the evaluator
-    (per-query) and on a :class:`~repro.core.engine.CitationPlan`
-    (per-rewriting), so the serving layer's plan cache carries warmed state
-    across requests.  Concurrent refreshes race benignly (both compute
-    equivalent snapshots; counters may undercount); the usual
-    reader/writer discipline of the in-memory store applies to mutations.
+    The cache holds its reduced program (``reduced``, and the plain program
+    as ``reduced.program``) and is owned by whoever compiled it: one per
+    rewriting of a :class:`~repro.core.engine.CitationPlan`, so the serving
+    layer's plan cache carries warmed state across requests, or one a
+    caller builds with :meth:`~repro.query.evaluator.QueryEvaluator.prelude_for`
+    and passes to ``evaluate_with_bindings``.  Concurrent refreshes race
+    benignly (both compute equivalent snapshots; counters may undercount);
+    the usual reader/writer discipline of the in-memory store applies to
+    mutations.
     """
 
     __slots__ = (

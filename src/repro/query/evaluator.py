@@ -14,10 +14,14 @@ atom order, variable→slot assignment and per-atom bound-position accessors
 are fixed once at compile time, relations are resolved once per evaluation,
 and bound-position probes use hash indexes — over database relations *and*
 over ``extra_relations`` such as materialised views, via an
-:class:`~repro.relational.index.IndexManager`.  Programs are cached per
-query on the evaluator (callers that hold a compiled plan can also pass a
-program in explicitly, which is how the serving layer amortises compilation
-across requests).
+:class:`~repro.relational.index.IndexManager`.  The evaluator caches nothing
+per query: a call compiles its program and reduction afresh, unless the
+caller hands in a :class:`~repro.query.compiler.PreludeCache`, which carries
+the reduced program (``prelude.reduced``), the plain one
+(``prelude.reduced.program``) and the warm semi-join state.  The citation
+engine compiles one per rewriting into each
+:class:`~repro.core.engine.CitationPlan` and passes it in, which is how
+serving traffic pays for compilation once per query shape.
 
 The evaluator has a **strategy knob** for how a program is executed:
 
@@ -26,12 +30,10 @@ The evaluator has a **strategy knob** for how a program is executed:
   (:func:`~repro.query.compiler.reduce_program`): a Yannakakis bottom-up /
   top-down pass over the join tree for acyclic queries, plus sideways
   information passing for every query;
-* ``"cost"`` — for α-acyclic multi-atom queries, ask the statistics-driven
-  :class:`~repro.query.stats.CostModel` whether the prelude's expected
-  dangling-tuple savings beat its linear passes; run whatever it picks;
-* ``"auto"`` (the default) — same as ``"cost"``, unless the evaluator was
-  constructed with an explicit ``reduction_threshold`` (deprecated), in
-  which case the legacy total-cardinality gate applies instead;
+* ``"auto"`` (the default) — for α-acyclic multi-atom queries, ask the
+  statistics-driven :class:`~repro.query.stats.CostModel` whether the
+  prelude's expected dangling-tuple savings beat its linear passes; run
+  whatever it picks;
 * ``"parallel"`` — resolve the executor like ``"auto"``, then force
   **sharded execution**: the driving step's resolved row source is
   partitioned by join-key hash into one slice per worker
@@ -41,19 +43,19 @@ The evaluator has a **strategy knob** for how a program is executed:
   exactly one driving row).  The semi-join prelude is prepared **once** in
   the calling thread and broadcast read-only to every shard.
 
-Under ``"auto"``/``"cost"`` the evaluator also *considers* sharding after
-resolving the executor: :meth:`~repro.query.stats.CostModel.parallel_estimate`
-prices the divided join work against per-worker setup and the partition
-pass, so small inputs stay serial (shard setup is not free) and only
-genuinely scan-dominated evaluations fan out.  Workers default to a bounded
+Under ``"auto"`` the evaluator also *considers* sharding after resolving the
+executor: :meth:`~repro.query.stats.CostModel.parallel_estimate` prices the
+divided join work against per-worker setup and the partition pass, so small
+inputs stay serial (shard setup is not free) and only genuinely
+scan-dominated evaluations fan out.  Workers default to a bounded
 CPU-derived count (:func:`repro.concurrency.default_worker_count`); the
 backend is a shared thread pool by default, or forked child processes
 (``parallel_backend="fork"``, POSIX) for CPU-bound joins that the GIL would
 otherwise serialise.
 
-Under ``"auto"``/``"cost"`` a query whose warm
-:class:`~repro.query.compiler.PreludeCache` is current always runs reduced —
-the prelude costs nothing, so the cost model is only consulted cold.
+Under ``"auto"`` a query whose handed-in prelude is warm for the current
+relations always runs reduced — the prelude costs nothing, so the cost
+model is only consulted cold.
 
 All strategies produce identical answers and binding sets — the reduction
 only removes rows that cannot contribute — which the differential property
@@ -66,10 +68,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
 from concurrent.futures import ThreadPoolExecutor
-from typing import Literal
+from typing import Literal, TypeVar
 
 from repro.concurrency import default_worker_count, fork_map_outcomes, shared_state
 from repro.errors import QueryError, UnknownRelationError, WorkerCrashError
@@ -101,25 +102,22 @@ from repro.relational.schema import Attribute, RelationSchema
 
 Binding = dict[Variable, object]
 
-Strategy = Literal["auto", "program", "reduced", "cost", "parallel"]
+_Out = TypeVar("_Out", bound=Sized)
 
-STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced", "cost", "parallel")
+Strategy = Literal["auto", "program", "reduced", "parallel"]
+
+STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced", "parallel")
 
 ParallelBackend = Literal["thread", "fork"]
 
 PARALLEL_BACKENDS: tuple[ParallelBackend, ...] = ("thread", "fork")
 
-#: The legacy ``strategy="auto"`` gate: the smallest total body-extension
-#: cardinality for which the reduction prelude was presumed worth its linear
-#: passes.  **Deprecated** — a fixed row count is wrong in both directions
-#: (densely joining large instances pay the prelude for nothing; sparse
-#: small ones are denied a win) — and kept only so callers that pass an
-#: explicit ``reduction_threshold`` keep their old behaviour.  The default
-#: path prices the decision with :class:`~repro.query.stats.CostModel`.
-DEFAULT_REDUCTION_THRESHOLD = 4096
+#: Soft cap on cached shard partitions; beyond it the oldest are evicted
+#: FIFO and simply recompute on next use.
+_SHARD_PARTS_LIMIT = 512
 
 
-@shared_state("_programs", "_reduced", "_preludes", "_shard_parts", lock="_cache_lock")
+@shared_state("_shard_parts", lock="_cache_lock")
 @shared_state("_shard_pool", lock="_pool_lock")
 class QueryEvaluator:
     """Evaluates conjunctive queries against a :class:`Database`.
@@ -134,18 +132,7 @@ class QueryEvaluator:
     (the engine threads one :class:`~repro.query.stats.StatisticsCatalog`
     and one :class:`~repro.query.stats.EvaluationMetrics` through every
     evaluator it builds).
-
-    Passing *reduction_threshold* is **deprecated**: it re-enables the old
-    blunt cardinality gate for ``strategy="auto"`` instead of the cost model.
     """
-
-    #: Default soft cap on cached query entries (programs, reductions,
-    #: preludes).  The evaluator outlives requests on the citation engine, so
-    #: without a bound a long-lived service answering diverse ad-hoc queries
-    #: would pin one prelude snapshot (materialised candidate rows + bucket
-    #: plans) per distinct query forever; beyond the cap the oldest entries
-    #: are evicted FIFO and simply recompute on next use.
-    DEFAULT_MAX_CACHED_QUERIES = 512
 
     def __init__(
         self,
@@ -154,11 +141,9 @@ class QueryEvaluator:
         use_indexes: bool = True,
         index_manager: IndexManager | None = None,
         strategy: Strategy = "auto",
-        reduction_threshold: int | None = None,
         statistics: StatisticsCatalog | None = None,
         cost_model: CostModel | None = None,
         metrics: EvaluationMetrics | None = None,
-        max_cached_queries: int = DEFAULT_MAX_CACHED_QUERIES,
         workers: int | None = None,
         parallel_backend: ParallelBackend = "thread",
         verify_partitions: bool = False,
@@ -174,19 +159,10 @@ class QueryEvaluator:
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if reduction_threshold is not None:
-            warnings.warn(
-                "reduction_threshold is deprecated: strategy='auto' now consults "
-                "the statistics-driven cost model (repro.query.stats.CostModel); "
-                "drop the argument, or force a strategy explicitly",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.database = database
         self.extra_relations = dict(extra_relations or {})
         self.use_indexes = use_indexes
         self.strategy: Strategy = strategy
-        self.reduction_threshold = reduction_threshold
         # Not `or`: an IndexManager with no entries yet is len() == 0, falsy.
         self.index_manager = (
             index_manager if index_manager is not None else IndexManager(database)
@@ -196,7 +172,6 @@ class QueryEvaluator:
         )
         self.cost_model = cost_model if cost_model is not None else CostModel(self.statistics)
         self.metrics = metrics
-        self.max_cached_queries = max_cached_queries
         #: Shard worker count.  Defaults to the same bounded CPU-derived
         #: count the service request pool uses, so the two pools scale
         #: together instead of oversubscribing each other.
@@ -211,16 +186,10 @@ class QueryEvaluator:
         #: violation raises :class:`~repro.errors.PlanVerificationError` — the
         #: runtime leg of ``verify_plans="strict"`` for sharded execution.
         self.verify_partitions = verify_partitions
-        # The engine shares one evaluator across cite_many's thread pool, so
-        # the query-keyed caches are guarded: the FIFO eviction below
-        # (iterate + pop) and the identity-pairing stores race destructively
-        # without it.  RLock because the store helpers call each other.
-        # Compilation/reduction runs outside the lock (pure; duplicate work
-        # races benignly, first store wins and keeps identity pairing).
-        self._cache_lock = threading.RLock()
-        self._programs: dict[ConjunctiveQuery, JoinProgram] = {}
-        self._reduced: dict[ConjunctiveQuery, ReducedProgram] = {}
-        self._preludes: dict[ConjunctiveQuery, PreludeCache] = {}
+        # The engine shares one evaluator across the service's worker
+        # threads, so the partition cache is guarded: its FIFO eviction
+        # (iterate + pop) races destructively without the lock.
+        self._cache_lock = threading.Lock()
         # query -> (source token, version, key positions, shard count, parts):
         # the cached hash-partition of the driving row source, stamped by the
         # identity of what produced the rows (the prepared plan for reduced
@@ -232,15 +201,6 @@ class QueryEvaluator:
         # deliberately leaves it alone.
         self._pool_lock = threading.Lock()
         self._shard_pool: ThreadPoolExecutor | None = None
-
-    def _bound_locked(self, cache: dict) -> None:
-        """Evict oldest entries beyond :attr:`max_cached_queries` (FIFO).
-
-        Caller holds :attr:`_cache_lock` — iterating while another thread
-        inserts would raise ``RuntimeError`` otherwise.
-        """
-        while len(cache) > self.max_cached_queries:
-            cache.pop(next(iter(cache)))
 
     # -- relation resolution ------------------------------------------------
     def _relation_for(self, predicate: str) -> Relation:
@@ -267,72 +227,25 @@ class QueryEvaluator:
 
     # -- compilation --------------------------------------------------------
     def compile(self, query: ConjunctiveQuery) -> JoinProgram:
-        """The compiled join program for *query* (cached per evaluator)."""
-        return self._program_for(query, self._resolve_relations(query))
+        """Compile *query*'s join program against the current relations."""
+        return compile_query(query, self._resolve_relations(query))
 
     def reduce(self, query: ConjunctiveQuery) -> ReducedProgram:
-        """The semi-join-reduced program for *query* (cached per evaluator)."""
+        """Compile *query* and build its semi-join reduction."""
         return self.reduction_of(query, self.compile(query))
 
     def reduction_of(
         self, query: ConjunctiveQuery, program: JoinProgram
     ) -> ReducedProgram:
-        """The reduction wrapping exactly *program*.
-
-        Served from (and stored in) the per-evaluator cache when *program* is
-        the evaluator's own compile of *query* — a reduction of a different
-        (e.g. caller-recompiled) program is built fresh and never cached, so
-        a cached analysis of an older compile, whose variable→slot layout may
-        differ, can never be paired with the wrong program.
-        """
-        with self._cache_lock:
-            cached = self._reduced.get(query)
-        if cached is not None and cached.program is program:
-            return cached
-        reduced = reduce_program(program)
-        with self._cache_lock:
-            if self._programs.get(query) is program:
-                existing = self._reduced.get(query)
-                if existing is not None and existing.program is program:
-                    return existing
-                self._reduced[query] = reduced
-                self._bound_locked(self._reduced)
-        return reduced
+        """The semi-join reduction of *program*, compiled from *query*."""
+        return reduce_program(program)
 
     def prelude_for(
         self, query: ConjunctiveQuery, reduced: ReducedProgram
     ) -> PreludeCache:
-        """The warm-prelude cache for *query*'s reduction.
-
-        Cached per evaluator while *reduced* is the evaluator's own cached
-        reduction (the citation engine shares the returned object with its
-        compiled plans, so serving traffic and direct ``cite()`` calls warm
-        the same state).
-        """
-        with self._cache_lock:
-            prelude = self._preludes.get(query)
-            if prelude is not None and prelude.reduced is reduced:
-                return prelude
-            prelude = PreludeCache(reduced, metrics=self.metrics)
-            if self._reduced.get(query) is reduced:
-                self._preludes[query] = prelude
-                self._bound_locked(self._preludes)
-        return prelude
-
-    def _program_for(
-        self, query: ConjunctiveQuery, relations: Mapping[str, Relation]
-    ) -> JoinProgram:
-        with self._cache_lock:
-            program = self._programs.get(query)
-        if program is None:
-            program = compile_query(query, relations)
-            with self._cache_lock:
-                # setdefault keeps one canonical program per query: callers
-                # pair reductions/preludes by object identity, so a racing
-                # second compile must adopt the first thread's program.
-                program = self._programs.setdefault(query, program)
-                self._bound_locked(self._programs)
-        return program
+        """A new, empty :class:`PreludeCache` over *query*'s reduction
+        *reduced*, reporting hits and misses to :attr:`metrics`."""
+        return PreludeCache(reduced, metrics=self.metrics)
 
     # -- worker pool ---------------------------------------------------------
     def _worker_pool(self) -> ThreadPoolExecutor:
@@ -358,33 +271,17 @@ class QueryEvaluator:
 
     # -- cache control -------------------------------------------------------
     def invalidate_caches(self) -> None:
-        """Drop compiled programs, reductions, warm preludes, cached shard
-        partitions and statistics.
+        """Drop cached shard partitions and statistics.
 
-        Programs and reductions are pure description and never go stale —
-        this exists for forced invalidation
+        This exists for forced invalidation
         (:meth:`~repro.core.engine.CitationEngine.invalidate_caches`) and for
         benchmarks that want a guaranteed cold run.  The shard worker pool is
         deliberately **not** touched: it holds threads, not data, so there is
         nothing to go stale.
         """
         with self._cache_lock:
-            self._programs.clear()
-            self._reduced.clear()
-            self._preludes.clear()
             self._shard_parts.clear()
         self.statistics.invalidate()
-
-    def invalidate_preludes(self) -> None:
-        """Drop only the warm-prelude state (next evaluations run cold).
-
-        Cached shard partitions go with it: a reduced run's partition is
-        stamped by the prelude snapshot's prepared plan, which this
-        invalidates.
-        """
-        with self._cache_lock:
-            self._preludes.clear()
-            self._shard_parts.clear()
 
     # -- strategy selection --------------------------------------------------
     def select_strategy(
@@ -392,87 +289,59 @@ class QueryEvaluator:
     ) -> Literal["program", "reduced"]:
         """The executor this evaluator would run *query* with right now.
 
-        ``"program"`` and ``"reduced"`` are themselves; ``"auto"`` / ``"cost"``
-        resolve through the cost model (or the deprecated cardinality gate),
-        so the answer can change as the data drifts.
+        ``"program"`` and ``"reduced"`` are themselves; ``"auto"`` resolves
+        through the cost model, so the answer can change as the data drifts.
         """
         relations = self._resolve_relations(query)
-        program = self._program_for(query, relations)
         # Pure introspection: resolve without recording picks or estimates,
         # so polling this for monitoring never skews the serving metrics.
         executor, _reason, _estimate = self._executor(
-            query, relations, program, None, None, record=False
+            relations, compile_query(query, relations), None, None, record=False
         )
         return "reduced" if isinstance(executor, ReducedProgram) else "program"
 
     def _executor(
         self,
-        query: ConjunctiveQuery,
         relations: Mapping[str, Relation],
         program: JoinProgram,
         reduced: ReducedProgram | None,
         strategy: Strategy | None,
-        cache: bool = True,
         prelude: PreludeCache | None = None,
         record: bool = True,
     ) -> tuple[JoinProgram | ReducedProgram, str, CostEstimate | None]:
         """Resolve the strategy for one evaluation to a runnable program.
 
-        Returns ``(executor, pick reason, cost estimate or None)`` — the
-        reason and estimate feed the evaluation span's attributes, so an
-        EXPLAIN trace shows not just what ran but why the resolver picked it.
-        With ``record=False`` the resolution leaves no trace in
-        :attr:`metrics` (introspection via :meth:`select_strategy`).
+        *reduced* is *program*'s reduction when the caller holds one (it is
+        built here otherwise, and only if the pick needs it).  Returns
+        ``(executor, pick reason, cost estimate or None)`` — the reason and
+        estimate feed the evaluation span's attributes, so an EXPLAIN trace
+        shows not just what ran but why the resolver picked it.  With
+        ``record=False`` the resolution leaves no trace in :attr:`metrics`
+        (introspection via :meth:`select_strategy`).
         """
         strategy = strategy or self.strategy
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if strategy == "parallel":
-            # "parallel" forces *sharding* (see _shard_decision), not a
-            # particular executor: resolve program-vs-reduced like "auto".
-            strategy = "auto"
         if strategy == "program":
             return self._picked(program, "forced", record)
-        legacy = strategy == "auto" and self.reduction_threshold is not None
-        if strategy != "reduced":
+        if strategy != "reduced" and len(program.steps) < 2:
             # Single-atom queries never pay for the analysis.  Multi-atom
-            # ones do run join_forest + a cost estimate per resolution; both
-            # are O(atoms²)/O(atoms) over the tiny compiled description, and
-            # the estimate's statistics are version-cached in the catalog —
-            # this is what keeps the non-caching evaluate_parameterized path
-            # affordable (measured low-microseconds per call).
-            if len(program.steps) < 2:
-                return self._picked(program, "single_atom", record)
-            if legacy:
-                total = sum(len(relations[step.predicate]) for step in program.steps)
-                if total < self.reduction_threshold:
-                    return self._picked(program, "threshold", record)
-        # The reduction must wrap exactly the program whose slot layout the
-        # caller will project frames with — a cached analysis of an older
-        # (differently ordered) compile of the same query must not be served.
-        if reduced is None or reduced.program is not program:
-            if cache:
-                # reduction_of re-checks the cache, builds outside the lock
-                # and only stores an analysis of the evaluator's own program.
-                reduced = self.reduction_of(query, program)
-            else:
-                reduced = reduce_program(program)
+            # ones run join_forest + a cost estimate per resolution; both are
+            # O(atoms²)/O(atoms) over the tiny compiled description, and the
+            # estimate's statistics are version-cached in the catalog.
+            return self._picked(program, "single_atom", record)
+        if reduced is None:
+            reduced = reduce_program(program)
         if strategy == "reduced":
             return self._picked(reduced, "forced", record)
+        # "auto", or "parallel", which forces *sharding* (see
+        # _shard_decision), not a particular executor.
         if not reduced.acyclic:
             return self._picked(program, "cyclic", record)
-        if legacy:
-            return self._picked(reduced, "threshold", record)
         # Warm state makes the prelude free: always run reduced on a hit.
-        warm = prelude if prelude is not None and prelude.reduced is reduced else None
-        if warm is None and cache:
-            with self._cache_lock:
-                cached_prelude = self._preludes.get(query)
-            if cached_prelude is not None and cached_prelude.reduced is reduced:
-                warm = cached_prelude
-        if warm is not None and warm.is_warm(relations):
+        if prelude is not None and prelude.is_warm(relations):
             return self._picked(reduced, "warm_prelude", record)
         estimate = self.cost_model.estimate(reduced, relations)
         if record and self.metrics is not None:
@@ -496,52 +365,45 @@ class QueryEvaluator:
     # -- shard decision --------------------------------------------------------
     def _shard_decision(
         self,
-        query: ConjunctiveQuery,
         relations: Mapping[str, Relation],
         program: JoinProgram,
+        reduced: ReducedProgram | None,
         executor: JoinProgram | ReducedProgram,
         strategy: Strategy | None,
         reason: str,
         estimate: CostEstimate | None,
-        cache: bool = True,
-        record: bool = True,
     ) -> tuple[int, str, ParallelEstimate | None]:
         """Decide how many shards this evaluation runs on (1 = serial).
 
         Runs *after* executor resolution: ``"parallel"`` forces one shard per
         worker, ``"program"``/``"reduced"`` stay serial (they are the
         differential baselines the property suite compares sharded runs
-        against), and ``"auto"``/``"cost"`` ask
-        :meth:`CostModel.parallel_estimate` whether dividing the serial cost
-        across workers beats the shard setup + partition overhead — below
-        that crossover ``auto`` keeps picking serial.
+        against), and ``"auto"`` asks :meth:`CostModel.parallel_estimate`
+        whether dividing the serial cost across workers beats the shard
+        setup + partition overhead — below that crossover ``auto`` keeps
+        picking serial.  *reduced* is the reduction the caller handed in,
+        if any.
         """
         strategy = strategy or self.strategy
         if self.workers < 2:
-            return self._shards_picked(1, "no_workers", None, record)
+            return self._shards_picked(1, "no_workers", None)
         if len(program.steps) < 2:
             # A single-atom program is one scan: sharding it ships every row
             # through a worker boundary for zero join work saved.
-            return self._shards_picked(1, "single_atom", None, record)
+            return self._shards_picked(1, "single_atom", None)
         if strategy in ("program", "reduced"):
-            return self._shards_picked(1, "forced_serial", None, record)
+            return self._shards_picked(1, "forced_serial", None)
         if strategy == "parallel":
-            return self._shards_picked(self.workers, "forced", None, record)
-        if reason == "threshold":
-            # Deprecated legacy cardinality gate: keep its exact old
-            # behaviour, which never sharded.
-            return self._shards_picked(1, "legacy_threshold", None, record)
+            return self._shards_picked(self.workers, "forced", None)
         if estimate is None:
             # The executor resolver skipped the serial estimate (warm prelude,
-            # cyclic, forced); price it now — statistics are version-cached,
-            # so this costs a few catalog lookups.
-            reduced = (
-                executor
-                if isinstance(executor, ReducedProgram)
-                else self.reduction_of(query, program)
-                if cache
-                else reduce_program(program)
-            )
+            # cyclic); price it now with the reduction it resolved against —
+            # statistics are version-cached, so this costs a few catalog
+            # lookups.
+            if isinstance(executor, ReducedProgram):
+                reduced = executor
+            elif reduced is None:
+                reduced = reduce_program(program)
             estimate = self.cost_model.estimate(reduced, relations)
         if isinstance(executor, ReducedProgram):
             serial_cost = estimate.reduced_cost
@@ -553,16 +415,15 @@ class QueryEvaluator:
         driving = len(relations[program.steps[0].predicate])
         parallel = self.cost_model.parallel_estimate(serial_cost, driving, self.workers)
         shards = self.workers if parallel.prefers_parallel else 1
-        return self._shards_picked(shards, "cost_model", parallel, record)
+        return self._shards_picked(shards, "cost_model", parallel)
 
     def _shards_picked(
         self,
         shards: int,
         reason: str,
         estimate: ParallelEstimate | None,
-        record: bool = True,
     ) -> tuple[int, str, ParallelEstimate | None]:
-        if record and self.metrics is not None:
+        if self.metrics is not None:
             self.metrics.record_shards(shards, reason)
         return shards, reason, estimate
 
@@ -576,7 +437,6 @@ class QueryEvaluator:
         resolve_rows,
         key_positions: tuple[int, ...],
         shards: int,
-        cache: bool,
     ) -> list[list[tuple]]:
         """The cached hash-partition of the driving rows (recomputed on drift).
 
@@ -588,18 +448,17 @@ class QueryEvaluator:
         called only on a miss; under :attr:`verify_partitions` every fresh
         partition must pass the I008 verifier before it is cached or run.
         """
-        if cache:
-            with self._cache_lock:
-                entry = self._shard_parts.get(query)
-            if entry is not None:
-                held_token, held_version, held_positions, held_shards, parts = entry
-                if (
-                    held_token is token
-                    and held_version == version
-                    and held_positions == key_positions
-                    and held_shards == shards
-                ):
-                    return parts
+        with self._cache_lock:
+            entry = self._shard_parts.get(query)
+        if entry is not None:
+            held_token, held_version, held_positions, held_shards, parts = entry
+            if (
+                held_token is token
+                and held_version == version
+                and held_positions == key_positions
+                and held_shards == shards
+            ):
+                return parts
         rows = resolve_rows()
         parts = partition_driving_rows(rows, key_positions, shards)
         if self.verify_partitions:
@@ -615,10 +474,10 @@ class QueryEvaluator:
                     + "; ".join(str(d) for d in report.errors),
                     report.errors,
                 )
-        if cache:
-            with self._cache_lock:
-                self._shard_parts[query] = (token, version, key_positions, shards, parts)
-                self._bound_locked(self._shard_parts)
+        with self._cache_lock:
+            self._shard_parts[query] = (token, version, key_positions, shards, parts)
+            while len(self._shard_parts) > _SHARD_PARTS_LIMIT:
+                self._shard_parts.pop(next(iter(self._shard_parts)))
         return parts
 
     def _run_sharded(
@@ -628,15 +487,15 @@ class QueryEvaluator:
         query: ConjunctiveQuery,
         prelude: PreludeCache | None,
         shards: int,
-        cache: bool = True,
         profile: JoinProfile | None = None,
         span=NULL_SPAN,
         deadline: Deadline | None = None,
     ) -> list[tuple]:
         """Run one evaluation sharded; return the merged frame list.
 
-        The prelude (for reduced executors) runs exactly once here, in the
-        calling thread; workers receive the prepared plan read-only plus
+        The prelude (for reduced executors, served from *prelude* when the
+        caller holds one) runs exactly once here, in the calling thread;
+        workers receive the prepared plan read-only plus
         their disjoint slice of the driving rows.  Per-shard timings and row
         counts land on *span* as ``shard`` children; per-shard profiles are
         merged into *profile* so the evaluation span's per-step counters
@@ -655,8 +514,6 @@ class QueryEvaluator:
         parent_cancel = deadline.checker("prelude") if deadline is not None else None
         plan: list[tuple] | None = None
         if isinstance(executor, ReducedProgram):
-            if prelude is None or prelude.reduced is not executor:
-                prelude = self.prelude_for(query, executor) if cache else None
             plan = executor.prepared_plan(
                 relations, self.index_manager, self.use_indexes, prelude, profile,
                 parent_cancel,
@@ -666,7 +523,7 @@ class QueryEvaluator:
             parts = self._partition_for(
                 query, program, plan, None,
                 lambda: executor.driving_rows_from_plan(plan),
-                key_positions, shards, cache,
+                key_positions, shards,
             )
         else:
             driving_relation = relations[program.steps[0].predicate]
@@ -675,7 +532,7 @@ class QueryEvaluator:
                 lambda: program.driving_rows(
                     relations, self.index_manager, self.use_indexes
                 ),
-                key_positions, shards, cache,
+                key_positions, shards,
             )
             if self.use_indexes and self.index_manager is not None:
                 # Resolve downstream probe indexes once in the parent: thread
@@ -808,9 +665,7 @@ class QueryEvaluator:
         self,
         executor: JoinProgram | ReducedProgram,
         relations: Mapping[str, Relation],
-        query: ConjunctiveQuery,
         prelude: PreludeCache | None,
-        cache: bool = True,
         profile: JoinProfile | None = None,
         cancel=None,
     ) -> Iterator[tuple]:
@@ -820,8 +675,6 @@ class QueryEvaluator:
         prelude passes and the per-row join loops.
         """
         if isinstance(executor, ReducedProgram):
-            if prelude is None or prelude.reduced is not executor:
-                prelude = self.prelude_for(query, executor) if cache else None
             return executor.run_frames(
                 relations, self.index_manager, self.use_indexes, prelude, profile,
                 cancel=cancel,
@@ -829,6 +682,17 @@ class QueryEvaluator:
         return executor.run_frames(
             relations, self.index_manager, self.use_indexes, profile, cancel=cancel
         )
+
+    def _compiled(
+        self,
+        query: ConjunctiveQuery,
+        relations: Mapping[str, Relation],
+        prelude: PreludeCache | None,
+    ) -> tuple[JoinProgram, ReducedProgram | None]:
+        """*query*'s program and, when the caller holds one, its reduction."""
+        if prelude is not None:
+            return prelude.reduced.program, prelude.reduced
+        return compile_query(query, relations), None
 
     # -- tracing ---------------------------------------------------------------
     def _evaluation_span(
@@ -910,8 +774,6 @@ class QueryEvaluator:
     def bindings(
         self,
         query: ConjunctiveQuery,
-        program: JoinProgram | None = None,
-        reduced: ReducedProgram | None = None,
         strategy: Strategy | None = None,
         prelude: PreludeCache | None = None,
     ) -> Iterator[Binding]:
@@ -920,13 +782,12 @@ class QueryEvaluator:
         if deadline is not None:
             deadline.check("bindings.start")
         relations = self._resolve_relations(query)
-        if program is None:
-            program = self._program_for(query, relations)
+        program, reduced = self._compiled(query, relations, prelude)
         executor, reason, estimate = self._executor(
-            query, relations, program, reduced, strategy, prelude=prelude
+            relations, program, reduced, strategy, prelude
         )
         shards, _shard_reason, _parallel = self._shard_decision(
-            query, relations, program, executor, strategy, reason, estimate
+            relations, program, reduced, executor, strategy, reason, estimate
         )
         variables = program.variables
         if shards > 1:
@@ -935,9 +796,7 @@ class QueryEvaluator:
             )
         else:
             cancel = deadline.checker("join") if deadline is not None else None
-            frames = self._frames_for(
-                executor, relations, query, prelude, cancel=cancel
-            )
+            frames = self._frames_for(executor, relations, prelude, cancel=cancel)
         for frame in frames:
             yield dict(zip(variables, frame))
 
@@ -961,96 +820,62 @@ class QueryEvaluator:
         self, query: ConjunctiveQuery, strategy: Strategy | None = None
     ) -> Relation:
         """Evaluate *query* and return its answer relation (set semantics)."""
-        return self._evaluate(query, cache_program=True, strategy=strategy)
-
-    def _evaluate(
-        self,
-        query: ConjunctiveQuery,
-        cache_program: bool,
-        strategy: Strategy | None = None,
-    ) -> Relation:
-        schema = result_schema(query)
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("evaluate.start")
-        relations = self._resolve_relations(query)
-        if cache_program:
-            program = self._program_for(query, relations)
-        else:
-            program = compile_query(query, relations)
-        executor, reason, estimate = self._executor(
-            query, relations, program, None, strategy, cache=cache_program
+        answers = self._join(
+            query, strategy, None,
+            lambda program, frames: set(map(program.output_row, frames)),
         )
-        shards, shard_reason, parallel = self._shard_decision(
-            query, relations, program, executor, strategy, reason, estimate,
-            cache=cache_program,
-        )
-        kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
-        span, profile = self._evaluation_span(
-            query, executor, kind, reason, strategy, estimate
-        )
-        timed = self.metrics is not None or profile is not None
-        output_row = program.output_row
-        with span:
-            if profile is not None:
-                self._annotate_shard_decision(span, shard_reason, parallel)
-            started = time.perf_counter() if timed else 0.0
-            if shards > 1:
-                answers = {
-                    output_row(frame)
-                    for frame in self._run_sharded(
-                        executor, relations, query, None, shards,
-                        cache=cache_program, profile=profile, span=span,
-                        deadline=deadline,
-                    )
-                }
-            else:
-                cancel = deadline.checker("join") if deadline is not None else None
-                answers = {
-                    output_row(frame)
-                    for frame in self._frames_for(
-                        executor, relations, query, None, cache=cache_program,
-                        profile=profile, cancel=cancel,
-                    )
-                }
-            elapsed = time.perf_counter() - started if timed else 0.0
-            if profile is not None:
-                span.set_attribute("answers", len(answers))
-                self._annotate_span(span, executor, profile, estimate)
-        if self.metrics is not None:
-            self.metrics.record_actual(kind, elapsed)
-            fingerprint = current_fingerprint()
-            if fingerprint is not None:
-                self.metrics.record_evaluation(fingerprint, kind, elapsed, estimate)
-        return Relation(schema, answers)
+        return Relation(result_schema(query), answers)
 
     def evaluate_with_bindings(
         self,
         query: ConjunctiveQuery,
-        program: JoinProgram | None = None,
-        reduced: ReducedProgram | None = None,
         strategy: Strategy | None = None,
         prelude: PreludeCache | None = None,
     ) -> dict[tuple, list[Binding]]:
-        """Map every output tuple to the list of bindings producing it."""
+        """Map every output tuple to the list of bindings producing it.
+
+        With *prelude* (a :class:`~repro.query.compiler.PreludeCache` for
+        *query*), its reduced program and the plain program under it run
+        instead of a fresh compile, and its warm state serves reduced runs.
+        """
+
+        def group(program: JoinProgram, frames) -> dict[tuple, list[Binding]]:
+            variables = program.variables
+            out: dict[tuple, list[Binding]] = {}
+            for frame in frames:
+                out.setdefault(program.output_row(frame), []).append(
+                    dict(zip(variables, frame))
+                )
+            return out
+
+        return self._join(query, strategy, prelude, group)
+
+    def _join(
+        self,
+        query: ConjunctiveQuery,
+        strategy: Strategy | None,
+        prelude: PreludeCache | None,
+        collect: Callable[[JoinProgram, Iterable[tuple]], _Out],
+    ) -> _Out:
+        """One traced, metered evaluation of *query*: resolve the executor
+        and the shard count, run the join, and return ``collect(program,
+        frames)``."""
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("evaluate.start")
         relations = self._resolve_relations(query)
-        if program is None:
-            program = self._program_for(query, relations)
+        program, reduced = self._compiled(query, relations, prelude)
         executor, reason, estimate = self._executor(
-            query, relations, program, reduced, strategy, prelude=prelude
+            relations, program, reduced, strategy, prelude
         )
         shards, shard_reason, parallel = self._shard_decision(
-            query, relations, program, executor, strategy, reason, estimate
+            relations, program, reduced, executor, strategy, reason, estimate
         )
         kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
         span, profile = self._evaluation_span(
             query, executor, kind, reason, strategy, estimate
         )
         timed = self.metrics is not None or profile is not None
-        variables = program.variables
         with span:
             if profile is not None:
                 self._annotate_shard_decision(span, shard_reason, parallel)
@@ -1063,14 +888,9 @@ class QueryEvaluator:
             else:
                 cancel = deadline.checker("join") if deadline is not None else None
                 frames = self._frames_for(
-                    executor, relations, query, prelude, profile=profile,
-                    cancel=cancel,
+                    executor, relations, prelude, profile=profile, cancel=cancel
                 )
-            out: dict[tuple, list[Binding]] = {}
-            for frame in frames:
-                out.setdefault(program.output_row(frame), []).append(
-                    dict(zip(variables, frame))
-                )
+            out = collect(program, frames)
             elapsed = time.perf_counter() - started if timed else 0.0
             if profile is not None:
                 span.set_attribute("answers", len(out))
@@ -1106,12 +926,7 @@ class QueryEvaluator:
                     f"missing value for parameter {param.name!r} of query {query.name!r}"
                 )
             substitution[param] = Constant(value)
-        # Substituted queries embed the per-call constants, so caching their
-        # programs would retain one entry per distinct parameter valuation on
-        # a long-lived evaluator — compile without caching instead.
-        return self._evaluate(
-            query.substitute(substitution), cache_program=False, strategy=strategy
-        )
+        return self.evaluate(query.substitute(substitution), strategy=strategy)
 
 
 def result_schema(query: ConjunctiveQuery) -> RelationSchema:

@@ -1,12 +1,11 @@
 """Per-relation statistics and the cost model behind ``strategy="auto"``.
 
-PR 4's ``strategy="auto"`` gated the Yannakakis reduction on a blunt
-cardinality threshold: reduce whenever the body extensions total at least
-``reduction_threshold`` rows.  That gate is wrong in both directions — a
-large, densely joining instance pays the prelude's linear passes for nothing,
-and a small instance riddled with dangling tuples is denied a reduction that
-would have paid for itself.  This module replaces the gate with an actual
-estimate built from statistics the system already maintains:
+A blunt cardinality gate for the Yannakakis reduction — reduce whenever
+the body extensions total at least some fixed number of rows — is wrong in
+both directions: a large, densely joining instance pays the prelude's linear
+passes for nothing, and a small instance riddled with dangling tuples is
+denied a reduction that would have paid for itself.  ``strategy="auto"``
+instead prices the choice with statistics the system already maintains:
 
 * :class:`StatisticsCatalog` — per-relation row counts, per-position
   distinct-key counts and bucket skew, and sampled key-overlap fractions
@@ -325,8 +324,8 @@ class CostModel:
     is exactly the plain cost plus the prelude — the model never reduces
     densely joining data, at any size.  A dangling-heavy instance shrinks
     the lookahead factors and the reduction wins as soon as the avoided
-    enumeration outweighs the linear passes — including far below PR 4's
-    4096-row threshold.
+    enumeration outweighs the linear passes — including far below a
+    4096-row cardinality gate.
     """
 
     #: Work per input row of the bottom-up + top-down semi-join passes.

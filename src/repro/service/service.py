@@ -27,10 +27,12 @@ serving-layer machinery:
   (:mod:`repro.service.metrics`); :meth:`CitationService.stats` returns a
   JSON-friendly snapshot.
 
-The pre-redesign conjunctive-query methods (:meth:`cite`, :meth:`try_cite`,
-:meth:`cite_batch`, :meth:`cite_many`, :meth:`plan_for`, :meth:`warm`) remain
-as thin wrappers that build a relational-backend request and go through the
-same ``submit`` path.
+:meth:`explain`, :meth:`plan_for` and :meth:`warm` also accept a bare
+conjunctive query (or its text), which they wrap in a relational-backend
+request.  A served plan carries its compiled join programs and warm
+semi-join state (:attr:`~repro.core.engine.CitationPlan.compiled`), so a
+plan-cache hit skips the rewriting search, the program compile and, while
+the data holds still, the semi-join passes.
 
 Mutations may arrive between requests (the caches notice via the validity
 tokens) but must not race a request mid-flight — the usual reader/writer
@@ -44,7 +46,7 @@ import contextvars
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from collections.abc import Callable, Hashable, Iterable, Sequence
 from typing import Any
 
@@ -55,7 +57,7 @@ from repro.api.backends.relational import RelationalBackend
 from repro.api.backends.union import UnionBackend
 from repro.api.envelope import CitationRequest, CitationResponse
 from repro.concurrency import default_worker_count
-from repro.core.engine import CitationEngine, CitationPlan, CitedResult, Mode
+from repro.core.engine import CitationEngine, CitationPlan, Mode
 from repro.errors import (
     CitationError,
     DeadlineExceeded,
@@ -78,35 +80,7 @@ from repro.service.explain import ExplainReport
 from repro.service.metrics import ServiceMetrics
 from repro.service.plan_cache import GenerationalLRU, PlanCache
 
-__all__ = ["CitationService", "ServiceResponse"]
-
-
-@dataclass
-class ServiceResponse:
-    """Outcome of one request served by the legacy conjunctive-query methods.
-
-    Exactly one of :attr:`result` / :attr:`error` is set.  ``cached`` is true
-    when no evaluation ran for this request (result-cache hit or within-batch
-    deduplication onto another request's execution).
-    """
-
-    query: ConjunctiveQuery | str
-    result: CitedResult | None = None
-    error: Exception | None = None
-    elapsed: float = 0.0
-    cached: bool = False
-    fingerprint: str | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.error is None
-
-    def unwrap(self) -> CitedResult:
-        """Return the result, re-raising the stored error on failure."""
-        if self.error is not None:
-            raise self.error
-        assert self.result is not None
-        return self.result
+__all__ = ["CitationService"]
 
 
 class CitationService:
@@ -242,8 +216,7 @@ class CitationService:
         cache is bypassed (via the request's ``no_result_cache`` metadata
         key) so the explained request actually executes; the plan cache is
         exercised normally, so explaining a warm query shape shows the hit.
-        A bare query (or string) is wrapped in a relational-backend request
-        like :meth:`cite` would.
+        A bare query (or string) is wrapped in a relational-backend request.
         """
         if not isinstance(request, CitationRequest):
             request = self._cq_request(request, mode)
@@ -367,44 +340,11 @@ class CitationService:
                 return self._submit_deduplicated(requests, executor, timeout)
         return self._submit_deduplicated(requests, self._pool(), timeout)
 
-    # -- legacy conjunctive-query entry points ---------------------------------
+    # -- bare conjunctive queries -----------------------------------------------
     def _cq_request(
         self, query: ConjunctiveQuery | str, mode: Mode | None
     ) -> CitationRequest:
         return CitationRequest(query=query, backend="relational", mode=mode)
-
-    @staticmethod
-    def _to_service_response(
-        response: CitationResponse, query: ConjunctiveQuery | str
-    ) -> ServiceResponse:
-        return ServiceResponse(
-            query=query,
-            result=response.result,
-            error=response.error,
-            elapsed=response.elapsed,
-            cached=response.cached,
-            fingerprint=response.fingerprint,
-        )
-
-    def cite(
-        self, query: ConjunctiveQuery | str, mode: Mode | None = None
-    ) -> CitedResult:
-        """Serve one conjunctive-query citation request through the caches.
-
-        Same contract as :meth:`CitationEngine.cite`, including raised
-        errors; the first call for a query shape pays the full compile cost,
-        repeats skip the rewriting search (plan hit) or everything
-        (result hit).
-        """
-        return self.submit(self._cq_request(query, mode)).unwrap()
-
-    def try_cite(
-        self, query: ConjunctiveQuery | str, mode: Mode | None = None
-    ) -> ServiceResponse:
-        """Like :meth:`cite` but never raises: errors ride in the response."""
-        return self._to_service_response(
-            self.submit(self._cq_request(query, mode)), query
-        )
 
     def plan_for(
         self, query: ConjunctiveQuery | str, mode: Mode | None = None
@@ -425,50 +365,6 @@ class CitationService:
             _plan, hit = self.plan_for(query, mode)
             compiled += 0 if hit else 1
         return compiled
-
-    def cite_batch(
-        self, queries: Sequence[ConjunctiveQuery | str], mode: Mode | None = None
-    ) -> list[CitedResult]:
-        """Serve a batch sequentially, deduplicating identical queries.
-
-        Structurally identical queries inside the batch (same fingerprint and
-        mode) are executed once; the other members receive the same citations
-        rebound to their own query text.  Errors propagate — use
-        :meth:`cite_many` for error isolation.
-        """
-        self._ensure_open()
-        self.metrics.increment("batch_requests")
-        requests = [self._cq_request(query, mode) for query in queries]
-        responses = self._submit_deduplicated(requests, executor=None, timeout=None)
-        return [response.unwrap() for response in responses]
-
-    def cite_many(
-        self,
-        queries: Sequence[ConjunctiveQuery | str],
-        mode: Mode | None = None,
-        timeout: float | None = None,
-        max_workers: int | None = None,
-    ) -> list[ServiceResponse]:
-        """Serve a batch concurrently with per-request isolation.
-
-        The conjunctive-query face of :meth:`submit_batch`: distinct query
-        shapes run in parallel on a thread pool, duplicates within the batch
-        share one execution, and a request that raises yields a response
-        carrying the error.  The response list is positionally aligned with
-        *queries*.
-        """
-        self._ensure_open()
-        self.metrics.increment("batch_requests")
-        requests = [self._cq_request(query, mode) for query in queries]
-        if max_workers is not None and max_workers != self.max_workers:
-            with self._batch_pool(max_workers) as executor:
-                responses = self._submit_deduplicated(requests, executor, timeout)
-        else:
-            responses = self._submit_deduplicated(requests, self._pool(), timeout)
-        return [
-            self._to_service_response(response, query)
-            for response, query in zip(responses, queries)
-        ]
 
     # -- cache control ---------------------------------------------------------
     def invalidate(self) -> None:
@@ -930,7 +826,7 @@ class CitationService:
     def _submit_deduplicated(
         self,
         requests: Sequence[CitationRequest],
-        executor: ThreadPoolExecutor | None,
+        executor: ThreadPoolExecutor,
         timeout: float | None,
     ) -> list[CitationResponse]:
         tracer = self.tracer()
@@ -950,7 +846,7 @@ class CitationService:
     def _submit_deduplicated_inner(
         self,
         requests: Sequence[CitationRequest],
-        executor: ThreadPoolExecutor | None,
+        executor: ThreadPoolExecutor,
         timeout: float | None,
         propagate: bool,
     ) -> list[CitationResponse]:
@@ -996,7 +892,7 @@ class CitationService:
             groups.setdefault(cache_key, []).append(index)
             group_keys[cache_key] = key
 
-        # Concurrent (or inline) execution of one representative per group,
+        # Concurrent execution of one representative per group,
         # reusing the routing, parse and fingerprint work done while grouping.
         representatives = {
             cache_key: members[0] for cache_key, members in groups.items()
@@ -1050,70 +946,64 @@ class CitationService:
                 )
                 return failed
 
-        if executor is None:
-            outcomes = {
-                cache_key: serve_representative(cache_key, index)
+        deadline = None if timeout is None else batch_started + timeout
+        if propagate:
+            # Thread pools do not inherit contextvars, so the batch span
+            # (and any use_tracer override) would be invisible to the
+            # workers; ship each representative a copy of this context.
+            # Skipped with tracing off — a context copy per request is
+            # pure overhead then.
+            futures: dict[Hashable, Future] = {
+                cache_key: submit_representative(
+                    (contextvars.copy_context().run, serve_representative),
+                    cache_key,
+                    index,
+                )
                 for cache_key, index in representatives.items()
             }
         else:
-            deadline = None if timeout is None else batch_started + timeout
-            if propagate:
-                # Thread pools do not inherit contextvars, so the batch span
-                # (and any use_tracer override) would be invisible to the
-                # workers; ship each representative a copy of this context.
-                # Skipped with tracing off — a context copy per request is
-                # pure overhead then.
-                futures: dict[Hashable, Future] = {
-                    cache_key: submit_representative(
-                        (contextvars.copy_context().run, serve_representative),
-                        cache_key,
-                        index,
-                    )
-                    for cache_key, index in representatives.items()
-                }
-            else:
-                futures = {
-                    cache_key: submit_representative(
-                        (serve_representative,), cache_key, index
-                    )
-                    for cache_key, index in representatives.items()
-                }
-            outcomes = {}
-            for cache_key, future in futures.items():
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - time.monotonic())
+            futures = {
+                cache_key: submit_representative(
+                    (serve_representative,), cache_key, index
                 )
-                try:
-                    outcomes[cache_key] = future.result(timeout=remaining)
-                    continue
-                except TimeoutError:
-                    pass
-                # The worker saw the same deadline and its cancellation
-                # checkpoints are already unwinding it; grant one short,
-                # batch-wide grace so it can come home with its real
-                # DeadlineExceeded response (counted once) before we
-                # synthesise a pool-timeout response on its behalf.
-                grace = max(
-                    0.0, deadline + self._BATCH_CANCEL_GRACE - time.monotonic()
-                )
-                try:
-                    outcomes[cache_key] = future.result(timeout=grace)
-                    continue
-                except TimeoutError:
-                    pass
-                self.metrics.increment("timeouts")
-                index = representatives[cache_key]
-                timeout_error = TimeoutError(
-                    f"citation request missed the batch deadline of "
-                    f"{timeout:.3f}s"
-                )
-                outcomes[cache_key] = CitationResponse(
-                    request=stamped[index],
-                    error=timeout_error,
-                    error_code=error_code_for(timeout_error),
-                    elapsed=time.monotonic() - batch_started,
-                    fingerprint=group_keys[cache_key],
-                )
+                for cache_key, index in representatives.items()
+            }
+        outcomes: dict[Hashable, CitationResponse] = {}
+        for cache_key, future in futures.items():
+            remaining = (
+                None if deadline is None else max(0.0, deadline - time.monotonic())
+            )
+            try:
+                outcomes[cache_key] = future.result(timeout=remaining)
+                continue
+            except TimeoutError:
+                pass
+            # The worker saw the same deadline and its cancellation
+            # checkpoints are already unwinding it; grant one short,
+            # batch-wide grace so it can come home with its real
+            # DeadlineExceeded response (counted once) before we
+            # synthesise a pool-timeout response on its behalf.
+            grace = max(
+                0.0, deadline + self._BATCH_CANCEL_GRACE - time.monotonic()
+            )
+            try:
+                outcomes[cache_key] = future.result(timeout=grace)
+                continue
+            except TimeoutError:
+                pass
+            self.metrics.increment("timeouts")
+            index = representatives[cache_key]
+            timeout_error = TimeoutError(
+                f"citation request missed the batch deadline of "
+                f"{timeout:.3f}s"
+            )
+            outcomes[cache_key] = CitationResponse(
+                request=stamped[index],
+                error=timeout_error,
+                error_code=error_code_for(timeout_error),
+                elapsed=time.monotonic() - batch_started,
+                fingerprint=group_keys[cache_key],
+            )
 
         for cache_key, members in groups.items():
             outcome = outcomes[cache_key]

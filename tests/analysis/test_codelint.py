@@ -341,9 +341,6 @@ class TestRepoGate:
             "_changes": "_sync_lock",
         }
         assert declared_shared_state(QueryEvaluator) == {
-            "_programs": "_cache_lock",
-            "_reduced": "_cache_lock",
-            "_preludes": "_cache_lock",
             "_shard_parts": "_cache_lock",
             "_shard_pool": "_pool_lock",
         }

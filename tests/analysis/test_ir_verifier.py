@@ -66,8 +66,8 @@ class TestCleanArtifacts:
         reduced = evaluator.reduction_of(CHAIN, program)
         prelude = evaluator.prelude_for(CHAIN, reduced)
         # Warm the prelude (twice: the second pass caches the bucket plan).
-        evaluator.evaluate(CHAIN, strategy="reduced")
-        evaluator.evaluate(CHAIN, strategy="reduced")
+        evaluator.evaluate_with_bindings(CHAIN, strategy="reduced", prelude=prelude)
+        evaluator.evaluate_with_bindings(CHAIN, strategy="reduced", prelude=prelude)
         assert not list(verify_program(program))
         assert not list(verify_reduced(reduced))
         assert not list(verify_prelude(prelude))
@@ -155,8 +155,8 @@ class TestSeededMutations:
         program = evaluator.compile(CHAIN)
         reduced = evaluator.reduction_of(CHAIN, program)
         prelude = evaluator.prelude_for(CHAIN, reduced)
-        evaluator.evaluate(CHAIN, strategy="reduced")
-        evaluator.evaluate(CHAIN, strategy="reduced")
+        evaluator.evaluate_with_bindings(CHAIN, strategy="reduced", prelude=prelude)
+        evaluator.evaluate_with_bindings(CHAIN, strategy="reduced", prelude=prelude)
         snapshot = prelude._snapshot
         assert snapshot is not None and snapshot.plan is not None
         # Replace one plan entry's step with an equal-but-distinct copy: the
@@ -265,11 +265,9 @@ class TestEngineKnob:
         paper_engine.execute_plan(plan)
         paper_engine.execute_plan(other)
         # Corrupt: graft a program compiled for a different rewriting.
-        foreign = other.compiled_program(0)
-        assert foreign is not None
-        plan._programs[0] = foreign
+        object.__setattr__(plan, "compiled", (other.compiled[0], *plan.compiled[1:]))
         report = verify_citation_plan(plan)
-        assert report.has_errors
+        assert "I004" in codes(report)
 
     def test_strict_via_cite_on_healthy_engine_is_silent(self, paper_engine, paper_query):
         result = paper_engine.cite(paper_query)

@@ -98,8 +98,9 @@ def await_quiescence(service: CitationService, budget: float = 0.5) -> dict:
 class TestDeadlineStorm:
     def test_storm_loses_nothing_and_conserves_metrics(self, engine):
         with CitationService(engine, max_workers=4) as service:
+            # Warm the plans; the storm pays execution only.
             for query in QUERIES:
-                service.cite(query)  # warm the plans; the storm pays execution only
+                service.submit(CitationRequest(query=query)).unwrap()
             baseline = service.stats()["counters"]
             # 36 requests (duplicates included) against an ~8ms budget over
             # 5-20ms executions: most cancel mid-join, some squeak through.
@@ -142,7 +143,7 @@ class TestDeadlineStorm:
 
     def test_stalled_backend_is_cancelled_not_awaited(self, engine):
         with CitationService(engine) as service:
-            service.cite(QUERIES[0])
+            service.submit(CitationRequest(query=QUERIES[0])).unwrap()
             with fault_plan(FaultSpec("backend.execute", stall=0.1)):
                 started = time.perf_counter()
                 response = service.submit(

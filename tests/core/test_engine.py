@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro import CitationEngine, CitationPolicy, parse_query
+import repro.analysis.ir as ir_module
+import repro.query.evaluator as evaluator_module
+from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
 from repro.core.record import CitationRecord
 from repro.core.rewriting_selector import RewritingSelector
 from repro.errors import CitationError, NoRewritingError
@@ -288,42 +290,91 @@ class TestValidation:
             paper_engine.citation_for_binding(rewriting, {n: "Calcitonin"})
 
 
+class TestCompileOnce:
+    """A plan owns its compiled rewritings: served from the plan cache or
+    held by the caller, it never compiles or reduces a rewriting again."""
+
+    def test_plan_hits_and_held_plans_never_recompile(
+        self, paper_db, paper_views, monkeypatch
+    ):
+        built: list = []
+        for module, name in (
+            (evaluator_module, "compile_query"),
+            (evaluator_module, "reduce_program"),
+            (ir_module, "reduce_program"),
+        ):
+            original = getattr(module, name)
+
+            def counting(first, *args, _original=original):
+                built.append(getattr(first, "query", first))
+                return _original(first, *args)
+
+            monkeypatch.setattr(module, name, counting)
+        engine = CitationEngine(paper_db, paper_views, strategy="reduced")
+        service = CitationService(engine, cache_results=False)
+        query = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
+        service.submit(CitationRequest(query=query)).unwrap()
+        plan, hit = service.plan_for(query)
+        assert hit and plan.rewritings
+        rewriting_queries = {rewriting.query for rewriting in plan.rewritings}
+        preludes = [prelude for _citation, prelude in plan.compiled]
+        assert len(preludes) == len(plan.rewritings)
+
+        def recompiled():
+            return [q for q in built if q in rewriting_queries]
+
+        compiled = len(recompiled())
+        assert compiled
+        # Plan-cache hits, for the same text and for a renamed variant.
+        service.submit(CitationRequest(query=query)).unwrap()
+        service.submit(
+            CitationRequest(query="Q(N) :- FamilyIntro(F, T), Family(F, N, D)")
+        ).unwrap()
+        assert len(recompiled()) == compiled
+        assert all(prelude.hits >= 1 for prelude in preludes)
+        # The held plan, executed after a write, refreshes its preludes.
+        paper_db.insert("Family", (60, "Fresh", "d"))
+        paper_db.insert("FamilyIntro", (60, "fresh intro"))
+        assert ("Fresh",) in engine.execute_plan(plan).result.rows
+        assert len(recompiled()) == compiled
+        assert all(prelude.misses >= 2 for prelude in preludes)
+        service.close()
+
+
+def _programs(plan):
+    """Each rewriting's plain join program, as the plan holds it."""
+    return [prelude.reduced.program for _citation, prelude in plan.compiled]
+
+
 class TestCompiledJoinPrograms:
     def test_execute_attaches_programs_to_the_plan(self, paper_db, paper_views, paper_query):
-        # verify_plans="off": with verification on (the suite default) the
-        # verifier compiles programs eagerly, which is exactly the laziness
-        # this test pins down for the production default.
+        # verify_plans="off": the programs must come from compile_plan itself,
+        # not from the verifier walking them.
         engine = CitationEngine(paper_db, paper_views, verify_plans="off")
         plan = engine.compile_plan(paper_query)
-        assert all(
-            plan.compiled_program(i) is None for i in range(len(plan.rewritings))
-        )
+        assert len(plan.compiled) == len(plan.rewritings)
+        compiled = plan.compiled
+        assert all(program is not None for program in _programs(plan))
         engine.execute_plan(plan)
-        assert all(
-            plan.compiled_program(i) is not None for i in range(len(plan.rewritings))
-        )
+        assert plan.compiled is compiled
 
     def test_repeated_execution_reuses_the_programs(self, paper_engine, paper_query):
         plan = paper_engine.compile_plan(paper_query)
         first = paper_engine.execute_plan(plan)
-        programs = [plan.compiled_program(i) for i in range(len(plan.rewritings))]
+        programs = _programs(plan)
         second = paper_engine.execute_plan(plan)
-        assert [
-            plan.compiled_program(i) for i in range(len(plan.rewritings))
-        ] == programs
+        assert all(a is b for a, b in zip(_programs(plan), programs, strict=True))
         assert first.result.rows == second.result.rows
 
     def test_programs_survive_data_changes(self, paper_engine, paper_query, paper_db):
         plan = paper_engine.compile_plan(paper_query)
         paper_engine.execute_plan(plan)
-        programs = [plan.compiled_program(i) for i in range(len(plan.rewritings))]
+        programs = _programs(plan)
         paper_db.insert("Family", (60, "Fresh", "d"))
         paper_db.insert("FamilyIntro", (60, "fresh intro"))
         result = paper_engine.execute_plan(plan)
         # Same program objects, fresh data.
-        assert [
-            plan.compiled_program(i) for i in range(len(plan.rewritings))
-        ] == programs
+        assert all(a is b for a, b in zip(_programs(plan), programs, strict=True))
         assert ("Fresh",) in result.result.rows
 
     def test_plans_with_programs_stay_equal_and_hashable(self, paper_engine, paper_query):
@@ -352,22 +403,18 @@ class TestCompiledJoinPrograms:
 
 class TestReducedProgramsOnPlans:
     def test_execute_attaches_reduced_programs(self, paper_db, paper_views, paper_query):
-        # verify_plans="off": strict verification (the suite default) would
-        # attach the reduced programs eagerly at compile time.
         paper_engine = CitationEngine(paper_db, paper_views, verify_plans="off")
         plan = paper_engine.compile_plan(paper_query)
-        assert all(
-            plan.compiled_reduced(i) is None for i in range(len(plan.rewritings))
-        )
-        paper_engine.execute_plan(plan)
-        reduced = [plan.compiled_reduced(i) for i in range(len(plan.rewritings))]
-        assert all(r is not None for r in reduced)
+        reduced = [prelude.reduced for _citation, prelude in plan.compiled]
+        assert len(reduced) == len(plan.rewritings)
         # Rewritings over the citation views are acyclic conjunctive queries.
         assert all(r.acyclic for r in reduced)
         paper_engine.execute_plan(plan)
-        assert [
-            plan.compiled_reduced(i) for i in range(len(plan.rewritings))
-        ] == reduced
+        paper_engine.execute_plan(plan)
+        assert all(
+            prelude.reduced is r
+            for (_citation, prelude), r in zip(plan.compiled, reduced, strict=True)
+        )
 
     @pytest.mark.parametrize("strategy", ["program", "reduced", "auto"])
     def test_every_strategy_produces_the_same_citations(
@@ -398,31 +445,17 @@ class TestPreludesOnPlans:
     def test_execute_attaches_and_warms_preludes(self, reduced_engine, paper_query):
         paper_engine = reduced_engine
         plan = paper_engine.compile_plan(paper_query)
+        preludes = [prelude for _citation, prelude in plan.compiled]
+        assert len(preludes) == len(plan.rewritings)
+        # A prelude does no work until first used.
+        assert all(p.hits == 0 and p.misses == 0 for p in preludes)
+        paper_engine.execute_plan(plan)
+        paper_engine.execute_plan(plan)
         assert all(
-            plan.compiled_prelude(i) is None for i in range(len(plan.rewritings))
+            prelude is p
+            for (_citation, prelude), p in zip(plan.compiled, preludes, strict=True)
         )
-        paper_engine.execute_plan(plan)
-        preludes = [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ]
-        assert all(p is not None for p in preludes)
-        paper_engine.execute_plan(plan)
-        assert [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ] == preludes
         assert all(p.hits >= 1 for p in preludes)
-
-    def test_plan_preludes_are_shared_with_plain_cite(self, reduced_engine, paper_query):
-        # cite() compiles a fresh plan per call, but the warmed prelude is
-        # the evaluator's canonical one, so repeated cite() calls hit too.
-        paper_engine = reduced_engine
-        paper_engine.cite(paper_query)
-        plan = paper_engine.compile_plan(paper_query)
-        paper_engine.execute_plan(plan)
-        assert any(
-            plan.compiled_prelude(i).hits >= 1
-            for i in range(len(plan.rewritings))
-        )
 
     def test_data_drift_partially_refreshes_instead_of_recomputing(
         self, reduced_engine, paper_query, paper_db
@@ -435,12 +468,9 @@ class TestPreludesOnPlans:
         drifted = paper_engine.execute_plan(plan)
         assert ("Novel family",) in drifted.result.rows
         assert baseline.result.rows <= drifted.result.rows
-        preludes = [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ]
         # The views re-materialise wholesale (new Relation objects), so the
         # refresh is a miss — but it reuses whatever did not change.
-        assert all(p.misses >= 1 for p in preludes if p is not None)
+        assert all(prelude.misses >= 2 for _citation, prelude in plan.compiled)
 
     def test_strategy_metrics_surface_on_the_engine(self, paper_engine, paper_query):
         paper_engine.cite(paper_query)
@@ -457,34 +487,17 @@ class TestPreludesOnPlans:
 class TestInvalidationClearsWarmState:
     """Regression: invalidate_caches() must retire every evaluator cache."""
 
-    def test_invalidate_clears_the_evaluator_caches(self, paper_engine, paper_query):
-        paper_engine.cite(paper_query)
-        evaluator = paper_engine._evaluator
-        assert evaluator is not None and evaluator._programs
-        paper_engine.invalidate_caches()
-        assert evaluator._programs == {}
-        assert evaluator._reduced == {}
-        assert evaluator._preludes == {}
-        assert len(paper_engine._statistics) == 0
-
-    def test_stale_epoch_plans_drop_their_preludes(self, paper_engine, paper_query):
-        plan = paper_engine.compile_plan(paper_query)
-        paper_engine.execute_plan(plan)
-        warmed = [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ]
-        assert any(p is not None for p in warmed)
-        paper_engine.invalidate_caches()
-        # The engine cannot reach the plan at invalidation time; the next
-        # execution notices the epoch bump and rebuilds the state cold.
-        result = paper_engine.execute_plan(plan)
-        rebuilt = [
-            plan.compiled_prelude(i) for i in range(len(plan.rewritings))
-        ]
-        assert all(
-            p is None or p is not w for p, w in zip(rebuilt, warmed)
-        )
-        assert result.result.rows == paper_engine.cite(paper_query).result.rows
+    def test_invalidate_clears_the_evaluator_caches(
+        self, paper_db, paper_views, paper_query
+    ):
+        engine = CitationEngine(paper_db, paper_views, strategy="parallel", workers=2)
+        engine.cite(paper_query)
+        evaluator = engine._evaluator
+        assert evaluator is not None and evaluator._shard_parts
+        engine.invalidate_caches()
+        assert evaluator._shard_parts == {}
+        assert len(engine._statistics) == 0
+        evaluator.close()
 
     def test_results_stay_exact_across_invalidation_and_drift(
         self, paper_engine, paper_query, paper_db

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import CitationService
+from repro import CitationRequest, CitationService
 from repro.observability import RingBufferSink, SlowQueryLog, Tracer
 
 PAPER_QUERY = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
@@ -63,7 +63,7 @@ class TestExplainReport:
         assert second.trace.find("service.plan").attributes["plan_cache"] == "hit"
 
     def test_explain_bypasses_the_result_cache(self, service):
-        service.cite(PAPER_QUERY)  # populate the result cache
+        service.submit(CitationRequest(query=PAPER_QUERY)).unwrap()  # populate the result cache
         report = service.explain(PAPER_QUERY)
         assert report.response.cached is False
         assert report.trace.attributes["result_cache"] == "bypass"
@@ -71,7 +71,7 @@ class TestExplainReport:
 
     def test_explain_does_not_pollute_the_result_cache_path(self, service):
         service.explain(PAPER_QUERY)
-        service.cite(PAPER_QUERY)
+        service.submit(CitationRequest(query=PAPER_QUERY)).unwrap()
         response = service.submit(service._cq_request(PAPER_QUERY, None))
         assert response.cached is True  # ordinary requests still hit the cache
 
@@ -104,27 +104,27 @@ class TestExplainReport:
         # the service's own sink ...
         assert sink.recorded == 0
         # ... while ordinary requests still record into the service sink.
-        traced_service.cite(PAPER_QUERY)
+        traced_service.submit(CitationRequest(query=PAPER_QUERY)).unwrap()
         assert sink.recorded == 1
 
 
 class TestServiceStats:
     def test_stats_expose_tracing_and_slow_queries(self, traced_service):
-        traced_service.cite(PAPER_QUERY)
+        traced_service.submit(CitationRequest(query=PAPER_QUERY)).unwrap()
         stats = traced_service.stats()
         assert stats["tracing"]["enabled"] is True
         assert stats["tracing"]["slow_log"]["retained"] == 1
         assert stats["slow_queries"][0]["query"] == PAPER_QUERY
 
     def test_stats_omit_tracing_when_disabled(self, service):
-        service.cite(PAPER_QUERY)
+        service.submit(CitationRequest(query=PAPER_QUERY)).unwrap()
         stats = service.stats()
         assert "tracing" not in stats
         assert "slow_queries" not in stats
 
     def test_to_prometheus_covers_service_and_caches(self, service):
-        service.cite(PAPER_QUERY)
-        service.cite(PAPER_QUERY)
+        service.submit(CitationRequest(query=PAPER_QUERY)).unwrap()
+        service.submit(CitationRequest(query=PAPER_QUERY)).unwrap()
         text = service.to_prometheus()
         assert "repro_requests_total 2" in text
         assert "repro_result_cache_hits_total 1" in text

@@ -1,8 +1,7 @@
 """Thread-safety of metrics and tracing under concurrent batch serving.
 
-Satellite of the observability PR: concurrent ``cite_many`` /
-``submit_batch`` calls must neither lose metric increments nor bleed spans
-between request traces (the service propagates the tracing context into its
+Concurrent ``submit_batch`` calls must neither lose metric increments nor
+bleed spans between request traces (the service propagates the tracing context into its
 worker pool with ``contextvars.copy_context``).
 """
 
@@ -10,7 +9,7 @@ import threading
 
 import pytest
 
-from repro import CitationEngine, CitationService
+from repro import CitationEngine, CitationRequest, CitationService
 from repro.observability import RingBufferSink, SlowQueryLog, Tracer
 from repro.workloads import gtopdb
 
@@ -21,6 +20,10 @@ def _queries(start, count):
         f"Q(FName) :- Family({fid}, FName, Desc), FamilyIntro({fid}, Text)"
         for fid in range(start, start + count)
     ]
+
+
+def _requests(queries):
+    return [CitationRequest(query=query) for query in queries]
 
 
 @pytest.fixture
@@ -43,7 +46,7 @@ class TestConcurrentMetrics:
         results = [None] * len(batches)
 
         def run(index):
-            results[index] = traced_service.cite_many(batches[index])
+            results[index] = traced_service.submit_batch(_requests(batches[index]))
 
         threads = [
             threading.Thread(target=run, args=(index,))
@@ -66,7 +69,7 @@ class TestConcurrentMetrics:
 
     def test_latency_histogram_counts_every_request(self, traced_service):
         queries = _queries(300, 24)
-        traced_service.cite_many(queries)
+        traced_service.submit_batch(_requests(queries))
         stats = traced_service.stats()
         assert stats["latency_ms"]["request"]["count"] == len(queries)
 
@@ -74,7 +77,7 @@ class TestConcurrentMetrics:
 class TestTraceIsolation:
     def test_every_request_gets_its_own_span_tree(self, traced_service):
         queries = _queries(400, 24)
-        traced_service.cite_many(queries)
+        traced_service.submit_batch(_requests(queries))
 
         sink = traced_service.tracer().sinks[0]
         traces = sink.traces()
@@ -106,7 +109,7 @@ class TestTraceIsolation:
 
     def test_slow_log_retains_each_request_once(self, traced_service):
         queries = _queries(600, 16)
-        traced_service.cite_many(queries)
+        traced_service.submit_batch(_requests(queries))
         slow_log = traced_service.tracer().slow_log
         entries = slow_log.snapshot()
         assert len(entries) == len(queries)
@@ -118,7 +121,7 @@ class TestTraceIsolation:
         engine = CitationEngine(gtopdb.paper_instance(), gtopdb.citation_views())
         service = CitationService(engine, max_workers=8)
         try:
-            responses = service.cite_many(_queries(700, 12))
+            responses = service.submit_batch(_requests(_queries(700, 12)))
             assert all(response.ok for response in responses)
             assert service.tracer().enabled is False
             assert "tracing" not in service.stats()
@@ -129,7 +132,8 @@ class TestTraceIsolation:
 class TestPerQueryAttribution:
     def test_estimate_vs_actual_accumulates_per_fingerprint(self, traced_service):
         queries = _queries(800, 6)
-        traced_service.cite_many(queries * 2)  # duplicates dedup within batch
+        # Duplicates dedup within the batch.
+        traced_service.submit_batch(_requests(queries * 2))
         profiles = traced_service.engine.evaluation_metrics.query_profiles()
         assert len(profiles) >= len(queries)
         for profile in profiles.values():

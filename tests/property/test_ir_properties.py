@@ -35,11 +35,11 @@ def _verify_everything(database, extra, query):
     reduced = evaluator.reduction_of(query, program)
     report = verify_reduced(reduced)
     assert not list(report), f"{query}: {report.to_text()}"
-    # Warm the prelude through real evaluations (second pass caches the
+    # Warm a held prelude through real evaluations (second pass caches the
     # bucket plan) and verify the warm state too.
-    evaluator.evaluate(query, strategy="reduced")
-    evaluator.evaluate(query, strategy="reduced")
     prelude = evaluator.prelude_for(query, reduced)
+    evaluator.evaluate_with_bindings(query, strategy="reduced", prelude=prelude)
+    evaluator.evaluate_with_bindings(query, strategy="reduced", prelude=prelude)
     report = verify_prelude(prelude)
     assert not list(report), f"{query}: {report.to_text()}"
 

@@ -1,6 +1,7 @@
 """Property: warm-prelude evaluation is indistinguishable from cold.
 
-A long-lived evaluator re-evaluating one query accumulates warm
+A prelude the caller holds across re-evaluations of one query (as a compiled
+:class:`~repro.core.engine.CitationPlan` does) accumulates warm
 :class:`~repro.query.compiler.PreludeCache` state — full snapshots on
 unchanged data, partially refreshed candidates after drift (only drifted
 steps recompute, untouched subtrees' semi-joined key sets are reused).  For
@@ -36,6 +37,22 @@ def _cold_answers(database, extra, query):
     ).evaluate(query).rows
 
 
+class _Warm:
+    """An evaluator plus a prelude held across its evaluations of *query*."""
+
+    def __init__(self, database, extra, query, strategy="reduced"):
+        self.evaluator = QueryEvaluator(
+            database, extra_relations=extra, strategy=strategy
+        )
+        self.query = query
+        self.prelude = self.evaluator.prelude_for(query, self.evaluator.reduce(query))
+
+    def rows(self) -> set[tuple]:
+        return set(
+            self.evaluator.evaluate_with_bindings(self.query, prelude=self.prelude)
+        )
+
+
 class TestWarmPreludeEquivalence:
     @given(acyclic_queries(max_atoms=3), random_instances(max_rows=6), drift_sequences())
     @settings(max_examples=50, deadline=None)
@@ -43,12 +60,12 @@ class TestWarmPreludeEquivalence:
         self, query, instance, ops
     ):
         database, extra = instance
-        warm = QueryEvaluator(database, extra_relations=extra, strategy="reduced")
-        assert warm.evaluate(query).rows == brute_force(query, database, extra)
+        warm = _Warm(database, extra, query)
+        assert warm.rows() == brute_force(query, database, extra)
         for op in ops:
             apply_drift(database, extra, [op])
             reference = brute_force(query, database, extra)
-            assert warm.evaluate(query).rows == reference  # partial refresh
+            assert warm.rows() == reference  # partial refresh
             assert _cold_answers(database, extra, query) == reference
 
     @given(random_queries(), random_instances(max_rows=6), drift_sequences())
@@ -56,11 +73,11 @@ class TestWarmPreludeEquivalence:
     def test_any_shape_warm_equals_cold_under_drift(self, query, instance, ops):
         # Cyclic queries cache their SIP-only prelude the same way.
         database, extra = instance
-        warm = QueryEvaluator(database, extra_relations=extra, strategy="reduced")
-        warm.evaluate(query)
+        warm = _Warm(database, extra, query)
+        warm.rows()
         apply_drift(database, extra, ops)
         reference = brute_force(query, database, extra)
-        assert warm.evaluate(query).rows == reference
+        assert warm.rows() == reference
         assert _cold_answers(database, extra, query) == reference
 
     @given(self_join_queries(), random_instances(max_rows=6), drift_sequences())
@@ -71,20 +88,20 @@ class TestWarmPreludeEquivalence:
         # Steps repeating one predicate stamp the same relation: a drift of R
         # must invalidate every R step at once.
         database, extra = instance
-        warm = QueryEvaluator(database, extra_relations=extra, strategy="reduced")
-        warm.evaluate(query)
+        warm = _Warm(database, extra, query)
+        warm.rows()
         apply_drift(database, extra, ops)
-        assert warm.evaluate(query).rows == brute_force(query, database, extra)
+        assert warm.rows() == brute_force(query, database, extra)
 
     @given(acyclic_queries(max_atoms=3), random_instances(max_rows=6))
     @settings(max_examples=30, deadline=None)
     def test_unchanged_data_always_hits(self, query, instance):
         database, extra = instance
-        evaluator = QueryEvaluator(database, extra_relations=extra, strategy="reduced")
-        first = evaluator.evaluate(query).rows
-        second = evaluator.evaluate(query).rows
+        warm = _Warm(database, extra, query)
+        first = warm.rows()
+        second = warm.rows()
         assert first == second
-        prelude = evaluator._preludes[query]
+        prelude = warm.prelude
         assert prelude.hits >= 1
         assert prelude.misses == 1
 
@@ -94,7 +111,7 @@ class TestWarmPreludeEquivalence:
         # The cost model may flip its pick as the data drifts; whatever it
         # runs must stay exact.
         database, extra = instance
-        auto = QueryEvaluator(database, extra_relations=extra)
-        auto.evaluate(query)
+        auto = _Warm(database, extra, query, strategy="auto")
+        auto.rows()
         apply_drift(database, extra, ops)
-        assert auto.evaluate(query).rows == brute_force(query, database, extra)
+        assert auto.rows() == brute_force(query, database, extra)

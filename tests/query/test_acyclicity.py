@@ -13,6 +13,7 @@ from strategies import brute_force
 from repro.query.compiler import is_acyclic, join_forest
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
+from repro.query.stats import EvaluationMetrics
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 
@@ -85,41 +86,6 @@ class TestReduceProgramStructure:
         assert not reduced.acyclic
         assert reduced.semi_joins == ()
 
-    def test_reduce_is_cached_per_evaluator(self, db):
-        evaluator = QueryEvaluator(db)
-        assert evaluator.reduce(PATH) is evaluator.reduce(PATH)
-
-
-def _legacy_evaluator(db, **kwargs):
-    """An evaluator on the deprecated cardinality-threshold gate."""
-    with pytest.warns(DeprecationWarning):
-        return QueryEvaluator(db, **kwargs)
-
-
-class TestLegacyThresholdSelection:
-    """The deprecated ``reduction_threshold`` escape hatch keeps its gate."""
-
-    def test_threshold_zero_reduces_every_acyclic_query(self, db):
-        evaluator = _legacy_evaluator(db, reduction_threshold=0)
-        for query in (PATH, STAR, SELF_JOIN_PATH):
-            assert evaluator.select_strategy(query) == "reduced"
-
-    def test_threshold_gate_falls_back_to_program_for_cyclic_queries(self, db):
-        evaluator = _legacy_evaluator(db, reduction_threshold=0)
-        for query in (TRIANGLE, SQUARE):
-            assert evaluator.select_strategy(query) == "program"
-
-    def test_the_cardinality_threshold_is_respected(self, db):
-        # 8 + 8 + 8 body rows: below a threshold of 100, above one of 10.
-        small = _legacy_evaluator(db, reduction_threshold=100)
-        large = _legacy_evaluator(db, reduction_threshold=10)
-        assert small.select_strategy(PATH) == "program"
-        assert large.select_strategy(PATH) == "reduced"
-
-    def test_threshold_gate_skips_single_atoms(self, db):
-        evaluator = _legacy_evaluator(db, reduction_threshold=0)
-        assert evaluator.select_strategy(SINGLE) == "program"
-
 
 class TestAutoSelection:
     def test_auto_falls_back_to_program_for_cyclic_queries(self, db):
@@ -155,23 +121,23 @@ class TestAutoSelection:
         evaluator = QueryEvaluator(database)
         assert evaluator.select_strategy(PATH) == "reduced"
 
-    def test_cost_strategy_matches_auto_by_default(self, db):
-        assert QueryEvaluator(db, strategy="cost").select_strategy(
-            PATH
-        ) == QueryEvaluator(db).select_strategy(PATH)
-
     def test_warm_prelude_overrides_the_cost_model(self, db):
         # Dense data: cold, the cost model refuses the prelude ...
         for name in ("R", "S", "T"):
             db.insert_many(name, [(i % 4, (i + 1) % 4) for i in range(64)])
-        evaluator = QueryEvaluator(db)
+        metrics = EvaluationMetrics()
+        evaluator = QueryEvaluator(db, metrics=metrics)
         assert evaluator.select_strategy(PATH) == "program"
-        # ... but once a forced run warmed the prelude, re-running it is
+        # ... but once a forced run warmed a held prelude, re-running it is
         # free, so auto switches to the reduction until the data drifts.
-        evaluator.evaluate(PATH, strategy="reduced")
-        assert evaluator.select_strategy(PATH) == "reduced"
+        prelude = evaluator.prelude_for(PATH, evaluator.reduce(PATH))
+        evaluator.evaluate_with_bindings(PATH, strategy="reduced", prelude=prelude)
+        evaluator.evaluate_with_bindings(PATH, prelude=prelude)
+        assert metrics.snapshot()["pick_reasons"].get("warm_prelude") == 1
         db.insert("R", (77, 78))
-        assert evaluator.select_strategy(PATH) == "program"
+        evaluator.evaluate_with_bindings(PATH, prelude=prelude)
+        assert metrics.snapshot()["pick_reasons"].get("warm_prelude") == 1
+        assert metrics.snapshot()["picks"]["program"] == 1
 
     def test_forced_strategies_ignore_the_analysis(self, db):
         assert (
@@ -179,8 +145,7 @@ class TestAutoSelection:
             == "reduced"
         )
         assert (
-            _legacy_evaluator(db, strategy="program", reduction_threshold=0)
-            .select_strategy(PATH)
+            QueryEvaluator(db, strategy="program").select_strategy(PATH)
             == "program"
         )
 
@@ -198,7 +163,7 @@ class TestCorrectnessOfFallbacks:
     )
     def test_every_strategy_matches_brute_force(self, db, query):
         reference = brute_force(query, db)
-        for strategy in ("program", "reduced", "auto", "cost"):
+        for strategy in ("program", "reduced", "auto"):
             evaluator = QueryEvaluator(db, strategy=strategy)
             assert evaluator.evaluate(query).rows == reference, strategy
 
@@ -231,22 +196,20 @@ class TestCorrectnessOfFallbacks:
 
 class TestStaleReductionRegression:
     def test_explicit_program_never_pairs_with_a_stale_reduction(self):
-        """A caller-passed program must be executed with a reduction of that
-        very program — not a cached analysis of an older compile whose
-        variable→slot layout differs (frames would project wrongly)."""
-        from repro.query.compiler import compile_query
-
+        """A prelude carries the very program its reduction wraps: after drift
+        makes a fresh compile order the atoms (and hence assign slots)
+        differently, the held prelude and one over the recompiled program
+        both project their frames correctly."""
         query = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)")
         database = Database(SCHEMA)
         database.insert_many("R", [(1, 2)])
         database.insert_many("S", [(2, 3), (2, 4), (5, 6)])
         evaluator = QueryEvaluator(database, strategy="reduced")
-        first = evaluator.evaluate_with_bindings(query)  # caches program+reduction
-        assert set(first) == {(1, 3), (1, 4)}
-        # Drift the cardinalities so a fresh compile orders the atoms (and
-        # hence assigns slots) differently, and pass that program explicitly.
+        held = evaluator.prelude_for(query, evaluator.reduce(query))
+        assert set(evaluator.evaluate_with_bindings(query, prelude=held)) == {(1, 3), (1, 4)}
         database.insert_many("R", [(i, i) for i in range(10, 20)])
-        relations = {name: database.relation(name) for name in ("R", "S")}
-        recompiled = compile_query(query, relations)
-        again = evaluator.evaluate_with_bindings(query, program=recompiled)
-        assert set(again) == {(1, 3), (1, 4)}
+        recompiled = evaluator.prelude_for(query, evaluator.reduce(query))
+        assert recompiled.reduced.program.variables != held.reduced.program.variables
+        for prelude in (held, recompiled):
+            rows = set(evaluator.evaluate_with_bindings(query, prelude=prelude))
+            assert rows == {(1, 3), (1, 4)}

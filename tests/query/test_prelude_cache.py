@@ -6,6 +6,10 @@ Pins the precise-invalidation contract of
 runs), and after drift only the steps whose relation actually changed
 recompute their prefilter, while bottom-up key projections of untouched
 subtrees are reused by object identity.
+
+The evaluator caches nothing per query, so every test holds its prelude
+itself, as a compiled :class:`~repro.core.engine.CitationPlan` does, and
+hands it to ``evaluate_with_bindings``.
 """
 
 import pytest
@@ -43,40 +47,46 @@ def db():
     return database
 
 
-def _prelude(evaluator, query) -> PreludeCache:
-    return evaluator._preludes[query]
+def _held(evaluator, query) -> PreludeCache:
+    """A cold prelude over *query*'s reduction, held by the caller."""
+    return evaluator.prelude_for(query, evaluator.reduce(query))
+
+
+def _rows(evaluator, query, prelude) -> set[tuple]:
+    return set(evaluator.evaluate_with_bindings(query, prelude=prelude))
 
 
 class TestWarmHits:
     def test_second_evaluation_is_a_hit(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
-        first = evaluator.evaluate(PATH).rows
-        prelude = _prelude(evaluator, PATH)
+        prelude = _held(evaluator, PATH)
+        first = _rows(evaluator, PATH, prelude)
         assert (prelude.hits, prelude.misses) == (0, 1)
-        assert evaluator.evaluate(PATH).rows == first
+        assert _rows(evaluator, PATH, prelude) == first
         assert (prelude.hits, prelude.misses) == (1, 1)
         assert prelude.is_warm({name: db.relation(name) for name in ("R", "S", "T")})
 
     def test_warm_hits_reuse_the_prepared_execution_plan(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        snapshot = _prelude(evaluator, PATH)._snapshot
-        evaluator.evaluate(PATH)
-        plan = _prelude(evaluator, PATH)._snapshot.plan
-        assert plan is not None and _prelude(evaluator, PATH)._snapshot is snapshot
+        prelude = _held(evaluator, PATH)
+        _rows(evaluator, PATH, prelude)
+        snapshot = prelude._snapshot
+        _rows(evaluator, PATH, prelude)
+        assert prelude._snapshot.plan is not None and prelude._snapshot is snapshot
 
     def test_cold_cache_counts_every_step_once(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        prelude = _held(evaluator, PATH)
+        _rows(evaluator, PATH, prelude)
         assert prelude.steps_recomputed == 3
         assert prelude.steps_reused == 0
 
     def test_stats_shape(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        evaluator.evaluate(PATH)
-        stats = _prelude(evaluator, PATH).stats()
+        prelude = _held(evaluator, PATH)
+        _rows(evaluator, PATH, prelude)
+        _rows(evaluator, PATH, prelude)
+        stats = prelude.stats()
         assert stats == {
             "hits": 1,
             "misses": 1,
@@ -89,10 +99,10 @@ class TestWarmHits:
 class TestPreciseInvalidation:
     def test_only_the_drifted_step_recomputes(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        prelude = _held(evaluator, PATH)
+        _rows(evaluator, PATH, prelude)
         db.insert("S", (9, 9))
-        assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)
+        assert _rows(evaluator, PATH, prelude) == brute_force(PATH, db)
         # One miss, and of the three steps only the S step re-prefiltered.
         assert prelude.misses == 2
         assert prelude.steps_recomputed == 3 + 1
@@ -105,53 +115,53 @@ class TestPreciseInvalidation:
         # child subtree — invalidates neither bottom-up projection, so both
         # memoized key sets must survive as objects.
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        prelude = _held(evaluator, PATH)
+        _rows(evaluator, PATH, prelude)
         assert prelude.reduced.subtrees == ((1,), (0, 1))
         before = {index: keys for index, (_stamp, keys) in prelude._edge_memo.items()}
         assert before
         db.insert("R", (9, 0))
-        evaluator.evaluate(PATH)
+        _rows(evaluator, PATH, prelude)
         after = prelude._edge_memo
         assert all(after[index][1] is keys for index, keys in before.items())
-        assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)
+        assert _rows(evaluator, PATH, prelude) == brute_force(PATH, db)
 
     def test_drifting_a_leaf_recomputes_every_containing_subtree(self, db):
         # T (the chain's far end) sits in both child subtrees: drifting it
         # must refresh both bottom-up projections.
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        prelude = _held(evaluator, PATH)
+        _rows(evaluator, PATH, prelude)
         before = {index: keys for index, (_stamp, keys) in prelude._edge_memo.items()}
         assert before
         db.insert("T", (9, 9))
-        evaluator.evaluate(PATH)
+        _rows(evaluator, PATH, prelude)
         assert all(
             prelude._edge_memo[index][1] is not keys
             for index, keys in before.items()
         )
-        assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)
+        assert _rows(evaluator, PATH, prelude) == brute_force(PATH, db)
 
     def test_self_joins_drift_together(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(SELF_JOIN)
-        prelude = _prelude(evaluator, SELF_JOIN)
+        prelude = _held(evaluator, SELF_JOIN)
+        _rows(evaluator, SELF_JOIN, prelude)
         db.insert("R", (5, 6))
-        evaluator.evaluate(SELF_JOIN)
+        _rows(evaluator, SELF_JOIN, prelude)
         # Both steps read R: one drift invalidates both prefilters.
         assert prelude.steps_recomputed == 2 + 2
         assert prelude.steps_reused == 0
-        assert evaluator.evaluate(SELF_JOIN).rows == brute_force(SELF_JOIN, db)
+        assert _rows(evaluator, SELF_JOIN, prelude) == brute_force(SELF_JOIN, db)
 
     def test_extra_relation_version_drift_is_noticed(self, db):
         view = Relation(V_SCHEMA, [(1, 2), (2, 3)])
         evaluator = QueryEvaluator(
             db, extra_relations={"V": view}, strategy="reduced"
         )
-        evaluator.evaluate(VIEW_PATH)
-        prelude = _prelude(evaluator, VIEW_PATH)
+        prelude = _held(evaluator, VIEW_PATH)
+        _rows(evaluator, VIEW_PATH, prelude)
         view.insert((3, 0))  # direct mutation: only Relation.version moves
-        assert evaluator.evaluate(VIEW_PATH).rows == brute_force(
+        assert _rows(evaluator, VIEW_PATH, prelude) == brute_force(
             VIEW_PATH, db, {"V": view}
         )
         assert prelude.misses == 2
@@ -161,23 +171,24 @@ class TestPreciseInvalidation:
         evaluator = QueryEvaluator(
             db, extra_relations={"V": view}, strategy="reduced"
         )
-        evaluator.evaluate(VIEW_PATH)
+        prelude = _held(evaluator, VIEW_PATH)
+        _rows(evaluator, VIEW_PATH, prelude)
         # Same content, new object — e.g. a re-materialised view.  The
         # version alone (both 1 after one insert each) cannot distinguish
         # them; the identity stamp must.
         replacement = Relation(V_SCHEMA, [(4, 5)])
         assert replacement.version == view.version
         evaluator.extra_relations["V"] = replacement
-        assert evaluator.evaluate(VIEW_PATH).rows == brute_force(
+        assert _rows(evaluator, VIEW_PATH, prelude) == brute_force(
             VIEW_PATH, db, {"V": replacement}
         )
 
     def test_invalidate_forces_a_cold_run(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        prelude = _prelude(evaluator, PATH)
+        prelude = _held(evaluator, PATH)
+        _rows(evaluator, PATH, prelude)
         prelude.invalidate()
-        evaluator.evaluate(PATH)
+        _rows(evaluator, PATH, prelude)
         assert prelude.misses == 2
         assert prelude.steps_recomputed == 6  # no memo survived
 
@@ -187,64 +198,27 @@ class TestEmptyResults:
         database = Database(SCHEMA)
         database.insert_many("R", [(1, 2)])  # S and T stay empty
         evaluator = QueryEvaluator(database, strategy="reduced")
-        assert evaluator.evaluate(PATH).rows == set()
-        prelude = _prelude(evaluator, PATH)
+        prelude = _held(evaluator, PATH)
+        assert _rows(evaluator, PATH, prelude) == set()
         assert prelude._snapshot.empty
-        assert evaluator.evaluate(PATH).rows == set()
+        assert _rows(evaluator, PATH, prelude) == set()
         assert prelude.hits == 1
 
     def test_drift_out_of_emptiness_recomputes(self):
         database = Database(SCHEMA)
         database.insert_many("R", [(1, 2)])
         evaluator = QueryEvaluator(database, strategy="reduced")
-        assert evaluator.evaluate(PATH).rows == set()
+        prelude = _held(evaluator, PATH)
+        assert _rows(evaluator, PATH, prelude) == set()
         database.insert_many("S", [(2, 3)])
         database.insert_many("T", [(3, 4)])
-        assert evaluator.evaluate(PATH).rows == {(1, 4)}
+        assert _rows(evaluator, PATH, prelude) == {(1, 4)}
 
 
 class TestCacheScoping:
-    def test_prelude_for_shares_the_canonical_cache(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        reduced = evaluator.reduce(PATH)
-        prelude = evaluator.prelude_for(PATH, reduced)
-        assert evaluator.prelude_for(PATH, reduced) is prelude
-        evaluator.evaluate(PATH)
-        assert _prelude(evaluator, PATH) is prelude
-
-    def test_foreign_reductions_get_a_detached_cache(self, db):
-        from repro.query.compiler import compile_query, reduce_program
-
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        canonical = _prelude(evaluator, PATH)
-        relations = {name: db.relation(name) for name in ("R", "S", "T")}
-        foreign = reduce_program(compile_query(PATH, relations))
-        detached = evaluator.prelude_for(PATH, foreign)
-        assert detached is not canonical
-        assert _prelude(evaluator, PATH) is canonical  # not evicted
-
-    def test_invalidate_preludes_keeps_programs(self, db):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        evaluator.evaluate(PATH)
-        program = evaluator._programs[PATH]
-        evaluator.invalidate_preludes()
-        assert evaluator._preludes == {}
-        assert evaluator._programs[PATH] is program
-
     def test_invalidate_caches_drops_everything(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
         evaluator.evaluate(PATH)
         evaluator.invalidate_caches()
-        assert evaluator._programs == {}
-        assert evaluator._reduced == {}
-        assert evaluator._preludes == {}
         assert len(evaluator.statistics) == 0
         assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)
-
-    def test_parameterized_evaluation_does_not_grow_the_cache(self, db):
-        view = parse_query("λ A. Q(A, D) :- R(A, B), S(B, C), T(C, D)")
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        for value in range(4):
-            evaluator.evaluate_parameterized(view, {"A": value})
-        assert evaluator._preludes == {}

@@ -1,16 +1,16 @@
 """Tests for the statistics catalog, the cost model and evaluation metrics.
 
-The cost model replaces the deprecated cardinality threshold of
-``strategy="auto"``: these tests pin the statistics it reads (row counts,
-distinct keys, bucket skew, sampled key overlap — all version-stamped and
-lazily refreshed), the two decision directions the fixed threshold got wrong
-(dense-large must run the plain program, sparse-small must reduce), and the
-metrics every decision leaves behind.
+The cost model decides ``strategy="auto"``: these tests pin the statistics
+it reads (row counts, distinct keys, bucket skew, sampled key overlap — all
+version-stamped and lazily refreshed), the two decision directions a fixed
+4096-row cardinality gate gets wrong (dense-large must run the plain
+program, sparse-small must reduce), and the metrics every decision leaves
+behind.
 """
 
 import pytest
 
-from repro.query.evaluator import DEFAULT_REDUCTION_THRESHOLD, QueryEvaluator
+from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.query.stats import (
     EvaluationMetrics,
@@ -169,8 +169,8 @@ class TestCostModel:
         # The two workloads the fixed 4096-row gate misjudges, pinned.
         dense = _dense_db(1500)   # 4500 rows total: threshold said "reduced"
         sparse = _sparse_db(300)  # 900 rows total: threshold said "program"
-        assert dense.total_rows() >= DEFAULT_REDUCTION_THRESHOLD
-        assert sparse.total_rows() < DEFAULT_REDUCTION_THRESHOLD
+        assert dense.total_rows() >= 4096
+        assert sparse.total_rows() < 4096
         assert QueryEvaluator(dense).select_strategy(PATH) == "program"
         assert QueryEvaluator(sparse).select_strategy(PATH) == "reduced"
 
@@ -196,34 +196,6 @@ class TestCostModel:
         assert payload["strategy"] == "reduced"
 
 
-class TestDeprecatedThreshold:
-    def test_passing_a_threshold_warns(self):
-        database = _dense_db(10)
-        with pytest.warns(DeprecationWarning):
-            evaluator = QueryEvaluator(database, reduction_threshold=7)
-        assert evaluator.reduction_threshold == 7
-
-    def test_default_has_no_threshold(self):
-        assert QueryEvaluator(_dense_db(10)).reduction_threshold is None
-
-    def test_legacy_gate_overrides_the_cost_model_under_auto_only(self):
-        dense = _dense_db(1500)
-        with pytest.warns(DeprecationWarning):
-            legacy = QueryEvaluator(
-                dense, reduction_threshold=DEFAULT_REDUCTION_THRESHOLD
-            )
-        # The old gate reduces dense-large data (that is the bug the cost
-        # model fixes); strategy="cost" ignores the escape hatch.
-        assert legacy.select_strategy(PATH) == "reduced"
-        with pytest.warns(DeprecationWarning):
-            costed = QueryEvaluator(
-                dense,
-                strategy="cost",
-                reduction_threshold=DEFAULT_REDUCTION_THRESHOLD,
-            )
-        assert costed.select_strategy(PATH) == "program"
-
-
 class TestEvaluationMetrics:
     def test_picks_and_reasons_are_counted(self):
         metrics = EvaluationMetrics()
@@ -241,11 +213,13 @@ class TestEvaluationMetrics:
     def test_estimates_and_actuals_aggregate(self):
         metrics = EvaluationMetrics()
         evaluator = QueryEvaluator(_sparse_db(), metrics=metrics)
-        evaluator.evaluate(PATH)
-        evaluator.evaluate(PATH)
+        prelude = evaluator.prelude_for(PATH, evaluator.reduce(PATH))
+        evaluator.evaluate_with_bindings(PATH, prelude=prelude)
+        evaluator.evaluate_with_bindings(PATH, prelude=prelude)
         snapshot = metrics.snapshot()
         assert snapshot["picks"]["reduced"] == 2
-        # The second evaluation rides the warm prelude: one cold estimate.
+        # The second evaluation rides the held, warm prelude: one cold
+        # estimate.
         assert snapshot["cost_model"]["estimates"] == 1
         assert snapshot["pick_reasons"].get("warm_prelude") == 1
         assert snapshot["cost_model"]["actual_ms"]["reduced"]["count"] == 2
@@ -256,8 +230,9 @@ class TestEvaluationMetrics:
         evaluator = QueryEvaluator(
             _sparse_db(), strategy="reduced", metrics=metrics
         )
-        evaluator.evaluate(PATH)
-        evaluator.evaluate(PATH)
+        held = evaluator.prelude_for(PATH, evaluator.reduce(PATH))
+        evaluator.evaluate_with_bindings(PATH, prelude=held)
+        evaluator.evaluate_with_bindings(PATH, prelude=held)
         prelude = metrics.snapshot()["prelude_cache"]
         assert prelude["hits"] == 1
         assert prelude["misses"] == 1
@@ -291,21 +266,3 @@ class TestCacheBounds:
         snapshot = metrics.snapshot()
         assert snapshot["picks"] == {"program": 0, "reduced": 0}
         assert snapshot["cost_model"]["estimates"] == 0
-
-    def test_per_query_caches_are_bounded_fifo(self):
-        database = _dense_db(8)
-        evaluator = QueryEvaluator(
-            database, strategy="reduced", max_cached_queries=2
-        )
-        queries = [
-            parse_query(f"Q{i}(A, C) :- R(A, B), S(B, C)") for i in range(5)
-        ]
-        for query in queries:
-            evaluator.evaluate(query)
-        assert len(evaluator._programs) == 2
-        assert len(evaluator._reduced) <= 2
-        assert len(evaluator._preludes) <= 2
-        # Evicted queries simply recompute (and re-enter) on next use.
-        assert evaluator.evaluate(queries[0]).rows == evaluator.evaluate(
-            queries[4]
-        ).rows

@@ -9,10 +9,11 @@ IR verifier), stable answers (the churned relation feeds none of the
 queries), and stable records (it feeds no citation query either, so the
 engine's delta-scoped refreshes must keep every record object).
 :class:`TestEngineCacheRaces` is the regression suite for the
-engine/evaluator cache locks: tiny cache caps plus many distinct query
-shapes force concurrent FIFO eviction, which without ``_cache_lock`` /
+engine/evaluator cache locks: a tiny analysis-cache cap plus many distinct
+query shapes force concurrent FIFO eviction, which without
 ``_analysis_lock`` raced destructively (``RuntimeError: dictionary changed
-size during iteration``, lost stats updates).
+size during iteration``, lost stats updates), and sharded evaluation races
+the evaluator's ``_cache_lock``-guarded partition cache.
 :class:`TestShardedEvaluationUnderChurn` repeats the service stampede with
 ``strategy="parallel"`` so every execution fans out across the shard pool
 *while* the writer churns: cached shard partitions must repartition on
@@ -32,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro.core.engine as engine_module
-from repro import CitationEngine, parse_query
+from repro import CitationEngine, CitationRequest, parse_query
 from repro.query.evaluator import QueryEvaluator
 from repro.service.service import CitationService
 from repro.workloads import gtopdb
@@ -99,8 +100,9 @@ class TestServiceUnderChurn:
                 with ThreadPoolExecutor(max_workers=THREADS) as pool:
                     futures = [
                         pool.submit(
-                            service.cite_many,
-                            QUERIES,  # intra-batch dedup is a no-op: distinct shapes
+                            service.submit_batch,
+                            # Intra-batch dedup is a no-op: distinct shapes.
+                            [CitationRequest(query=query) for query in QUERIES],
                         )
                         for _ in range(THREADS * BATCHES_PER_THREAD)
                     ]
@@ -208,7 +210,10 @@ class TestShardedEvaluationUnderChurn:
                 batches = []
                 with ThreadPoolExecutor(max_workers=THREADS) as pool:
                     futures = [
-                        pool.submit(service.cite_many, QUERIES)
+                        pool.submit(
+                            service.submit_batch,
+                            [CitationRequest(query=query) for query in QUERIES],
+                        )
                         for _ in range(THREADS * BATCHES_PER_THREAD)
                     ]
                     for future in futures:
@@ -267,8 +272,6 @@ class TestEngineCacheRaces:
     def test_concurrent_cite_many_with_tiny_caches(self, database, monkeypatch):
         monkeypatch.setattr(engine_module, "_ANALYSIS_CACHE_LIMIT", 4)
         engine = CitationEngine(database, gtopdb.citation_views(extended=True))
-        evaluator = engine._execution_evaluator()
-        evaluator.max_cached_queries = 3  # force FIFO eviction on every miss
 
         # Distinct head predicates make distinct cache keys: every shape
         # compiles, analyzes and (at the tiny caps) evicts concurrently.
@@ -283,7 +286,10 @@ class TestEngineCacheRaces:
         with CitationService(engine, max_workers=THREADS) as service:
             with ThreadPoolExecutor(max_workers=THREADS) as pool:
                 futures = [
-                    pool.submit(service.cite_many, shapes)
+                    pool.submit(
+                        service.submit_batch,
+                        [CitationRequest(query=shape) for shape in shapes],
+                    )
                     for _ in range(THREADS)
                 ]
                 results = [future.result(timeout=120) for future in futures]
@@ -342,31 +348,3 @@ class TestEngineCacheRaces:
             writer.join(timeout=30)
             evaluator.close()
         assert counts == [BATCHES_PER_THREAD * len(queries)] * THREADS
-
-    def test_concurrent_evaluator_cache_eviction(self, database):
-        evaluator = QueryEvaluator(database, max_cached_queries=3)
-        shapes = [
-            parse_query(f"Q{i}(FName) :- Family(FID, FName, Desc)")
-            for i in range(30)
-        ]
-
-        def hammer(offset: int) -> int:
-            count = 0
-            for index in range(len(shapes)):
-                query = shapes[(index + offset) % len(shapes)]
-                program = evaluator.compile(query)
-                reduced = evaluator.reduction_of(query, program)
-                assert reduced.program is program
-                prelude = evaluator.prelude_for(query, reduced)
-                assert prelude.reduced is reduced
-                evaluator.evaluate(query)
-                count += 1
-            return count
-
-        with ThreadPoolExecutor(max_workers=THREADS) as pool:
-            futures = [pool.submit(hammer, i * 3) for i in range(THREADS)]
-            counts = [future.result(timeout=120) for future in futures]
-        assert counts == [len(shapes)] * THREADS
-        assert len(evaluator._programs) <= 3
-        assert len(evaluator._reduced) <= 3
-        assert len(evaluator._preludes) <= 3

@@ -13,6 +13,15 @@ from repro.errors import NoRewritingError
 from repro.workloads import gtopdb
 
 
+def cite(service, query, mode=None):
+    """Serve one conjunctive query through ``submit``; raise its error."""
+    return service.submit(CitationRequest(query=query, mode=mode)).unwrap()
+
+
+def requests_for(queries):
+    return [CitationRequest(query=query) for query in queries]
+
+
 def _same_cited_result(left, right) -> None:
     """Assert two cited results agree on answers and citations."""
     assert {tc.row for tc in left.tuple_citations} == {
@@ -48,40 +57,40 @@ QUERY_RENAMED = "Q(N) :- FamilyIntro(F, T), Family(F, N, D)"
 
 class TestSingleRequests:
     def test_matches_engine_cite(self, service, engine):
-        _same_cited_result(service.cite(QUERY), engine.cite(QUERY))
+        _same_cited_result(cite(service, QUERY), engine.cite(QUERY))
 
     def test_repeat_is_served_from_result_cache(self, service):
-        first = service.try_cite(QUERY)
-        second = service.try_cite(QUERY)
+        first = service.submit(CitationRequest(query=QUERY))
+        second = service.submit(CitationRequest(query=QUERY))
         assert not first.cached and second.cached
         _same_cited_result(first.result, second.result)
         assert service.metrics.counter("result_cache_hits") == 1
         assert service.metrics.counter("executions") == 1
 
     def test_renamed_query_reuses_cache_but_keeps_its_schema(self, service):
-        service.cite(QUERY)
-        result = service.cite(QUERY_RENAMED)
+        cite(service, QUERY)
+        result = cite(service, QUERY_RENAMED)
         assert [a.name for a in result.result.schema.attributes] == ["N"]
         assert str(result.query) == str(parse_query(QUERY_RENAMED))
         assert service.metrics.counter("plan_compilations") == 1
 
     def test_plan_cache_hit_when_results_not_cached(self, engine):
         with CitationService(engine, cache_results=False) as service:
-            service.cite(QUERY)
-            service.cite(QUERY)
+            cite(service, QUERY)
+            cite(service, QUERY)
             assert service.metrics.counter("plan_compilations") == 1
             assert service.metrics.counter("plan_cache_hits") == 1
             assert service.metrics.counter("executions") == 2
 
     def test_modes_are_cached_separately(self, service):
-        service.cite(QUERY, mode="formal")
-        service.cite(QUERY, mode="economical")
+        cite(service, QUERY, mode="formal")
+        cite(service, QUERY, mode="economical")
         assert service.metrics.counter("plan_compilations") == 2
 
     def test_error_is_raised_by_cite_and_reported_by_try_cite(self, service):
         with pytest.raises(NoRewritingError):
-            service.cite("Q(PName) :- Contributor(TID, PName)")
-        response = service.try_cite("Q(PName) :- Contributor(TID, PName)")
+            cite(service, "Q(PName) :- Contributor(TID, PName)")
+        response = service.submit(CitationRequest(query="Q(PName) :- Contributor(TID, PName)"))
         assert not response.ok and isinstance(response.error, NoRewritingError)
         with pytest.raises(NoRewritingError):
             response.unwrap()
@@ -91,18 +100,18 @@ class TestSingleRequests:
             db, gtopdb.citation_views(), on_no_rewriting="fallback"
         )
         with CitationService(engine) as service:
-            result = service.cite("Q(PName) :- Contributor(TID, PName)")
+            result = cite(service, "Q(PName) :- Contributor(TID, PName)")
             assert result.used_fallback
-            repeat = service.try_cite("Q(PName) :- Contributor(TID, PName)")
+            repeat = service.submit(CitationRequest(query="Q(PName) :- Contributor(TID, PName)"))
             assert repeat.cached and repeat.result.used_fallback
 
 
 class TestInvalidation:
     def test_mutation_invalidates_cached_results(self, service, db):
-        before = service.cite(QUERY)
+        before = cite(service, QUERY)
         db.insert("Family", (9001, "Brand new family", "d"))
         db.insert("FamilyIntro", (9001, "intro text"))
-        after = service.cite(QUERY)
+        after = cite(service, QUERY)
         rows = {tc.row for tc in after.tuple_citations}
         assert ("Brand new family",) in rows
         assert ("Brand new family",) not in {tc.row for tc in before.tuple_citations}
@@ -110,10 +119,10 @@ class TestInvalidation:
     def test_mutation_reuses_data_independent_formal_plan(self, service, db):
         # Formal-mode plans read only the query and view definitions: a data
         # change must invalidate cached *results* but not the plan.
-        service.cite(QUERY, mode="formal")
+        cite(service, QUERY, mode="formal")
         db.insert("Family", (9002, "Another family", "d"))
         db.insert("FamilyIntro", (9002, "intro"))
-        fresh = service.cite(QUERY, mode="formal")
+        fresh = cite(service, QUERY, mode="formal")
         assert ("Another family",) in {tc.row for tc in fresh.tuple_citations}
         assert service.metrics.counter("plan_compilations") == 1
         assert service.metrics.counter("plan_cache_hits") == 1
@@ -122,28 +131,28 @@ class TestInvalidation:
     def test_mutation_forces_recompilation_in_economical_mode(self, service, db):
         # Economical plans embed a cost-based selection made against the
         # data, so a mutation retires them.
-        service.cite(QUERY, mode="economical")
+        cite(service, QUERY, mode="economical")
         db.insert("Family", (9002, "Another family", "d"))
-        service.cite(QUERY, mode="economical")
+        cite(service, QUERY, mode="economical")
         assert service.metrics.counter("plan_compilations") == 2
         assert service.plan_cache.info().invalidations >= 1
 
     def test_delete_also_invalidates(self, service, db):
-        service.cite(QUERY)
+        cite(service, QUERY)
         intro_row = next(iter(db.relation("FamilyIntro").rows))
         db.delete("FamilyIntro", intro_row)
-        fresh = service.cite(QUERY)
+        fresh = cite(service, QUERY)
         _same_cited_result(fresh, service.engine.cite(QUERY))
 
     def test_forced_engine_invalidation_drops_service_caches(self, service):
-        service.cite(QUERY)
+        cite(service, QUERY)
         service.engine.invalidate_caches()
-        response = service.try_cite(QUERY)
+        response = service.submit(CitationRequest(query=QUERY))
         assert not response.cached
         assert service.metrics.counter("plan_compilations") == 2
 
     def test_explicit_service_invalidate(self, service):
-        service.cite(QUERY)
+        cite(service, QUERY)
         service.invalidate()
         assert len(service.plan_cache) == 0 and len(service.result_cache) == 0
 
@@ -158,30 +167,31 @@ class TestInvalidation:
         monkeypatch.setattr(engine_module, "materialize_views", counting)
         with CitationService(engine, cache_results=False) as service:
             for _ in range(4):
-                service.cite(QUERY)
+                cite(service, QUERY)
             assert calls["count"] == 1
             engine.database.insert("Family", (9003, "Yet another family", "d"))
-            service.cite(QUERY)
+            cite(service, QUERY)
             assert calls["count"] == 2
 
 
 class TestBatching:
     def test_cite_batch_matches_sequential(self, service, engine):
         queries = [QUERY, QUERY_RENAMED, "Q2(FID, FName, Desc) :- Family(FID, FName, Desc)"]
-        batch = service.cite_batch(queries)
+        batch = [response.unwrap() for response in service.submit_batch(requests_for(queries))]
         for query, result in zip(queries, batch):
             _same_cited_result(result, engine.cite(query))
 
     def test_cite_batch_deduplicates(self, service):
         queries = [QUERY, QUERY_RENAMED, QUERY, QUERY_RENAMED, QUERY]
-        service.cite_batch(queries)
+        for response in service.submit_batch(requests_for(queries)):
+            response.unwrap()
         assert service.metrics.counter("executions") == 1
         assert service.metrics.counter("deduplicated") == 4
 
     def test_cite_many_matches_sequential(self, service, engine):
         queries = list(gtopdb.example_queries()) * 2
         sequential = [engine.cite(query) for query in queries]
-        responses = service.cite_many(queries, max_workers=6)
+        responses = service.submit_batch(requests_for(queries), max_workers=6)
         assert len(responses) == len(queries)
         assert all(response.ok for response in responses)
         for expected, response in zip(sequential, responses):
@@ -198,13 +208,13 @@ class TestBatching:
             "Q(PName) :- Contributor(TID, PName)",
             QUERY_RENAMED,
         ]
-        responses = service.cite_many(queries)
+        responses = service.submit_batch(requests_for(queries))
         assert [response.ok for response in responses] == [True, False, False, True]
         assert service.metrics.counter("errors") == 2
 
     def test_cite_many_shares_error_across_duplicates(self, service):
         bad = "Q(PName) :- Contributor(TID, PName)"
-        responses = service.cite_many([bad, bad])
+        responses = service.submit_batch(requests_for([bad, bad]))
         assert all(not response.ok for response in responses)
         assert all(
             isinstance(response.error, NoRewritingError) for response in responses
@@ -218,7 +228,7 @@ class TestBatching:
             return original(plan, query)
 
         monkeypatch.setattr(engine, "execute_plan", slow_execute)
-        responses = service.cite_many([QUERY], timeout=0.01)
+        responses = service.submit_batch(requests_for([QUERY]), timeout=0.01)
         assert not responses[0].ok
         assert isinstance(responses[0].error, TimeoutError)
         assert service.metrics.counter("timeouts") == 1
@@ -231,8 +241,8 @@ class TestBatching:
 
 class TestStats:
     def test_stats_snapshot_shape(self, service):
-        service.cite(QUERY)
-        service.cite(QUERY)
+        cite(service, QUERY)
+        cite(service, QUERY)
         stats = service.stats()
         assert stats["counters"]["requests"] == 2
         assert stats["counters"]["result_cache_hits"] == 1
@@ -329,12 +339,11 @@ class TestIncrementalHooks:
 class TestCompiledProgramsThroughThePlanCache:
     def test_plan_hit_carries_compiled_programs(self, service):
         query = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
-        service.cite(query)  # cold: compiles the plan and, on execute, the programs
+        cite(service, query)  # cold: compiles the plan and its programs
         plan, hit = service.plan_for(query)
         assert hit
         assert plan.rewritings  # a real plan, not a fallback
-        programs = [plan.compiled_program(i) for i in range(len(plan.rewritings))]
-        assert all(program is not None for program in programs)
+        assert len(plan.compiled) == len(plan.rewritings)
         # A structurally identical (renamed) query hits the same plan, so it
         # reuses the same compiled join programs.
         renamed = "Q(N) :- FamilyIntro(F, T), Family(F, N, D)"
@@ -342,19 +351,24 @@ class TestCompiledProgramsThroughThePlanCache:
         assert twin_hit and twin is plan
 
     def test_plan_hit_carries_reduced_programs(self, service):
-        """Serving traffic amortizes the semi-join analysis: one execution
-        attaches the reduced programs, every later hit reuses them."""
+        """Serving traffic amortizes the semi-join analysis: the plan carries
+        the reduced programs, every later hit reuses them."""
         query = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
-        service.cite(query)
+        cite(service, query)
         plan, hit = service.plan_for(query)
         assert hit
-        reduced = [plan.compiled_reduced(i) for i in range(len(plan.rewritings))]
-        assert all(r is not None for r in reduced)
+        reduced = [prelude.reduced for _citation, prelude in plan.compiled]
+        assert len(reduced) == len(plan.rewritings)
         assert all(r.acyclic for r in reduced)  # citation views are acyclic CQs
-        service.cite(query)  # warm: must reuse, not re-analyse
-        assert [
-            plan.compiled_reduced(i) for i in range(len(plan.rewritings))
-        ] == reduced
+        service.submit(
+            CitationRequest(query=query, metadata={"no_result_cache": True})
+        ).unwrap()  # warm: executes the cached plan again
+        again, again_hit = service.plan_for(query)
+        assert again_hit and again is plan
+        assert all(
+            prelude.reduced is r
+            for (_citation, prelude), r in zip(plan.compiled, reduced, strict=True)
+        )
 
     def test_stats_expose_the_engine_strategy(self, service):
         assert service.stats()["engine"]["strategy"] == "auto"
@@ -362,8 +376,8 @@ class TestCompiledProgramsThroughThePlanCache:
 
 class TestEvaluationMetricsExposure:
     def test_stats_expose_strategy_and_prelude_metrics(self, service):
-        service.cite(QUERY)
-        service.cite(QUERY)
+        cite(service, QUERY)
+        cite(service, QUERY)
         stats = service.stats()
         evaluation = stats["evaluation"]
         assert set(evaluation) == {
@@ -383,7 +397,7 @@ class TestEvaluationMetricsExposure:
     def test_stats_are_json_serialisable_with_evaluation_block(self, service):
         import json
 
-        service.cite(QUERY)
+        cite(service, QUERY)
         payload = json.dumps(service.stats(), sort_keys=True)
         assert "prelude_cache" in payload
 
@@ -392,8 +406,8 @@ class TestEvaluationMetricsExposure:
             db, gtopdb.citation_views(extended=True), strategy="reduced"
         )
         with CitationService(engine, cache_results=False) as svc:
-            svc.cite(QUERY)
-            svc.cite(QUERY)  # plan hit + warm prelude: no reduction runs
+            cite(svc, QUERY)
+            cite(svc, QUERY)  # plan hit + warm prelude: no reduction runs
             prelude = svc.stats()["evaluation"]["prelude_cache"]
             assert prelude["hits"] >= 1
             assert prelude["misses"] >= 1
@@ -403,7 +417,7 @@ class TestEvaluationMetricsExposure:
             db, gtopdb.citation_views(extended=True), strategy="reduced"
         )
         with CitationService(engine, cache_results=False) as svc:
-            svc.cite(QUERY)
-            svc.cite(QUERY_RENAMED)  # same fingerprint: same plan, same state
+            cite(svc, QUERY)
+            cite(svc, QUERY_RENAMED)  # same fingerprint: same plan, same state
             prelude = svc.stats()["evaluation"]["prelude_cache"]
             assert prelude["hits"] >= 1

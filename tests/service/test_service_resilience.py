@@ -209,7 +209,7 @@ class TestAdmissionControl:
 
     def test_admission_appears_in_stats(self, engine):
         with CitationService(engine, max_inflight=4, queue_depth=2) as service:
-            service.cite(QUERY)
+            service.submit(CitationRequest(query=QUERY)).unwrap()
             stats = service.stats()
             assert stats["admission"]["max_inflight"] == 4
             assert stats["admission"]["queue_depth"] == 2
@@ -277,10 +277,11 @@ class TestStaleServing:
 class TestStaleRetention:
     def test_default_cache_still_drops_mismatched_entries(self, engine, db):
         with CitationService(engine) as service:
-            service.cite(QUERY)
+            service.submit(CitationRequest(query=QUERY)).unwrap()
             db.insert("Ligand", (9102, "Ligand-Z", "peptide"))
             before = service.result_cache.stats()["invalidations"]
-            service.cite(QUERY)  # token mismatch: dropped and recomputed
+            # Token mismatch: dropped and recomputed.
+            service.submit(CitationRequest(query=QUERY)).unwrap()
             assert service.result_cache.stats()["invalidations"] == before + 1
             assert len(service.result_cache) == 1  # only the fresh entry
 
@@ -290,9 +291,9 @@ class TestDeadlineUnderLoadIsFast:
         # Resilience machinery fully idle: no deadline, no admission, no
         # retry policy.  Sanity-level guard that the per-request overhead is
         # bounded; the real 5% gate is benchmarks/bench_e23_resilience.py.
-        service.cite(QUERY)
+        service.submit(CitationRequest(query=QUERY)).unwrap()
         started = time.perf_counter()
         for _ in range(50):
-            service.cite(QUERY)
+            service.submit(CitationRequest(query=QUERY)).unwrap()
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0

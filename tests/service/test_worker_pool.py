@@ -118,8 +118,7 @@ class TestBatchDeadline:
         backend = SlowBackend(delay=10.0)
         service.register_backend(backend)
         queries = [f"q{i}" for i in range(2)]
-        # cite_many routes through the relational parser for CQ payloads; use
-        # submit_batch's sibling path via explicit backend requests instead.
+        # Explicit backend requests keep the batch on the slow stub backend.
         requests = self._requests(2)
         try:
             started = time.monotonic()
@@ -181,10 +180,6 @@ class TestCloseContract:
         query = "Q(FName) :- Family(FID, FName, Desc)"
         service.close()
         with pytest.raises(CitationError, match="closed"):
-            service.cite_many([query])
-        with pytest.raises(CitationError, match="closed"):
-            service.cite_batch([query])
-        with pytest.raises(CitationError, match="closed"):
             service.submit_batch([CitationRequest(query=query)])
 
     def test_post_close_mutations_are_not_counted(self):
@@ -193,7 +188,9 @@ class TestCloseContract:
         counting.  Closed now refuses to serve, so the metric can never
         drift relative to served traffic."""
         service, database = _service()
-        service.cite("Q(FName) :- Family(FID, FName, Desc)")
+        service.submit(
+            CitationRequest(query="Q(FName) :- Family(FID, FName, Desc)")
+        ).unwrap()
         before = service.metrics.stats()["counters"].get("mutations_observed", 0)
         database.insert("Family", (91, "PreClose", "PD"))
         after = service.metrics.stats()["counters"].get("mutations_observed", 0)
@@ -206,9 +203,13 @@ class TestCloseContract:
     def test_context_manager_closes_terminally(self):
         service, _database = _service()
         with service:
-            service.cite("Q(FName) :- Family(FID, FName, Desc)")
+            service.submit(
+                CitationRequest(query="Q(FName) :- Family(FID, FName, Desc)")
+            ).unwrap()
         with pytest.raises(CitationError, match="closed"):
-            service.cite_many(["Q(FName) :- Family(FID, FName, Desc)"])
+            service.submit_batch(
+                [CitationRequest(query="Q(FName) :- Family(FID, FName, Desc)")]
+            )
 
 
 class TestWorkerSizing:
