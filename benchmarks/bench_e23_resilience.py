@@ -126,7 +126,9 @@ def test_e23_stale_serving_converts_deadline_misses_into_fast_answers():
         fresh = service.submit(CitationRequest(query=QUERY))
         fresh_ms = (time.perf_counter() - fresh_started) * 1000
         assert fresh.ok
-        database.insert("Ligand", (990_001, "L-e23", "synthetic"))
+        # A new row in a relation the query's views read: only a new
+        # execution can bring the cached entry forward.
+        database.insert("Family", (990_001, "F-e23", "d"))
 
         stale_started = time.perf_counter()
         degraded = service.submit(CitationRequest(query=QUERY, timeout=0.0))
@@ -137,7 +139,7 @@ def test_e23_stale_serving_converts_deadline_misses_into_fast_answers():
         without = CitationService(CitationEngine(database, gtopdb.citation_views()))
         try:
             assert without.submit(CitationRequest(query=QUERY)).ok
-            database.insert("Ligand", (990_002, "L-e23b", "synthetic"))
+            database.insert("Family", (990_002, "F-e23b", "d"))
             refused = without.submit(CitationRequest(query=QUERY, timeout=0.0))
             assert not refused.ok
             assert refused.error_code == "DEADLINE_EXCEEDED"

@@ -9,7 +9,9 @@ temporal, RDF, versioned, ...) to the five-phase serving pipeline that
 
 The backend also tells the service how to cache its work: validity tokens
 (:meth:`CitationBackend.result_token` / :meth:`CitationBackend.plan_token`)
-stamp cache entries so mutations invalidate them, a cache variant
+stamp cache entries so mutations invalidate them,
+:meth:`CitationBackend.refresh_result` may bring a cached result whose stamp
+a mutation has moved past forward instead of discarding it, a cache variant
 (:meth:`CitationBackend.cache_variant`) separates entries that share a
 fingerprint but must not share an execution (e.g. formal vs economical mode,
 or different pinned versions), and :meth:`CitationBackend.rebind` re-attaches
@@ -76,7 +78,8 @@ class CitationBackend(abc.ABC):
 
     The five abstract phases are the contract; the cache-integration hooks
     have sensible defaults (no variant, identity rebind, result token shared
-    with the plan token) that a backend overrides as needed.
+    with the plan token, no refresh of stale results) that a backend
+    overrides as needed.
     """
 
     #: Registry key and default routing name; adapters set this.
@@ -111,6 +114,18 @@ class CitationBackend(abc.ABC):
     def plan_token(self, request: CitationRequest) -> Hashable:
         """Validity stamp for cached plans (default: same as results)."""
         return self.result_token(request)
+
+    def refresh_result(
+        self, result: Any, token: Hashable, request: CitationRequest
+    ) -> tuple[Any, Hashable] | None:
+        """Bring a cached *result*, stamped *token*, forward to the data now.
+
+        Returns the result to serve and its new stamp, or ``None`` when only
+        a new execution can answer (the default: any mutation retires every
+        cached result).  The relational backend, and the temporal backend
+        through it, bring results forward through the database's change log.
+        """
+        return None
 
     def cache_variant(self, request: CitationRequest) -> Hashable:
         """Discriminator added to cache keys beside the fingerprint."""

@@ -115,6 +115,13 @@ class RelationalBackend(CitationBackend):
     def result_token(self, request: CitationRequest) -> Hashable:
         return self.engine.plan_token()
 
+    def refresh_result(
+        self, result: CitedResult, token: Hashable, request: CitationRequest
+    ) -> tuple[CitedResult, Hashable] | None:
+        """Re-stamp or patch the cached result through the engine's change
+        log (:meth:`~repro.core.engine.CitationEngine.refresh_result`)."""
+        return self.engine.refresh_result(result, token)  # type: ignore[arg-type]
+
     def plan_token(self, request: CitationRequest) -> Hashable:
         """Formal-mode plans survive data changes; economical ones do not.
 

@@ -5,7 +5,8 @@ request is rewritten at parse time into an ordinary conjunctive query whose
 timestamped atoms carry the era as a constant — from there the request flows
 through the relational machinery unchanged, and because the era constant
 participates in the structural fingerprint, every era gets its own plan and
-result cache entries.
+result cache entries.  Those entries are brought forward through the
+database's change log like the relational backend's.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ Two operating modes address the paper's "Calculating citations" challenge:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Literal
 
 from repro.core.citation import Citation
@@ -55,18 +55,20 @@ from repro.errors import (
     StaticAnalysisError,
 )
 from repro.observability import NULL_SPAN, get_tracer
-from repro.query.ast import ConjunctiveQuery, Constant, Variable
+from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
 from repro.query.compiler import PreludeCache
 from repro.query.evaluator import Binding, QueryEvaluator, Strategy
 from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
 from repro.query.parser import parse_query
-from repro.relational.database import Database
+from repro.query.ucq import UnionQuery
+from repro.relational.database import Change, Database
 from repro.relational.index import IndexManager
 from repro.relational.relation import Relation
+from repro.relational.schema import DatabaseSchema
 from repro.rewriting.bucket import BucketRewriter
 from repro.rewriting.minicon import MiniConRewriter
 from repro.rewriting.rewriting import Rewriting
-from repro.rewriting.view import materialize_views
+from repro.rewriting.view import View, materialize_views
 
 Mode = Literal["formal", "economical"]
 
@@ -93,8 +95,9 @@ _ANALYSIS_CACHE_LIMIT = 1024
 
 #: A cache-validity stamp: ``(database generation, engine cache epoch)``.
 #: Anything compiled from the engine (plans, materialised views, cached
-#: results) is valid exactly as long as the engine's current token equals the
-#: token it was stamped with.
+#: results) is valid as long as the engine's current token equals the token
+#: it was stamped with; a cited result can also be brought forward to the
+#: current token (:meth:`CitationEngine.refresh_result`).
 PlanToken = tuple[int, int]
 
 #: A cited view atom: ``(view, name-ordered parameter items)``, as in ``CitationAtom``.
@@ -132,6 +135,62 @@ def record_reach(citation_views: Iterable[CitationView]) -> RecordReach:
                 else:
                     views[citation_view.name] = None
     return reach
+
+
+def row_image(view: View, schema: DatabaseSchema) -> Callable[[tuple], tuple | None] | None:
+    """The map from a row of the view's one base relation to the row it puts
+    in the view's extent (``None`` for a row the view does not select), or
+    ``None`` when the extent cannot follow the relation row by row.
+
+    It can for one atom over a base relation, with no equality atoms, whose
+    head keeps every key column (every column, for a keyless relation).  Then
+    rows with equal images share a key, so no two are ever in the relation
+    at once, and a changed row can add or remove only its own image.
+    """
+    query = view.query
+    if len(query.body) != 1 or query.equalities:
+        return None
+    atom = query.body[0]
+    if atom.predicate not in schema:
+        return None
+    relation = schema.relation(atom.predicate)
+    if len(atom.terms) != relation.arity:
+        return None
+    head = query.head_terms
+    key = relation.key_positions() or range(relation.arity)
+    if not all(isinstance(atom.terms[p], Variable) and atom.terms[p] in head for p in key):
+        return None
+    # A row is selected when it holds each constant and repeats each
+    # repeated variable: (position, other position or None, constant).
+    first: dict[Term, int] = {}
+    checks: list[tuple[int, int | None, object]] = []
+    for position, term in enumerate(atom.terms):
+        if isinstance(term, Constant):
+            checks.append((position, None, term.value))
+        elif term in first:
+            checks.append((position, first[term], None))
+        else:
+            first[term] = position
+    # Per head term: the row position it reads, or None and its constant.
+    picks = tuple(
+        (None, term.value) if isinstance(term, Constant) else (first[term], None)
+        for term in head
+    )
+
+    def image(row: tuple) -> tuple | None:
+        for position, other, value in checks:
+            if row[position] != (value if other is None else row[other]):
+                return None
+        return tuple([value if at is None else row[at] for at, value in picks])
+
+    return image
+
+
+def _with_atoms_from(expression: CitationExpression, cache: AtomCache) -> CitationExpression:
+    """*expression* with every atom replaced by the cache's atom for its key."""
+    if isinstance(expression, CitationAtom):
+        return cache[(expression.view_name, expression.parameter_items)][0]
+    return type(expression)([_with_atoms_from(child, cache) for child in expression.children()])
 
 
 class CitationProgram:
@@ -289,6 +348,20 @@ class TupleCitation:
         return sum(record.size() for record in self.records)
 
 
+def aggregate_citation(
+    tuple_citations: Sequence[TupleCitation],
+    policy: CitationPolicy,
+    query: ConjunctiveQuery | UnionQuery,
+) -> Citation:
+    """The citation of a whole result: ``Agg`` over its tuples' expressions,
+    with their records folded by ``policy.aggregate``."""
+    return Citation(
+        policy.aggregate([tc.records for tc in tuple_citations]),
+        expression=Aggregate([tc.expression for tc in tuple_citations]),
+        query_text=str(query),
+    )
+
+
 @dataclass
 class CitedResult:
     """A query answer together with per-tuple and aggregate citations."""
@@ -391,10 +464,10 @@ class CitationEngine:
         )
         # Both caches are brought to the database's generation under the
         # refresh lock, from its change log: a view whose body reads a
-        # changed relation is dropped from the mapping (and re-materialised
-        # on next use), and the atom cache is replaced by a copy minus the
-        # keys the changes reach, so an execution keeps the cache it started
-        # with.  ``None``: no view materialised yet.
+        # changed relation is patched or dropped from the mapping (and
+        # re-materialised on next use), and the atom cache is replaced by a
+        # copy minus the keys the changes reach, so an execution keeps the
+        # caches it started with.  ``None``: no view materialised yet.
         self._refresh_lock = threading.Lock()
         self._view_relations: dict[str, Relation] | None = None
         self._atom_cache = AtomCache(database, self._citation_view_by_name)
@@ -407,10 +480,17 @@ class CitationEngine:
         self._view_reads = {
             view.name: {atom.predicate for atom in view.query.body} for view in self._views
         }
+        # view → (base relation, row_image) for the views a change patches.
+        self._view_images = {
+            view.name: (view.query.body[0].predicate, image)
+            for view in self._views
+            if (image := row_image(view, database.schema)) is not None
+        }
         self._refresh_stats = {
             "records_kept": 0,
             "records_evicted": 0,
             "full_drops": 0,
+            "views_patched": 0,
             "views_rematerialized": 0,
         }
         # Shared across executions so that hash indexes built over
@@ -497,7 +577,8 @@ class CitationEngine:
     def refresh_stats(self) -> dict[str, int]:
         """How precisely database changes invalidated the caches: records
         kept and evicted over all refreshes, wholesale drops (log overrun or
-        :meth:`invalidate_caches`) and views materialised again."""
+        :meth:`invalidate_caches`), views patched from the change log and
+        views materialised again."""
         with self._refresh_lock:
             return dict(self._refresh_stats)
 
@@ -514,6 +595,25 @@ class CitationEngine:
             with self._refresh_lock:
                 self._refresh_locked()
 
+    def _reach(self, entries: Iterable[Change]) -> tuple[set[CitationKey], set[str], set[str]]:
+        """What logged changes reach: record keys, whole views (a drift entry
+        or an atom that does not key the view's records) and the changed
+        relations."""
+        keys: set[CitationKey] = set()
+        whole: set[str] = set()
+        changed: set[str] = set()
+        for relation, row in entries:
+            changed.add(relation)
+            for view, positions in self._record_reach.get(relation, {}).items():
+                if row is None or positions is None:
+                    whole.add(view)
+                else:
+                    names = self._parameter_names[view]
+                    keys.update(
+                        (view, tuple(zip(names, [row[i] for i in at]))) for at in positions
+                    )
+        return keys, whole, changed
+
     def _refresh_locked(self) -> None:
         if self.database.generation == self._cache_generation:
             return
@@ -523,17 +623,7 @@ class CitationEngine:
             self._cache_generation = self.database.generation
             return
         self._cache_generation, entries = changes
-        keys: set[CitationKey] = set()
-        whole: set[str] = set()
-        for relation, row in entries:
-            for view, positions in self._record_reach.get(relation, {}).items():
-                if row is None or positions is None:
-                    whole.add(view)
-                else:
-                    names = self._parameter_names[view]
-                    keys.update(
-                        (view, tuple(zip(names, [row[i] for i in at]))) for at in positions
-                    )
+        keys, whole, changed = self._reach(entries)
         reached = whole | {view for view, _ in keys}
         if reached:
             # One C-level copy: readers may be filling the old cache meanwhile.
@@ -553,21 +643,61 @@ class CitationEngine:
             self._refresh_stats["records_evicted"] += len(snapshot) - len(cache)
             self._atom_cache = cache
         self._refresh_stats["records_kept"] += len(self._atom_cache)
-        changed = {relation for relation, _ in entries}
         relations = self._view_relations
         if relations and any(self._view_reads[name] & changed for name in relations):
-            self._view_relations = {
-                name: relation
-                for name, relation in relations.items()
-                if not self._view_reads[name] & changed
-            }
+            self._view_relations = self._patched_views_locked(relations, entries, changed)
+
+    def _patched_views_locked(
+        self, relations: dict[str, Relation], entries: list[Change], changed: set[str]
+    ) -> dict[str, Relation]:
+        """*relations* brought forward over *entries*: a view over a changed
+        relation is patched when :func:`row_image` allows and no entry is
+        drift on that relation; it is left out, to be re-materialised on
+        next use, otherwise.
+
+        A patched view is a new relation, so an execution keeps the mapping
+        it started with and identity stamps see the change.  Images of
+        logged rows no longer in the relation go first: a replaced row may
+        keep its image.
+        """
+        logged: dict[str, dict[tuple, None]] = {}
+        drifted: set[str] = set()
+        for relation, row in entries:
+            if row is None:
+                drifted.add(relation)
+            else:
+                logged.setdefault(relation, {})[row] = None
+        kept: dict[str, Relation] = {}
+        for name, extent in relations.items():
+            if not self._view_reads[name] & changed:
+                kept[name] = extent
+                continue
+            patchable = self._view_images.get(name)
+            if patchable is None:
+                continue
+            base, image = patchable
+            if base in drifted:
+                continue
+            current = self.database.relation(base)
+            rows = set(extent)
+            changed_rows = logged[base]
+            for row in changed_rows:
+                if row not in current and (gone := image(row)) is not None:
+                    rows.discard(gone)
+            for row in changed_rows:
+                if row in current and (present := image(row)) is not None:
+                    rows.add(present)
+            kept[name] = Relation.of_valid_rows(extent.schema, rows)
+            self._refresh_stats["views_patched"] += 1
+        return kept
 
     def view_relations(self) -> dict[str, Relation]:
         """Materialisations of all citation views.
 
-        Materialised on first use; after that a database change
-        re-materialises, on next use, only the views whose body reads a
-        relation it changed.  The other views keep their relation objects
+        Materialised on first use; after that a database change reaches
+        only the views whose body reads a relation it changed, which are
+        patched from the change log where they can be and re-materialised
+        on next use otherwise.  The other views keep their relation objects
         (and so their indexes and warm preludes), and while no view is stale
         repeated calls return the same mapping.
         """
@@ -938,23 +1068,75 @@ class CitationEngine:
                     self._cite_row(row, alternatives_by_row[row], cache, policy)
                 )
 
-        aggregate_expression = Aggregate([tc.expression for tc in tuple_citations])
-        aggregate_records = policy.aggregate([tc.records for tc in tuple_citations])
-        result_relation = self._result_relation(query, alternatives_by_row)
-        citation = Citation(
-            aggregate_records,
-            expression=aggregate_expression,
-            query_text=str(query),
-        )
         return CitedResult(
             query=query,
             rewritings=list(plan.rewritings),
             tuple_citations=tuple_citations,
-            citation=citation,
+            citation=aggregate_citation(tuple_citations, policy, query),
             policy=policy,
             mode=plan.mode,
-            result=result_relation,
+            result=self._result_relation(query, alternatives_by_row),
         )
+
+    def refresh_result(
+        self, result: CitedResult, token: PlanToken
+    ) -> tuple[CitedResult, PlanToken] | None:
+        """Bring *result*, stamped *token*, forward to the current token.
+
+        ``None`` when only a new execution can: the cache epoch moved, the
+        change log no longer reaches back to *token*, the result is
+        economical (its rewriting selection read the data), or a change
+        touches a relation that the body of one of its views reads (for a
+        fallback result, its query's own body).  Otherwise the answer stands
+        and only citation records can have changed: a result whose records
+        no change reaches comes back as it is; else a copy rebuilds the
+        citations of just the rows whose expression holds a reached atom,
+        with the atoms the refreshed cache holds now, folded under the
+        result's policy.  The answer relation is shared, not copied.
+        """
+        generation, epoch = token
+        if epoch != self._cache_epoch or result.mode == "economical":
+            return None
+        changes = self.database.changes_since(generation)
+        if changes is None:
+            return None
+        current, entries = changes
+        keys, whole, changed = self._reach(entries)
+        views = {
+            atom.predicate for rewriting in result.rewritings for atom in rewriting.query.body
+        }
+        if result.used_fallback:
+            reads = {atom.predicate for atom in result.query.body}
+        else:
+            reads = {relation for view in views for relation in self._view_reads[view]}
+        if changed & reads:
+            return None
+        fresh = (current, epoch)
+        reached = (whole | {view for view, _ in keys}) & views
+        if not reached:
+            return result, fresh
+        self._refresh_generation()
+        cache = self._atom_cache
+        policy = result.policy
+        deadline = current_deadline()
+        patched = False
+        tuple_citations: list[TupleCitation] = []
+        for tc in result.tuple_citations:
+            if any(
+                atom.view_name in reached
+                and (atom.view_name in whole or (atom.view_name, atom.parameter_items) in keys)
+                for atom in tc.expression.atoms()
+            ):
+                if deadline is not None:
+                    deadline.check("assembly")
+                expression = _with_atoms_from(tc.expression, cache)
+                tc = TupleCitation(tc.row, expression, policy.evaluate(expression))
+                patched = True
+            tuple_citations.append(tc)
+        if not patched:
+            return result, fresh
+        citation = aggregate_citation(tuple_citations, policy, result.query)
+        return replace(result, tuple_citations=tuple_citations, citation=citation), fresh
 
     # -- helpers -------------------------------------------------------------------------
     def _execution_evaluator(self) -> QueryEvaluator:

@@ -22,9 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Mapping
 
-from repro.core.engine import CitationEngine, CitedResult, TupleCitation
+from repro.core.engine import (
+    CitationEngine,
+    CitedResult,
+    PlanToken,
+    TupleCitation,
+    aggregate_citation,
+)
 from repro.core.citation import Citation
-from repro.core.expression import Aggregate
 from repro.errors import CitationError
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
 from repro.query.evaluator import Binding, QueryEvaluator
@@ -62,6 +67,8 @@ class IncrementalCitationMaintainer:
         self.statistics = MaintenanceStatistics()
         self._listeners: list[MaintenanceListener] = []
         self._result: CitedResult | None = None
+        # The engine token the result is current at.
+        self._token: PlanToken = engine.plan_token()
         self._view_extents: dict[str, set[tuple]] = {}
         self._relations_of_interest: set[str] = set()
         self._citation_relations: set[str] = set()
@@ -109,8 +116,15 @@ class IncrementalCitationMaintainer:
     def recompute(self) -> CitedResult:
         """Recompute the cited result from scratch (also refreshes caches)."""
         self.engine.invalidate_caches()
-        self._result = self.engine.cite(self.query)
+        result = self._cite()
         self.statistics.full_recomputations += 1
+        return result
+
+    def _cite(self) -> CitedResult:
+        """Cite the query with the engine's caches as they stand, and take
+        the view extents and relation sets maintenance reads from it."""
+        self._token = self.engine.plan_token()
+        self._result = self.engine.cite(self.query)
         self._view_extents = {
             name: set(relation.rows)
             for name, relation in self.engine.view_relations().items()
@@ -148,27 +162,35 @@ class IncrementalCitationMaintainer:
             return False
         if relation in self._relations_of_interest:
             self._apply_view_deltas()
+            self._token = self.engine.plan_token()
             self._notify(relation, "answer")
             return True
         if relation in self._citation_relations:
             # Only the snippet contents changed: the answer set and the
-            # expressions' structure are unaffected, but every citation record
-            # must be rebuilt from the updated snippets.
+            # expressions' structure are unaffected.
             self._refresh_citation_records()
             self._notify(relation, "records")
             return True
+        self._token = self.engine.plan_token()
         self.statistics.updates_ignored += 1
         self._notify(relation, "ignored")
         return False
 
     def _refresh_citation_records(self) -> None:
-        """Rebuild the citation records of all tuples after a snippet update.
+        """Rebuild the tuple citations a snippet update reaches.
 
-        On next access the engine evicts just the records the mutation that
-        triggered this call can reach and re-fetches those; only the stored
-        tuple citations need re-deriving.
+        The engine brings the result forward through its change log,
+        rebuilding just the rows whose citation holds a record the update
+        can reach (:meth:`CitationEngine.refresh_result`).  When it cannot
+        (an economical result, whose selection read the data, or a moved
+        cache epoch), the query is cited again over the engine's caches as
+        they stand, every row counting as recomputed.
         """
-        self._patch_rows({tc.row for tc in self.result.tuple_citations})
+        refreshed = self.engine.refresh_result(self.result, self._token)
+        if refreshed is None:
+            self.statistics.rows_recomputed += len(self._cite())
+        else:
+            self._result, self._token = refreshed
 
     # -- delta machinery -----------------------------------------------------------------
     def _apply_view_deltas(self) -> None:
@@ -295,19 +317,12 @@ class IncrementalCitationMaintainer:
                 self.statistics.rows_removed += 1
         surviving.sort(key=lambda tc: repr(tc.row))
 
-        aggregate_expression = Aggregate([tc.expression for tc in surviving])
-        aggregate_records = self.engine.policy.aggregate([tc.records for tc in surviving])
-        citation = Citation(
-            aggregate_records,
-            expression=aggregate_expression,
-            query_text=str(self.query),
-        )
         new_relation = Relation(result.result.schema, (tc.row for tc in surviving))
         self._result = CitedResult(
             query=result.query,
             rewritings=result.rewritings,
             tuple_citations=surviving,
-            citation=citation,
+            citation=aggregate_citation(surviving, self.engine.policy, self.query),
             policy=result.policy,
             mode=result.mode,
             result=new_relation,

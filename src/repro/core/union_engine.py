@@ -25,7 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.citation import Citation
-from repro.core.engine import CitationEngine, CitationPlan, Mode, PlanToken, TupleCitation
+from repro.core.engine import (
+    CitationEngine,
+    CitationPlan,
+    Mode,
+    PlanToken,
+    TupleCitation,
+    aggregate_citation,
+)
 from repro.core.expression import Aggregate, alternative
 from repro.errors import NoRewritingError
 from repro.query.evaluator import result_schema
@@ -151,17 +158,12 @@ def execute_union_plan(
             records = frozenset()
         tuple_citations.append(TupleCitation(row, expression, records))
 
-    aggregate_records = engine.policy.aggregate([tc.records for tc in tuple_citations])
-    aggregate_expression = Aggregate([tc.expression for tc in tuple_citations])
     schema = result_schema(query.disjuncts[0])
     relation = Relation(type(schema)(query.name, schema.attributes, key=None), all_rows)
-    citation = Citation(
-        aggregate_records, expression=aggregate_expression, query_text=str(query)
-    )
     return UnionCitedResult(
         query=query,
         tuple_citations=tuple_citations,
-        citation=citation,
+        citation=aggregate_citation(tuple_citations, engine.policy, query),
         result=relation,
         per_disjunct_rewritings=per_disjunct_rewritings,
         uncovered_disjuncts=uncovered,

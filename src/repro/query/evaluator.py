@@ -824,7 +824,7 @@ class QueryEvaluator:
             query, strategy, None,
             lambda program, frames: set(map(program.output_row, frames)),
         )
-        return Relation(result_schema(query), answers)
+        return Relation.of_valid_rows(result_schema(query), answers)
 
     def evaluate_with_bindings(
         self,

@@ -28,6 +28,23 @@ class Relation:
         for row in rows:
             self.insert(row)
 
+    @classmethod
+    def of_valid_rows(cls, schema: RelationSchema, rows: set[tuple]) -> "Relation":
+        """A relation over *rows*, a set it takes over, without validating
+        them: for rows that already conform to *schema* and its key, such
+        as another relation's rows or a join's answers."""
+        relation = cls.__new__(cls)
+        relation.schema = schema
+        relation._rows = rows
+        positions = schema.key_positions()
+        relation._key_index = (
+            None
+            if positions is None
+            else {tuple([row[i] for i in positions]): row for row in relation._rows}
+        )
+        relation._version = 0
+        return relation
+
     @property
     def version(self) -> int:
         """A counter bumped on every applied mutation of this instance.
@@ -159,7 +176,7 @@ class Relation:
 
     def copy(self) -> "Relation":
         """Return a deep-enough copy (rows are immutable tuples)."""
-        return Relation(self.schema, self._rows)
+        return Relation.of_valid_rows(self.schema, set(self._rows))
 
     # -- dunder -------------------------------------------------------------
     def __contains__(self, row: object) -> bool:

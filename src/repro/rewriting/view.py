@@ -104,7 +104,7 @@ def materialize_views(
             raise RewritingError(f"duplicate view name {view.name!r}")
         relation = view.materialize(database)
         # Rename the schema so the relation is addressable by the view name.
-        out[view.name] = Relation(result_schema(view.query), relation.rows)
+        out[view.name] = Relation.of_valid_rows(result_schema(view.query), set(relation))
     return out
 
 

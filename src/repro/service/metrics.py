@@ -133,6 +133,9 @@ class ServiceMetrics:
         "requests",
         "batch_requests",
         "result_cache_hits",
+        # Of those, hits on a stale entry the backend patched in place of
+        # executing again (a re-stamped entry counts only as a hit).
+        "result_cache_patches",
         "plan_cache_hits",
         "plan_compilations",
         "executions",

@@ -5,13 +5,15 @@ The cache never serves stale data: every entry is stamped with the engine's
 pair ``(database generation, engine cache epoch)``.  Any insert/delete on the
 database bumps the generation, and any forced ``invalidate_caches()`` bumps
 the epoch, so a lookup whose current token differs from the stored stamp is a
-miss and evicts the entry.  There is deliberately no time-based expiry: plans
-only go stale when the data or the views change, and the token captures
-exactly that.
+miss and evicts the entry — unless the caller can bring the entry forward to
+the current token (the result cache of
+:class:`~repro.service.service.CitationService` asks its backend to), in
+which case it is stored again under the new stamp and served as a hit.
+There is deliberately no time-based expiry: entries only go stale when the
+data or the views change, and the token captures exactly that.
 
 :class:`GenerationalLRU` is the generic mechanism (also used for the
-result cache of :class:`~repro.service.service.CitationService`);
-:class:`PlanCache` is its plan-flavoured face.
+result cache); :class:`PlanCache` is its plan-flavoured face.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from collections.abc import Hashable
+from collections.abc import Callable, Hashable
 from typing import Generic, TypeVar
 
 from repro.concurrency import shared_state
@@ -59,9 +61,10 @@ class GenerationalLRU(Generic[V]):
     """A thread-safe LRU cache whose entries carry a validity token.
 
     ``get`` returns ``None`` either when the key is absent (a miss) or when
-    the stored token no longer matches the caller's current token (an
-    invalidation: the entry is dropped and counted separately, so hit-rate
-    statistics distinguish capacity misses from staleness).
+    the stored token no longer matches the caller's current token and the
+    caller's ``refresh`` cannot bring the entry forward (an invalidation: the
+    entry is dropped and counted separately, so hit-rate statistics
+    distinguish capacity misses from staleness).
 
     ``keep_stale=True`` opts into *stale retention*: a token-mismatched
     ``get`` still counts an invalidation and a miss, but leaves the entry in
@@ -80,23 +83,51 @@ class GenerationalLRU(Generic[V]):
         self._lock = threading.RLock()
         self._info = CacheInfo()
 
-    def get(self, key: Hashable, token: Hashable) -> V | None:
-        """Return the cached value for *key* if present and still current."""
+    def get(
+        self,
+        key: Hashable,
+        token: Hashable,
+        refresh: Callable[[V, Hashable], tuple[V, Hashable] | None] | None = None,
+    ) -> V | None:
+        """Return the cached value for *key* if present and still current.
+
+        An entry stamped with another token is invalid, unless *refresh*,
+        called as ``refresh(value, stamp)`` with the cache unlocked, brings
+        it forward: it returns the ``(value, token)`` to serve and store in
+        the entry's place, and the lookup counts as a hit.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 self._info.misses += 1
                 return None
             stored_token, value = entry
-            if stored_token != token:
-                if not self.keep_stale:
-                    del self._entries[key]
-                self._info.invalidations += 1
-                self._info.misses += 1
+            if stored_token == token:
+                self._entries.move_to_end(key)
+                self._info.hits += 1
+                return value
+            if refresh is None:
+                self._invalid_locked(key, entry)
                 return None
-            self._entries.move_to_end(key)
+        brought = refresh(value, stored_token)
+        with self._lock:
+            if brought is None:
+                self._invalid_locked(key, entry)
+                return None
+            value, stamp = brought
+            if self._entries.get(key) is entry:
+                self._entries[key] = (stamp, value)
+                self._entries.move_to_end(key)
             self._info.hits += 1
             return value
+
+    def _invalid_locked(self, key: Hashable, entry: tuple[Hashable, V]) -> None:
+        """Count a lookup of an invalid *entry*, dropping it unless stale
+        entries are kept (or another caller has replaced it)."""
+        if not self.keep_stale and self._entries.get(key) is entry:
+            del self._entries[key]
+        self._info.invalidations += 1
+        self._info.misses += 1
 
     def get_stale(self, key: Hashable, token: Hashable) -> tuple[V, bool] | None:
         """Return ``(value, fresh)`` for *key* regardless of token validity.

@@ -13,11 +13,17 @@ serving-layer machinery:
   under variable renaming, atom and disjunct reordering); a hit skips the
   backend's compile phase (the Bucket/MiniCon search for the CQ-family
   backends) entirely;
-* **result caching** — an exact structural repeat against unchanged data is
-  answered from memory without any evaluation;
+* **result caching** — an exact structural repeat is answered from memory
+  without any evaluation while the data holds still, and after a mutation
+  whenever the backend can bring the cached result forward;
 * **token-based invalidation** — cache entries are stamped with the
   backend's validity token (database generation / triple-store generation /
-  pinned version id), so any mutation makes stale entries unservable;
+  pinned version id).  A stale result entry is offered to the backend's
+  :meth:`~repro.api.backend.CitationBackend.refresh_result`: the relational
+  backend re-stamps it when no logged change reaches it and patches just the
+  reached rows' citations when only citation records changed, so only a
+  change to the data its views read forces a new execution.  Other backends
+  (and stale plans) are retired by any mutation;
 * **batching** — :meth:`CitationService.submit_batch` deduplicates
   structurally identical requests inside one batch and answers every member
   of an isomorphism class from a single execution;
@@ -705,7 +711,11 @@ class CitationService:
         )
         tracer = self.tracer()
         if use_result_cache:
-            hit = self.result_cache.get(cache_key, token)
+            hit = self.result_cache.get(
+                cache_key,
+                token,
+                lambda value, stamp: self._bring_forward(backend, request, value, stamp),
+            )
             if hit is not None:
                 self.metrics.increment("result_cache_hits")
                 self.metrics.increment_backend(backend.name, "result_hits")
@@ -746,6 +756,17 @@ class CitationService:
             # request start, not the (possibly data-independent) plan stamp.
             self.result_cache.put(cache_key, result, token)
         return result, False
+
+    def _bring_forward(
+        self, backend: CitationBackend, request: CitationRequest, value: Any, stamp: Hashable
+    ) -> tuple[Any, Hashable] | None:
+        """The backend's refresh of a stale result-cache entry, counting
+        each entry it had to patch (rather than only re-stamp)."""
+        brought = backend.refresh_result(value, stamp, request)
+        if brought is not None and brought[0] is not value:
+            self.metrics.increment("result_cache_patches")
+            self.metrics.increment_backend(backend.name, "result_patches")
+        return brought
 
     def _execute_with_retry(
         self,

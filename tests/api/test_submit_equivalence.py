@@ -240,6 +240,27 @@ class TestTemporalEquivalence:
         assert backends["temporal"]["plan_hits"] == 1
         service.close()
 
+    def test_as_of_entry_follows_the_change_log(self, temporal_engine):
+        # The temporal backend serves from the relational engine, so an era's
+        # entry is brought forward like any other: kept across a write no
+        # view reads, executed again after a write to a relation they read.
+        database = temporal_engine.engine.database
+        service = CitationService(backends=[TemporalBackend(temporal_engine)])
+        request = CitationRequest(query=TEMPORAL_CQ, backend="temporal", as_of="2017")
+        first = service.submit(request)
+        database.insert("Ligand", (9100, "Ligand-X", "peptide"))
+        kept = service.submit(request)
+        assert kept.cached and kept.result is first.result
+        assert service.metrics.counter("executions") == 1
+        database.insert("Family", (21, "Apelin", "A1", "2017"))
+        database.insert("FamilyIntro", (21, "apelin intro", "2017"))
+        fresh = service.submit(request)
+        assert not fresh.cached
+        assert service.metrics.counter("executions") == 2
+        assert ("Apelin",) in fresh.result.result.rows
+        _same_cited_result(fresh.unwrap(), temporal_engine.cite_as_of(TEMPORAL_CQ, "2017"))
+        service.close()
+
     def test_unrestricted_temporal_request(self, temporal_engine):
         reference = temporal_engine.cite(TEMPORAL_CQ)
         service = CitationService(backends=[TemporalBackend(temporal_engine)])

@@ -313,7 +313,9 @@ class TestStaleServing:
         with CitationService(engine, serve_stale=True) as service:
             fresh = service.submit(CitationRequest(query=QUERIES[0]))
             assert fresh.ok
-            db.insert("Ligand", (777_001, "L-chaos", "synthetic"))
+            # A new row in a relation the query's views read: only a new
+            # execution can bring the entry forward.
+            db.insert("Family", (777_001, "F-chaos", "d"))
             with fault_plan(FaultSpec("backend.execute", stall=0.05)):
                 degraded = service.submit(
                     CitationRequest(query=QUERIES[0], timeout=0.01)
@@ -341,7 +343,7 @@ class TestStaleServing:
         ) as service:
             warm = service.submit(CitationRequest(query=QUERIES[0]))
             assert warm.ok
-            db.insert("Ligand", (777_002, "L-chaos-2", "synthetic"))
+            db.insert("Family", (777_002, "F-chaos-2", "d"))
             engine.execute_plan = gated_execute
             try:
                 holder = threading.Thread(

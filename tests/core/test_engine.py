@@ -5,10 +5,12 @@ import pytest
 import repro.analysis.ir as ir_module
 import repro.query.evaluator as evaluator_module
 from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
+from repro.core.citation_view import CitationView, DefaultCitationFunction
 from repro.core.record import CitationRecord
 from repro.core.rewriting_selector import RewritingSelector
 from repro.errors import CitationError, NoRewritingError
 from repro.query.evaluator import evaluate
+from repro.rewriting.view import materialize_views
 from repro.workloads import gtopdb
 
 
@@ -131,7 +133,45 @@ class TestDeltaScopedRefresh:
         fresh = engine.view_relations()
         assert fresh is not views and row not in fresh["V6"]
         assert {name for name in views if fresh[name] is not views[name]} == {"V6"}
-        assert engine.refresh_stats()["views_rematerialized"] == 1
+        # V6 is one atom over Interaction keeping its key: patched in place
+        # of re-materialized, to the extent a materialization gives.
+        stats = engine.refresh_stats()
+        assert stats["views_patched"] == 1 and stats["views_rematerialized"] == 0
+        v6 = next(view for view in engine._views if view.name == "V6")
+        assert fresh["V6"] == materialize_views([v6], database)["V6"]
+        # Drift names no rows, so V6 is materialized again.
+        database.relation("Interaction").insert(row)
+        drifted = engine.view_relations()
+        assert {name for name in views if drifted[name] is not fresh[name]} == {"V6"}
+        assert row in drifted["V6"]
+        stats = engine.refresh_stats()
+        assert stats["views_patched"] == 1 and stats["views_rematerialized"] == 1
+
+    def test_patched_view_selects_by_its_constant_and_removes_before_adding(self, database):
+        v11 = CitationView(
+            'lambda TID. V11(TID, TName) :- Target(TID, FID, TName, "GPCR")',
+            ["lambda TID. CV11(TID, PName) :- Contributor(TID, PName)"],
+            DefaultCitationFunction(),
+        )
+        engine = CitationEngine(database, gtopdb.citation_views(extended=True) + [v11])
+        database.enforce_foreign_keys = False
+        extent = engine.view_relations()["V11"]
+        targets = sorted(database.relation("Target").rows)
+        moved = next(row for row in targets if row[3] == "GPCR")
+        joining = next(row for row in targets if row[3] != "GPCR")
+        families = sorted(row[0] for row in database.relation("Family").rows)
+        other = next(f for f in families if f != moved[1])
+        # Another family, same image: its removal must come before its addition.
+        database.delete("Target", moved)
+        database.insert("Target", (moved[0], other, moved[2], "GPCR"))
+        database.delete("Target", joining)
+        database.insert("Target", joining[:3] + ("GPCR",))
+        after = engine.view_relations()["V11"]
+        assert after is not extent
+        assert (moved[0], moved[2]) in after and (joining[0], joining[2]) in after
+        assert after == materialize_views([v11.view], database)["V11"]
+        stats = engine.refresh_stats()
+        assert stats["views_patched"] == 2 and stats["views_rematerialized"] == 0  # V4, V11
 
     def test_log_overrun_and_invalidate_drop_everything(self, monkeypatch):
         import repro.relational.database as database_module

@@ -42,6 +42,35 @@ class TestIrrelevantUpdates:
             names.update(value if isinstance(value, tuple) else (value,))
         assert "New Member" in names
         maintainer.check_consistency()
+        # Only the rows citing FID 13's record were rebuilt, from the
+        # change log, with no binding re-derived.
+        assert maintainer.statistics.rows_recomputed == 0
+        fresh = CitationEngine(
+            maintainer.engine.database,
+            gtopdb.citation_views(),
+            policy=CitationPolicy.union_everywhere(),
+        ).cite(maintainer.query)
+        assert [
+            (tc.row, str(tc.expression), tc.records) for tc in maintainer.result.tuple_citations
+        ] == [(tc.row, str(tc.expression), tc.records) for tc in fresh.tuple_citations]
+
+    def test_economical_snippet_update_keeps_the_engine_caches(self):
+        # An economical result cannot be brought forward (its selection read
+        # the data), so the query is cited again over the caches as they are.
+        database = gtopdb.generate(families=6, targets_per_family=2, seed=3)
+        engine = CitationEngine(
+            database, gtopdb.citation_views(extended=True), mode="economical"
+        )
+        q5 = gtopdb.example_queries()[4]
+        maintainer = IncrementalCitationMaintainer(engine, q5)
+        epoch = engine.cache_epoch
+        target = min(row[0] for row in database.relation("Target").rows)
+        maintainer.insert("Contributor", (target, "A. Newcomer"))
+        assert maintainer.statistics.updates_ignored == 0
+        assert engine.cache_epoch == epoch
+        assert maintainer.statistics.full_recomputations == 1
+        assert maintainer.statistics.rows_recomputed == len(maintainer.result)
+        maintainer.check_consistency()
 
     def test_duplicate_insert_ignored(self, maintainer):
         maintainer.insert("Family", (11, "Calcitonin", "C1"))

@@ -7,7 +7,8 @@ all seven GtoPdb relations, its cited results must be byte-identical to those
 of an engine built fresh on the same data, in both modes and under the drawn
 policy.  The steps mix
 
-* in-band edits (``Database.insert`` / ``delete``),
+* in-band edits (``Database.insert`` / ``delete``), among them a row
+  rewritten in place: its key kept, another attribute redrawn,
 * out-of-band edits on a relation the database owns (``Relation.insert`` /
   ``delete``, which the database folds in as drift),
 * bursts of writes longer than the change log reaches back (the drawn
@@ -23,14 +24,27 @@ across ``invalidate_caches()`` too, with no epoch check.  The engine draws
 join.  (An economical plan embeds a selection made against the data, so a
 held one may rightly differ from a fresh engine's.)
 
-Besides the paper's extended views the engine carries three more:
+A long-lived :class:`CitationService` over the long-lived engine has its
+result cache warmed on every query in both modes before the edits; after
+every step it serves every query in the step's mode, bringing cached
+entries forward through the change log (re-stamped, or with the reached
+rows' citations patched) where it can.  Each answer must be byte-identical
+to the fresh engine's.
+
+Besides the paper's extended views the engine carries six more:
 
 * ``V7``, whose citation query joins ``Contributor`` (keyed by the
   parameter) with a ``Ligand`` atom that lacks it, so a ligand change must
   evict every ``V7`` record;
 * ``V8``, a parameterized view with an unparameterized citation query over
   ``Committee``;
-* ``V9``, an unparameterized view whose citation query reads ``Contributor``.
+* ``V9``, an unparameterized view whose citation query reads ``Contributor``;
+* ``V10``, whose head drops the key of ``Family``, so its extent is
+  materialized again after a change instead of patched;
+* ``V11``, one atom over ``Target`` with a constant, whose head keeps the
+  key but drops ``FID``: patched, selecting rows by the constant, and a
+  target moved to another family keeps its image;
+* ``V12``, a two-atom body, materialized again after a change.
 
 Each step also reads every target's ``V4`` record under the non-canonical
 key ``{"TID": t, "extra": 1}``, which must follow the data like the
@@ -45,7 +59,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.relational.database as database_module
-from repro import CitationEngine, CitationPolicy
+from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
 from repro.core.citation_view import CitationView, DefaultCitationFunction
 from repro.errors import IntegrityError
 from repro.workloads import gtopdb
@@ -54,12 +68,15 @@ RELATIONS = gtopdb.schema().relation_names
 #: The change log length the drawn databases get, short so that a burst
 #: past it stays cheap.
 LOG_LIMIT = 64
-QUERIES = tuple(gtopdb.example_queries())
+QUERIES = tuple(gtopdb.example_queries()) + (
+    parse_query('Q7(TName) :- Target(TID, FID, TName, "GPCR")'),
+    parse_query("Q8(FName) :- Family(FID, FName, Desc)"),
+)
 COMBINATORS = ("union", "join", "min_size", "max_coverage", "first")
 #: ``join`` as ``Agg`` multiplies every row's records together; left out, as
 #: in the assembly-equivalence suite.
 AGGREGATES = ("union", "min_size", "max_coverage", "first")
-STEPS = ("insert", "delete", "replace", "drift", "burst", "invalidate")
+STEPS = ("insert", "delete", "replace", "update", "drift", "burst", "invalidate")
 
 
 def extra_views() -> list[CitationView]:
@@ -84,6 +101,22 @@ def extra_views() -> list[CitationView]:
         CitationView(
             "V9(LID, LName) :- Ligand(LID, LName, Type)",
             ["CV9(PName) :- Contributor(T, PName)"],
+            function,
+        ),
+        CitationView(
+            "V10(FName) :- Family(FID, FName, Desc)",
+            ["CV10(PName) :- Committee(F, PName)"],
+            function,
+        ),
+        CitationView(
+            'lambda TID. V11(TID, TName) :- Target(TID, FID, TName, "GPCR")',
+            ["lambda TID. CV11(TID, PName) :- Contributor(TID, PName)"],
+            function,
+        ),
+        CitationView(
+            "V12(TID, LName) :- Interaction(TID, LID, Action, Affinity), "
+            "Ligand(LID, LName, LType)",
+            ['CV12(D) :- D = "interactions"'],
             function,
         ),
     ]
@@ -126,14 +159,19 @@ def fresh_value(dtype: type, rng: random.Random) -> object:
     return f"edit-{rng.randrange(1_000)}"
 
 
-def mutated(relation, rng: random.Random) -> tuple:
-    """An existing row with one attribute redrawn from its column or fresh."""
+def mutated(relation, rng: random.Random, row: tuple | None = None) -> tuple:
+    """An existing row with one attribute redrawn from its column or fresh;
+    given *row*, that row with an attribute outside its key redrawn."""
     rows = sorted(relation.rows, key=repr)
     attributes = relation.schema.attributes
-    if not rows:
+    positions = range(len(attributes))
+    if row is not None:
+        key = relation.schema.key_positions() or ()
+        positions = [p for p in positions if p not in key] or positions
+    elif not rows:
         return tuple(fresh_value(a.dtype, rng) for a in attributes)
-    row = list(rng.choice(rows))
-    position = rng.randrange(len(row))
+    row = list(row if row is not None else rng.choice(rows))
+    position = rng.choice(positions)
     column = sorted({r[position] for r in rows}, key=repr)
     row[position] = rng.choice(column + [fresh_value(attributes[position].dtype, rng)])
     return tuple(row)
@@ -155,6 +193,14 @@ def apply_step(engine, database, step: str, relation_name: str, rng: random.Rand
         for _ in range(LOG_LIMIT // 2 + 1):
             database.insert(relation_name, churn)
             database.delete(relation_name, churn)
+    elif step == "update":
+        if rows:
+            row = rng.choice(rows)
+            database.delete(relation_name, row)
+            try:
+                database.insert(relation_name, mutated(relation, rng, row))
+            except IntegrityError:
+                pass
     elif step == "drift":
         # Out of band: straight on the relation the database owns.
         if rows and rng.random() < 0.5:
@@ -217,18 +263,32 @@ class TestDeltaInvalidation:
         database.enforce_foreign_keys = False  # edits may leave dangling rows
         rng = random.Random(seed)
         engine = CitationEngine(database, views(), policy=policy, strategy=strategy)
-        held = [engine.compile_plan(query, "formal") for query in QUERIES]
-        for query, plan in zip(QUERIES, held):
-            # Warm every record, view and held prelude the steps may hit.
-            engine.cite(query)
-            engine.execute_plan(plan)
-        record_reads(engine, database)
-        for step, relation_name, query, mode in edits:
-            apply_step(engine, database, step, relation_name, rng)
-            fresh = CitationEngine(database, views(), policy=policy)
-            assert dump(engine.cite(query, mode)) == dump(fresh.cite(query, mode)), step
-            assert record_reads(engine, database) == record_reads(fresh, database), step
-            for plan in held:
-                assert dump(engine.execute_plan(plan)) == dump(
-                    fresh.cite(plan.query, "formal")
-                ), (step, plan.query.name)
+        with CitationService(engine, startup_lint=False) as service:
+            held = [engine.compile_plan(query, "formal") for query in QUERIES]
+            for query, plan in zip(QUERIES, held):
+                # Warm every record, view, held prelude and cached result the
+                # steps may hit.
+                engine.cite(query)
+                engine.execute_plan(plan)
+                for mode in ("formal", "economical"):
+                    service.submit(CitationRequest(query=query, mode=mode)).unwrap()
+            record_reads(engine, database)
+            for step, relation_name, query, mode in edits:
+                apply_step(engine, database, step, relation_name, rng)
+                fresh = CitationEngine(database, views(), policy=policy)
+                expected = {
+                    (q, m): dump(fresh.cite(q, m))
+                    for q in QUERIES
+                    for m in {mode, "formal"}
+                }
+                # The service first, so that its refreshes find the engine's
+                # caches behind the data.
+                for q in QUERIES:
+                    served = service.submit(CitationRequest(query=q, mode=mode)).unwrap()
+                    assert dump(served) == expected[q, mode], (step, q.name, mode)
+                assert dump(engine.cite(query, mode)) == expected[query, mode], step
+                assert record_reads(engine, database) == record_reads(fresh, database), step
+                for plan in held:
+                    assert dump(engine.execute_plan(plan)) == expected[plan.query, "formal"], (
+                        step, plan.query.name
+                    )

@@ -2,12 +2,13 @@
 
 Three suites.  :class:`TestServiceUnderChurn` drives ``submit_batch`` from
 many threads while a writer thread inserts and deletes rows — bumping the
-database generation, invalidating plan/result caches mid-flight — and then
-audits the aftermath: no lost requests (the metrics counters balance
-exactly), no cross-request plan corruption (every plan in sight passes the
-IR verifier), stable answers (the churned relation feeds none of the
-queries), and stable records (it feeds no citation query either, so the
-engine's delta-scoped refreshes must keep every record object).
+database generation, so that cached results are brought forward through the
+change log concurrently, mid-flight — and then audits the aftermath: no lost
+requests (the metrics counters balance exactly), no cross-request plan
+corruption (every plan in sight passes the IR verifier), stable answers (the
+churned relation feeds none of the queries), and stable records (it feeds no
+citation query either, so the engine's delta-scoped refreshes must keep
+every record object).
 :class:`TestEngineCacheRaces` is the regression suite for the
 engine/evaluator cache locks: a tiny analysis-cache cap plus many distinct
 query shapes force concurrent FIFO eviction, which without
@@ -47,9 +48,9 @@ BATCHES_PER_THREAD = 12
 #: neither the queries nor the (non-extended) views V1–V3 ever read — the
 #: in-memory store has no reader/writer isolation per relation, so reading
 #: a relation *while* mutating it is out of contract.  Churning an unread
-#: relation still bumps the database generation on every op, invalidating
-#: plan tokens, result-cache entries and materialised views mid-flight,
-#: which is the contention the harness is after.
+#: relation still bumps the database generation on every op, so every
+#: cached result is stale mid-flight and is brought forward (re-stamped)
+#: through the change log, which is the contention the harness is after.
 QUERIES = [
     "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)",
     "Q2(FID, Text) :- FamilyIntro(FID, Text)",
@@ -135,6 +136,10 @@ class TestServiceUnderChurn:
                 == total
             )
             assert counters["batch_requests"] == THREADS * BATCHES_PER_THREAD
+            # Stale entries are brought forward and served as hits; the
+            # churned relation reaches no record, so none is patched.
+            assert counters["result_cache_hits"] > 0
+            assert counters["result_cache_patches"] == 0
             # Every writer op was observed by the mutation listener.
             assert counters["mutations_observed"] == writer_ops
 

@@ -26,6 +26,43 @@ class TestGenerationalLRU:
         info = cache.info()
         assert info.invalidations == 1 and info.misses == 1 and info.hits == 0
 
+    def test_refreshed_entry_is_a_hit_stored_under_its_new_token(self):
+        cache = GenerationalLRU(maxsize=4)
+        cache.put("a", "old", token=0)
+        seen = []
+
+        def refresh(value, stamp):
+            seen.append((value, stamp))
+            return "new", 1
+
+        assert cache.get("a", token=1, refresh=refresh) == "new"
+        assert seen == [("old", 0)]
+        assert cache.get("a", token=1) == "new"  # stored, no second refresh
+        info = cache.info()
+        assert info.hits == 2 and info.misses == 0 and info.invalidations == 0
+
+    def test_unrefreshable_entry_is_a_miss_and_evicts(self):
+        cache = GenerationalLRU(maxsize=4)
+        cache.put("a", "old", token=0)
+        assert cache.get("a", token=1, refresh=lambda value, stamp: None) is None
+        assert "a" not in cache
+        info = cache.info()
+        assert info.invalidations == 1 and info.misses == 1 and info.hits == 0
+
+    def test_refresh_runs_unlocked_and_its_error_keeps_the_entry(self):
+        cache = GenerationalLRU(maxsize=4)
+        cache.put("a", "old", token=0)
+
+        def refresh(value, stamp):
+            # Another thread can use the cache meanwhile.
+            cache.put("b", "other", token=1)
+            raise TimeoutError("out of time")
+
+        with pytest.raises(TimeoutError):
+            cache.get("a", token=1, refresh=refresh)
+        assert cache.get_stale("a", token=1) == ("old", False)
+        assert cache.get("b", token=1) == "other"
+
     def test_lru_eviction_order(self):
         cache = GenerationalLRU(maxsize=2)
         cache.put("a", 1, token=0)

@@ -144,6 +144,50 @@ class TestInvalidation:
         fresh = cite(service, QUERY)
         _same_cited_result(fresh, service.engine.cite(QUERY))
 
+    def test_write_no_view_or_citation_query_reads_keeps_the_entry(self, service, db):
+        first = service.submit(CitationRequest(query=QUERY))
+        db.insert("Ligand", (9100, "Ligand-X", "peptide"))
+        again = service.submit(CitationRequest(query=QUERY))
+        assert again.cached and again.result is first.result
+        assert service.metrics.counter("executions") == 1
+        assert service.metrics.counter("result_cache_patches") == 0
+
+    def test_write_only_citation_queries_read_patches_the_entry(self, service, engine, db):
+        first = service.submit(CitationRequest(query=QUERY))
+        family = min(row[0] for row in db.relation("FamilyIntro").rows)
+        db.insert("Committee", (family, "A. Newcomer"))
+        again = service.submit(CitationRequest(query=QUERY))
+        assert again.cached and again.result is not first.result
+        assert again.result.result is first.result.result  # the answer is shared
+        assert service.metrics.counter("executions") == 1
+        assert service.metrics.counter("result_cache_hits") == 1
+        assert service.metrics.counter("result_cache_patches") == 1
+        fresh = CitationEngine(db, engine.citation_views, policy=engine.policy).cite(QUERY)
+        assert [
+            (tc.row, str(tc.expression), tc.records) for tc in again.result.tuple_citations
+        ] == [(tc.row, str(tc.expression), tc.records) for tc in fresh.tuple_citations]
+        assert again.result.citation.records == fresh.citation.records
+        assert str(again.result.citation.expression) == str(fresh.citation.expression)
+
+    def test_log_overrun_forces_a_new_execution(self, monkeypatch):
+        import repro.relational.database as database_module
+
+        monkeypatch.setattr(database_module, "_CHANGE_LOG_LIMIT", 8)  # a short log
+        db = gtopdb.generate(families=30, targets_per_family=2, ligands=40, seed=5)
+        engine = CitationEngine(db, gtopdb.citation_views(extended=True))
+        with CitationService(engine) as service:
+            cite(service, QUERY)
+            family = min(row[0] for row in db.relation("FamilyIntro").rows)
+            db.insert("Committee", (family, "A. Newcomer"))  # reaches a record...
+            for _ in range(5):  # ...then more changes than the log keeps
+                db.insert("Ligand", (9200, "Churn", "synthetic"))
+                db.delete("Ligand", (9200, "Churn", "synthetic"))
+            response = service.submit(CitationRequest(query=QUERY))
+            assert not response.cached
+            assert service.metrics.counter("executions") == 2
+            fresh = CitationEngine(db, gtopdb.citation_views(extended=True)).cite(QUERY)
+            _same_cited_result(response.result, fresh)
+
     def test_forced_engine_invalidation_drops_service_caches(self, service):
         cite(service, QUERY)
         service.engine.invalidate_caches()
@@ -169,9 +213,17 @@ class TestInvalidation:
             for _ in range(4):
                 cite(service, QUERY)
             assert calls["count"] == 1
+            # V1 and V2 are one atom over Family keeping its key: patched.
             engine.database.insert("Family", (9003, "Yet another family", "d"))
             cite(service, QUERY)
+            assert calls["count"] == 1
+            assert engine.refresh_stats()["views_patched"] == 2
+            # Drift names no rows, so both are materialized again, once.
+            engine.database.relation("Family").insert((9004, "Drifted family", "d"))
+            cite(service, QUERY)
+            cite(service, QUERY)
             assert calls["count"] == 2
+            assert engine.refresh_stats()["views_rematerialized"] == 2
 
 
 class TestBatching:
@@ -266,12 +318,23 @@ class TestStats:
         refresh = service.stats()["engine"]["refresh"]
         assert refresh["records_evicted"] == 1 and refresh["records_kept"] > 1
         assert refresh["full_drops"] == refresh["views_rematerialized"] == 0
-        db.delete("Interaction", min(db.relation("Interaction").rows))
-        engine.view_relations()  # re-materializes V6 only
+        row = min(db.relation("Interaction").rows)
+        db.delete("Interaction", row)
+        engine.view_relations()  # patches V6 only
         refresh = service.stats()["engine"]["refresh"]
-        assert refresh["views_rematerialized"] == 1
+        assert refresh["views_patched"] == 1 and refresh["views_rematerialized"] == 0
+        db.relation("Interaction").insert(row)  # drift: re-materializes V6 only
+        engine.view_relations()
+        refresh = service.stats()["engine"]["refresh"]
+        assert refresh["views_patched"] == 1 and refresh["views_rematerialized"] == 1
         exposition = service.to_prometheus()
-        for name in ("records_kept", "records_evicted", "full_drops", "views_rematerialized"):
+        for name in (
+            "records_kept",
+            "records_evicted",
+            "full_drops",
+            "views_patched",
+            "views_rematerialized",
+        ):
             assert f"repro_engine_refresh_{name} {refresh[name]}\n" in exposition
 
     def test_mutations_observed_counter(self, service, db):

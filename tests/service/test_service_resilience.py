@@ -247,7 +247,9 @@ class TestStaleServing:
         with CitationService(engine, serve_stale=True) as service:
             fresh = service.submit(CitationRequest(query=QUERY))
             assert fresh.ok
-            db.insert("Ligand", (9100, "Ligand-X", "peptide"))  # bump generation
+            # A new row in a relation the query's views read: only a new
+            # execution can bring the entry forward.
+            db.insert("Family", (9100, "Family-X", "d"))
             degraded = service.submit(CitationRequest(query=QUERY, timeout=0.0))
             assert degraded.ok
             assert degraded.stale
@@ -261,7 +263,7 @@ class TestStaleServing:
     def test_no_stale_serving_without_opt_in(self, engine, db):
         with CitationService(engine) as service:
             assert service.submit(CitationRequest(query=QUERY)).ok
-            db.insert("Ligand", (9101, "Ligand-Y", "peptide"))
+            db.insert("Family", (9101, "Family-Y", "d"))
             response = service.submit(CitationRequest(query=QUERY, timeout=0.0))
             assert not response.ok
             assert response.error_code == "DEADLINE_EXCEEDED"
@@ -278,7 +280,7 @@ class TestStaleRetention:
     def test_default_cache_still_drops_mismatched_entries(self, engine, db):
         with CitationService(engine) as service:
             service.submit(CitationRequest(query=QUERY)).unwrap()
-            db.insert("Ligand", (9102, "Ligand-Z", "peptide"))
+            db.insert("Family", (9102, "Family-Z", "d"))
             before = service.result_cache.stats()["invalidations"]
             # Token mismatch: dropped and recomputed.
             service.submit(CitationRequest(query=QUERY)).unwrap()
