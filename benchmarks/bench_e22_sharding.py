@@ -5,7 +5,7 @@ Two questions the sharding work has to answer with numbers:
 * **Does fan-out pay?**  On a large scan-dominated acyclic join (full mode:
   a multi-million-row synthetic GtoPdb instance) the ``"parallel"`` strategy
   partitions the driving atom's rows by join-key hash and runs the compiled
-  program per shard — on the fork backend the shards share the heap
+  program per shard in a forked child — the shards share the heap
   copy-on-write, so the speed-up target is >= 2.5x over the serial compiled
   path on 4 workers.  The gate is hardware-conditional: it is enforced only
   with >= 4 CPUs, a working ``os.fork`` and full (non-smoke) mode; elsewhere
@@ -19,7 +19,8 @@ hash-correct routing), so the speed-up is measured *with* the safety net the
 strict engine mode ships, not a stripped-down variant.
 
 Smoke mode (``REPRO_BENCH_SMOKE=1``, set by CI) shrinks the instance and
-skips the hardware gate so the experiment stays a quick regression check.
+skips the hardware gate so the experiment stays a quick regression check;
+its shards fork too.
 """
 
 from __future__ import annotations
@@ -88,41 +89,30 @@ def _best_of(callable_, rounds: int = ROUNDS) -> tuple[object, float]:
 
 def test_e22_sharded_speedup_on_scan_dominated_joins():
     database = _instance(FAMILIES)
-    backend = "fork" if hasattr(os, "fork") and not SMOKE else "thread"
+    backend = "fork" if hasattr(os, "fork") else "serial"
     serial = QueryEvaluator(database, strategy="program")
     parallel = QueryEvaluator(
-        database,
-        strategy="parallel",
-        workers=WORKERS,
-        parallel_backend=backend,
-        verify_partitions=True,
+        database, strategy="parallel", workers=WORKERS, verify_partitions=True
     )
     rows_list = []
-    try:
-        for label, text in SCAN_QUERIES:
-            query = parse_query(text)
-            serial_rows, serial_time = _best_of(
-                lambda: serial.evaluate(query).rows
-            )
-            parallel_rows, parallel_time = _best_of(
-                lambda: parallel.evaluate(query).rows
-            )
-            assert parallel_rows == serial_rows, f"{label}: answers diverged"
-            rows_list.append(
-                {
-                    "workload": label,
-                    "answers": len(serial_rows),
-                    "serial_ms": round(serial_time * 1000, 2),
-                    "parallel_ms": round(parallel_time * 1000, 2),
-                    "speedup": round(serial_time / parallel_time, 2)
-                    if parallel_time
-                    else float("inf"),
-                    "backend": backend,
-                    "workers": WORKERS,
-                }
-            )
-    finally:
-        parallel.close()
+    for label, text in SCAN_QUERIES:
+        query = parse_query(text)
+        serial_rows, serial_time = _best_of(lambda: serial.evaluate(query).rows)
+        parallel_rows, parallel_time = _best_of(lambda: parallel.evaluate(query).rows)
+        assert parallel_rows == serial_rows, f"{label}: answers diverged"
+        rows_list.append(
+            {
+                "workload": label,
+                "answers": len(serial_rows),
+                "serial_ms": round(serial_time * 1000, 2),
+                "parallel_ms": round(parallel_time * 1000, 2),
+                "speedup": round(serial_time / parallel_time, 2)
+                if parallel_time
+                else float("inf"),
+                "backend": backend,
+                "workers": WORKERS,
+            }
+        )
 
     report("E22: sharded parallel vs serial compiled evaluation", rows_list)
     record_json(

@@ -32,10 +32,15 @@ from __future__ import annotations
 
 import os
 import pickle
+import selectors
+import signal
 from collections.abc import Callable, Sequence
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
-from .errors import WorkerCrashError
+from .errors import DeadlineExceeded, WorkerCrashError
+
+if TYPE_CHECKING:
+    from .resilience.deadline import Deadline
 
 _T = TypeVar("_T", bound=type)
 
@@ -53,17 +58,20 @@ def default_worker_count(cap: int = MAX_DEFAULT_WORKERS) -> int:
     """CPU-count-derived default size for worker pools, bounded to [2, cap].
 
     Both the :class:`~repro.service.service.CitationService` request pool and
-    the evaluator's shard worker pool derive their default from this single
-    function, so their combined footprint scales with the machine instead of
-    the two pools oversubscribing each other with unrelated hard-coded
-    defaults.  The floor of 2 keeps batch deadlines meaningful (one straggler
-    must not serialise a whole batch) even on single-core containers.
+    the evaluator's shard count (forked children per sharded evaluation)
+    derive their default from this single function, so their combined
+    footprint scales with the machine instead of oversubscribing it with
+    unrelated hard-coded defaults.  The floor of 2 keeps batch deadlines
+    meaningful (one straggler must not serialise a whole batch) even on
+    single-core containers.
     """
     cpus = os.cpu_count() or 1
     return max(2, min(cap, cpus))
 
 
-def fork_map_outcomes(fn: Callable, items: Sequence) -> list[tuple]:
+def fork_map_outcomes(
+    fn: Callable, items: Sequence, deadline: Deadline | None = None
+) -> list[tuple]:
     """Apply *fn* to every item in a forked child each; report per-item outcomes.
 
     The process-level escape hatch from the GIL for CPU-bound fan-out:
@@ -71,19 +79,22 @@ def fork_map_outcomes(fn: Callable, items: Sequence) -> list[tuple]:
     read-only inputs (relations, indexes, prelude snapshots) are shared for
     free, and only each call's **return value** travels back to the parent,
     pickled over a pipe.  ``fn`` may be a closure — it is never pickled,
-    only called in the forked child.
+    only called in the forked child, which has no other thread: ``fn`` must
+    take no lock another thread may hold at the fork.
 
-    Children run to completion independently; the parent drains each pipe
-    fully before reaping, in submission order (safe because children never
-    block on each other).  Returns one ``(value, error)`` pair per item:
+    Returns one ``(value, error)`` pair per item, in item order:
     ``(result, None)`` on success, ``(None, exception)`` otherwise.  A child
     that raises ships the **exception object itself** back (falling back to
     a ``RuntimeError`` of its ``repr`` when it does not pickle); a child
     that dies without writing a result — killed, OOM, ``os._exit`` — becomes
     a :class:`~repro.errors.WorkerCrashError`, which is *transient*: the
     input shard is intact in the parent, so callers can re-run it in-process
-    (the evaluator's serial-retry degradation path).  POSIX only — callers
-    gate on ``hasattr(os, "fork")``.
+    (the evaluator's serial-retry degradation path).
+
+    With a *deadline*, children still running when it expires are killed
+    and reaped, and :class:`~repro.errors.DeadlineExceeded` is raised at the
+    ``"shard"`` checkpoint.  POSIX only — callers gate on
+    ``hasattr(os, "fork")``.
     """
     children: list[tuple[int, int]] = []
     for item in items:
@@ -116,11 +127,32 @@ def fork_map_outcomes(fn: Callable, items: Sequence) -> list[tuple]:
         os.close(write_fd)
         children.append((pid, read_fd))
 
+    chunks: list[list[bytes]] = [[] for _ in children]
+    with selectors.DefaultSelector() as selector:
+        for index, (_pid, read_fd) in enumerate(children):
+            selector.register(read_fd, selectors.EVENT_READ, index)
+        while selector.get_map():
+            events = selector.select(None if deadline is None else deadline.remaining())
+            if not events and deadline is not None and deadline.expired():
+                break
+            for key, _mask in events:
+                chunk = os.read(key.fd, 1 << 16)
+                if chunk:
+                    chunks[key.data].append(chunk)
+                else:  # EOF: the child closed its end (or died)
+                    selector.unregister(key.fd)
+                    os.close(key.fd)
+        late = list(selector.get_map().values())
+    for key in late:  # past the deadline; not yet reaped, so the pid is ours
+        os.close(key.fd)
+        os.kill(children[key.data][0], signal.SIGKILL)
+    statuses = [os.waitpid(pid, 0)[1] for pid, _read_fd in children]
+    if late:
+        raise DeadlineExceeded("shard")
+
     outcomes: list[tuple] = []
-    for pid, read_fd in children:
-        with os.fdopen(read_fd, "rb") as source:
-            payload = source.read()
-        _, exit_status = os.waitpid(pid, 0)
+    for (pid, _read_fd), parts, exit_status in zip(children, chunks, statuses):
+        payload = b"".join(parts)
         if not payload:
             code = os.waitstatus_to_exitcode(exit_status)
             outcomes.append((None, WorkerCrashError(pid, code)))
@@ -133,22 +165,6 @@ def fork_map_outcomes(fn: Callable, items: Sequence) -> list[tuple]:
         else:
             outcomes.append((None, RuntimeError(str(value))))
     return outcomes
-
-
-def fork_map(fn: Callable, items: Sequence) -> list:
-    """Like :func:`fork_map_outcomes`, but all-or-nothing: collect results,
-    or re-raise the first per-item error after all children are reaped."""
-    results = []
-    first_error: BaseException | None = None
-    for value, error in fork_map_outcomes(fn, items):
-        if error is not None:
-            if first_error is None:
-                first_error = error
-        else:
-            results.append(value)
-    if first_error is not None:
-        raise first_error
-    return results
 
 
 def shared_state(*fields: str, lock: str = "_lock"):

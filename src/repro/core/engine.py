@@ -425,15 +425,12 @@ class CitationEngine:
         analysis: AnalysisMode = "warn",
         verify_plans: VerifyMode | None = None,
         workers: int | None = None,
-        parallel_backend: str = "thread",
     ) -> None:
         self.database = database
         self.strategy: Strategy = strategy
-        #: Shard worker count for parallel evaluation (None = CPU-derived
-        #: default) and the backend running the shards; threaded into the
-        #: persistent evaluator, see ``_execution_evaluator``.
+        #: Shard count for parallel evaluation (None = CPU-derived default);
+        #: threaded into the persistent evaluator, see ``_execution_evaluator``.
         self.workers = workers
-        self.parallel_backend = parallel_backend
         self.analysis: AnalysisMode = analysis
         if verify_plans is None:
             verify_plans = type(self).DEFAULT_VERIFY_PLANS
@@ -561,9 +558,7 @@ class CitationEngine:
         statistics catalog and the evaluator's shard-partition cache.  Warm
         preludes on plans held elsewhere need no action: the views are
         materialised anew, and a prelude refreshes whenever a relation's
-        identity or version moves.  The evaluator's shard worker pool
-        survives on purpose: it holds threads, not data, so there is nothing
-        data-derived in it to invalidate.
+        identity or version moves.
         """
         with self._refresh_lock:
             self._drop_caches_locked()
@@ -1142,10 +1137,10 @@ class CitationEngine:
     def _execution_evaluator(self) -> QueryEvaluator:
         """The engine's persistent evaluator, pointed at the current views.
 
-        Built once and reused so its shard-partition cache and worker pool
-        persist across executions; compiled state lives on the plans.  The
-        view relations it resolves against are re-bound per call: within one
-        database generation they are the same objects, and after a mutation
+        Built once and reused so its shard-partition cache persists across
+        executions; compiled state lives on the plans.  The view relations
+        it resolves against are re-bound per call: within one database
+        generation they are the same objects, and after a mutation
         the fresh materialisations replace them (the plans' prelude caches
         notice via their identity stamps).  Mutations must not race
         in-flight executions — the usual reader/writer discipline of the
@@ -1163,7 +1158,6 @@ class CitationEngine:
                 cost_model=self._cost_model,
                 metrics=self.evaluation_metrics,
                 workers=self.workers,
-                parallel_backend=self.parallel_backend,  # type: ignore[arg-type]
                 verify_partitions=self.verify_plans == "strict",
             )
             self._evaluator = evaluator

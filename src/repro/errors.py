@@ -174,11 +174,11 @@ class Overloaded(TransientError):
 class WorkerCrashError(TransientError):
     """A shard worker process died before reporting a result.
 
-    Raised by :func:`repro.concurrency.fork_map` when a forked child exits
-    without writing its result pickle (killed, OOM, ``os._exit`` in a fault
-    injection).  Transient by definition — the input shard is intact and
-    re-running it in-process succeeds — which is exactly the contract the
-    evaluator's serial-retry degradation path relies on.
+    Reported by :func:`repro.concurrency.fork_map_outcomes` when a forked
+    child exits without writing its result pickle (killed, OOM, ``os._exit``
+    in a fault injection).  Transient by definition — the input shard is
+    intact and re-running it in-process succeeds — which is exactly the
+    contract the evaluator's serial-retry degradation path relies on.
     """
 
     def __init__(self, pid: int, status: int) -> None:

@@ -69,7 +69,7 @@ from collections.abc import Set as AbstractSet, Callable, Iterator, Mapping, Seq
 from repro.errors import QueryError
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
 from repro.resilience import faults
-from repro.relational.index import IndexManager
+from repro.relational.index import HashIndex, IndexManager
 from repro.relational.relation import Relation
 
 __all__ = [
@@ -232,6 +232,7 @@ class JoinProgram:
         profile: JoinProfile | None = None,
         driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
+        indexes: Sequence[HashIndex | None] | None = None,
     ) -> Iterator[tuple]:
         """Yield every satisfying frame (tuple of slot values, aligned with
         :attr:`variables`).
@@ -252,10 +253,15 @@ class JoinProgram:
         every scanned row is a cancellation checkpoint: the callable raises
         :class:`~repro.errors.DeadlineExceeded` to abandon the join
         mid-descent.  ``None`` costs one predicate test per row.
+
+        With *indexes* (one per step), a step probes its given index instead
+        of resolving one: a forked shard child must not take the lock that
+        resolving a database relation's index takes.
         """
         if profile is not None:
             yield from self._run_frames_profiled(
-                relations, index_manager, use_indexes, profile, driving_rows, cancel
+                relations, index_manager, use_indexes, profile, driving_rows, cancel,
+                indexes,
             )
             return
         frame: list = [None] * len(self.variables)
@@ -270,8 +276,8 @@ class JoinProgram:
         # row-source dispatch) in ReducedProgram.run_frames; the plain path
         # keeps its own tight copy, so fix both when touching either.
         plan = [
-            [step, relations[step.predicate], None, tuple(zip(step.key_slots, step.key_values))]
-            for step in self.steps
+            [step, relations[step.predicate], index, tuple(zip(step.key_slots, step.key_values))]
+            for step, index in zip(self.steps, indexes or [None] * len(self.steps))
         ]
         depth_count = len(plan)
 
@@ -322,6 +328,7 @@ class JoinProgram:
         profile: JoinProfile,
         driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
+        indexes: Sequence[HashIndex | None] | None = None,
     ) -> Iterator[tuple]:
         """The counting mirror of :meth:`run_frames`'s descend loop."""
         frame: list = [None] * len(self.variables)
@@ -329,8 +336,8 @@ class JoinProgram:
             frame[slot] = value
         probe = use_indexes and index_manager is not None
         plan = [
-            [step, relations[step.predicate], None, tuple(zip(step.key_slots, step.key_values))]
-            for step in self.steps
+            [step, relations[step.predicate], index, tuple(zip(step.key_slots, step.key_values))]
+            for step, index in zip(self.steps, indexes or [None] * len(self.steps))
         ]
         for position, step in enumerate(self.steps):
             rows = len(relations[step.predicate])

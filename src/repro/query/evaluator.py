@@ -45,13 +45,11 @@ The evaluator has a **strategy knob** for how a program is executed:
 
 Under ``"auto"`` the evaluator also *considers* sharding after resolving the
 executor: :meth:`~repro.query.stats.CostModel.parallel_estimate` prices the
-divided join work against per-worker setup and the partition pass, so small
-inputs stay serial (shard setup is not free) and only genuinely
-scan-dominated evaluations fan out.  Workers default to a bounded
-CPU-derived count (:func:`repro.concurrency.default_worker_count`); the
-backend is a shared thread pool by default, or forked child processes
-(``parallel_backend="fork"``, POSIX) for CPU-bound joins that the GIL would
-otherwise serialise.
+divided join work against per-worker setup, the partition pass and the
+frames the shards ship back.  Workers default to a bounded CPU-derived count
+(:func:`repro.concurrency.default_worker_count`).  Each shard runs in a
+forked child, which the GIL cannot serialise and which takes no lock; where
+``os.fork`` is missing every evaluation runs serial (reason ``"no_fork"``).
 
 Under ``"auto"`` a query whose handed-in prelude is warm for the current
 relations always runs reduced — the prelude costs nothing, so the cost
@@ -69,7 +67,6 @@ import os
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
-from concurrent.futures import ThreadPoolExecutor
 from typing import Literal, TypeVar
 
 from repro.concurrency import default_worker_count, fork_map_outcomes, shared_state
@@ -96,7 +93,7 @@ from repro.query.stats import (
     StatisticsCatalog,
 )
 from repro.relational.database import Database
-from repro.relational.index import IndexManager
+from repro.relational.index import HashIndex, IndexManager
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
@@ -108,17 +105,12 @@ Strategy = Literal["auto", "program", "reduced", "parallel"]
 
 STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced", "parallel")
 
-ParallelBackend = Literal["thread", "fork"]
-
-PARALLEL_BACKENDS: tuple[ParallelBackend, ...] = ("thread", "fork")
-
 #: Soft cap on cached shard partitions; beyond it the oldest are evicted
 #: FIFO and simply recompute on next use.
 _SHARD_PARTS_LIMIT = 512
 
 
 @shared_state("_shard_parts", lock="_cache_lock")
-@shared_state("_shard_pool", lock="_pool_lock")
 class QueryEvaluator:
     """Evaluates conjunctive queries against a :class:`Database`.
 
@@ -145,17 +137,11 @@ class QueryEvaluator:
         cost_model: CostModel | None = None,
         metrics: EvaluationMetrics | None = None,
         workers: int | None = None,
-        parallel_backend: ParallelBackend = "thread",
         verify_partitions: bool = False,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-        if parallel_backend not in PARALLEL_BACKENDS:
-            raise ValueError(
-                f"unknown parallel backend {parallel_backend!r}; "
-                f"expected one of {PARALLEL_BACKENDS}"
             )
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -172,15 +158,10 @@ class QueryEvaluator:
         )
         self.cost_model = cost_model if cost_model is not None else CostModel(self.statistics)
         self.metrics = metrics
-        #: Shard worker count.  Defaults to the same bounded CPU-derived
-        #: count the service request pool uses, so the two pools scale
-        #: together instead of oversubscribing each other.
+        #: Shard count of a sharded evaluation.  Defaults to the same
+        #: bounded CPU-derived count the service request pool uses, so forked
+        #: shards and request threads scale together.
         self.workers = workers if workers is not None else default_worker_count()
-        # "fork" needs os.fork (POSIX); degrade to the thread backend rather
-        # than failing at evaluation time on platforms without it.
-        if parallel_backend == "fork" and not hasattr(os, "fork"):
-            parallel_backend = "thread"
-        self.parallel_backend: ParallelBackend = parallel_backend
         #: When set, every freshly computed shard partition is checked against
         #: the I008 rule (exact multiset cover, hash-correct routing) and a
         #: violation raises :class:`~repro.errors.PlanVerificationError` — the
@@ -196,11 +177,6 @@ class QueryEvaluator:
         # runs, the driving relation + version for plain ones), so warm
         # sharded traffic skips the per-row partition pass entirely.
         self._shard_parts: dict[ConjunctiveQuery, tuple] = {}
-        # The shard pool is created lazily (serial evaluators never pay for
-        # it) and holds no query- or data-derived state — invalidate_caches
-        # deliberately leaves it alone.
-        self._pool_lock = threading.Lock()
-        self._shard_pool: ThreadPoolExecutor | None = None
 
     # -- relation resolution ------------------------------------------------
     def _relation_for(self, predicate: str) -> Relation:
@@ -247,37 +223,13 @@ class QueryEvaluator:
         *reduced*, reporting hits and misses to :attr:`metrics`."""
         return PreludeCache(reduced, metrics=self.metrics)
 
-    # -- worker pool ---------------------------------------------------------
-    def _worker_pool(self) -> ThreadPoolExecutor:
-        """The lazily created shard pool (shared across evaluations)."""
-        with self._pool_lock:
-            if self._shard_pool is None:
-                self._shard_pool = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="repro-shard"
-                )
-            return self._shard_pool
-
-    def close(self) -> None:
-        """Shut down the shard worker pool (idempotent).
-
-        Only the pool dies: the evaluator itself stays usable — serial
-        evaluation needs no pool, and the next sharded evaluation simply
-        recreates one.
-        """
-        with self._pool_lock:
-            pool, self._shard_pool = self._shard_pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
     # -- cache control -------------------------------------------------------
     def invalidate_caches(self) -> None:
         """Drop cached shard partitions and statistics.
 
         This exists for forced invalidation
         (:meth:`~repro.core.engine.CitationEngine.invalidate_caches`) and for
-        benchmarks that want a guaranteed cold run.  The shard worker pool is
-        deliberately **not** touched: it holds threads, not data, so there is
-        nothing to go stale.
+        benchmarks that want a guaranteed cold run.
         """
         with self._cache_lock:
             self._shard_parts.clear()
@@ -375,14 +327,15 @@ class QueryEvaluator:
     ) -> tuple[int, str, ParallelEstimate | None]:
         """Decide how many shards this evaluation runs on (1 = serial).
 
-        Runs *after* executor resolution: ``"parallel"`` forces one shard per
-        worker, ``"program"``/``"reduced"`` stay serial (they are the
-        differential baselines the property suite compares sharded runs
-        against), and ``"auto"`` asks :meth:`CostModel.parallel_estimate`
-        whether dividing the serial cost across workers beats the shard
-        setup + partition overhead — below that crossover ``auto`` keeps
-        picking serial.  *reduced* is the reduction the caller handed in,
-        if any.
+        Runs *after* executor resolution: ``"program"``/``"reduced"`` stay
+        serial (they are the differential baselines the property suite
+        compares sharded runs against), every strategy stays serial where
+        ``os.fork`` is missing, ``"parallel"`` forces one shard per worker,
+        and ``"auto"`` asks :meth:`CostModel.parallel_estimate` whether
+        dividing the serial cost across workers beats the shard setup,
+        partition and frame-shipping overhead — below that crossover
+        ``auto`` keeps picking serial.  *reduced* is the reduction the
+        caller handed in, if any.
         """
         strategy = strategy or self.strategy
         if self.workers < 2:
@@ -393,6 +346,8 @@ class QueryEvaluator:
             return self._shards_picked(1, "single_atom", None)
         if strategy in ("program", "reduced"):
             return self._shards_picked(1, "forced_serial", None)
+        if not hasattr(os, "fork"):
+            return self._shards_picked(1, "no_fork", None)
         if strategy == "parallel":
             return self._shards_picked(self.workers, "forced", None)
         if estimate is None:
@@ -413,7 +368,9 @@ class QueryEvaluator:
         else:
             serial_cost = estimate.program_cost
         driving = len(relations[program.steps[0].predicate])
-        parallel = self.cost_model.parallel_estimate(serial_cost, driving, self.workers)
+        parallel = self.cost_model.parallel_estimate(
+            serial_cost, driving, self.workers, estimate.frames
+        )
         shards = self.workers if parallel.prefers_parallel else 1
         return self._shards_picked(shards, "cost_model", parallel)
 
@@ -493,26 +450,26 @@ class QueryEvaluator:
     ) -> list[tuple]:
         """Run one evaluation sharded; return the merged frame list.
 
-        The prelude (for reduced executors, served from *prelude* when the
-        caller holds one) runs exactly once here, in the calling thread;
-        workers receive the prepared plan read-only plus
-        their disjoint slice of the driving rows.  Per-shard timings and row
-        counts land on *span* as ``shard`` children; per-shard profiles are
-        merged into *profile* so the evaluation span's per-step counters
-        equal the serial run's.
+        The calling thread resolves everything a shard reads before forking
+        — a reduced executor's prelude and prepared plan (served from
+        *prelude* when the caller holds one), a plain program's probe
+        indexes — so each child reads it copy-on-write with its slice of the
+        driving rows and takes no lock.  Per-shard timings and row counts
+        land on *span* as ``shard`` children; per-shard profiles are merged
+        into *profile* so the span's per-step counters equal the serial run's.
 
         With a *deadline*, the prelude and every shard poll it at their
-        cancellation checkpoints (each shard builds its own rate-limited
-        checker — the absolute monotonic expiry is fork-safe, a counting
-        closure is not shareable).  A fork shard that **crashes** (rather
-        than raises) is retried serially in-process on its intact row slice
-        — degradation, counted in :attr:`metrics` and on *span*, instead of
-        a failed evaluation.
+        cancellation checkpoints, and the parent waits for the children only
+        until it expires.  A shard child that **crashes** (rather than
+        raises) is retried serially in-process on its intact row slice —
+        degradation, counted in :attr:`metrics` and on *span*, instead of a
+        failed evaluation.
         """
         program = executor.program if isinstance(executor, ReducedProgram) else executor
         key_positions = shard_key_positions(program)
         parent_cancel = deadline.checker("prelude") if deadline is not None else None
         plan: list[tuple] | None = None
+        indexes: list[HashIndex | None] | None = None
         if isinstance(executor, ReducedProgram):
             plan = executor.prepared_plan(
                 relations, self.index_manager, self.use_indexes, prelude, profile,
@@ -535,16 +492,16 @@ class QueryEvaluator:
                 key_positions, shards,
             )
             if self.use_indexes and self.index_manager is not None:
-                # Resolve downstream probe indexes once in the parent: thread
-                # workers then share them contention-free, fork workers
-                # inherit them warm copy-on-write instead of each rebuilding.
-                for step in program.steps[1:]:
-                    if step.key_positions:
-                        self.index_manager.index_for(
-                            step.predicate,
-                            relations[step.predicate],
-                            step.key_positions,
-                        )
+                # Resolving a database relation's index takes its sync lock,
+                # which a writer thread may hold at the fork: never in a child.
+                indexes = [
+                    self.index_manager.index_for(
+                        step.predicate, relations[step.predicate], step.key_positions
+                    )
+                    if position and step.key_positions
+                    else None
+                    for position, step in enumerate(program.steps)
+                ]
 
         profiled = profile is not None
 
@@ -570,6 +527,7 @@ class QueryEvaluator:
                         profile=shard_profile,
                         driving_rows=part,
                         cancel=cancel,
+                        indexes=indexes,
                     )
                 )
             return frames, time.perf_counter() - started, shard_profile
@@ -580,7 +538,7 @@ class QueryEvaluator:
         retried_serially = 0
         if len(tasks) == 1:
             outcomes = [run_shard(tasks[0])]
-        elif self.parallel_backend == "fork":
+        else:
 
             def run_shard_forked(task: tuple[int, list[tuple]]):
                 # Runs in the forked child: the fault registry was inherited
@@ -591,7 +549,7 @@ class QueryEvaluator:
 
             outcomes = []
             for task, (value, error) in zip(
-                tasks, fork_map_outcomes(run_shard_forked, tasks)
+                tasks, fork_map_outcomes(run_shard_forked, tasks, deadline)
             ):
                 if error is None:
                     outcomes.append(value)
@@ -611,12 +569,6 @@ class QueryEvaluator:
                 outcomes.append(run_shard(task))
             if retried_serially and self.metrics is not None:
                 self.metrics.record_degraded_retry(retried_serially)
-        else:
-            pool = self._worker_pool()
-            outcomes = [
-                future.result()
-                for future in [pool.submit(run_shard, task) for task in tasks]
-            ]
 
         frames: list[tuple] = []
         for (shard_index, part), (shard_frames, elapsed, shard_profile) in zip(
@@ -776,29 +728,14 @@ class QueryEvaluator:
         query: ConjunctiveQuery,
         strategy: Strategy | None = None,
         prelude: PreludeCache | None = None,
-    ) -> Iterator[Binding]:
-        """Yield every satisfying assignment of the query's variables."""
-        deadline = current_deadline()
-        if deadline is not None:
-            deadline.check("bindings.start")
-        relations = self._resolve_relations(query)
-        program, reduced = self._compiled(query, relations, prelude)
-        executor, reason, estimate = self._executor(
-            relations, program, reduced, strategy, prelude
+    ) -> list[Binding]:
+        """Every satisfying assignment of the query's variables, one per frame."""
+        return self._join(
+            query, strategy, prelude,
+            lambda program, frames: [
+                dict(zip(program.variables, frame)) for frame in frames
+            ],
         )
-        shards, _shard_reason, _parallel = self._shard_decision(
-            relations, program, reduced, executor, strategy, reason, estimate
-        )
-        variables = program.variables
-        if shards > 1:
-            frames: Iterator[tuple] | list[tuple] = self._run_sharded(
-                executor, relations, query, prelude, shards, deadline=deadline
-            )
-        else:
-            cancel = deadline.checker("join") if deadline is not None else None
-            frames = self._frames_for(executor, relations, prelude, cancel=cancel)
-        for frame in frames:
-            yield dict(zip(variables, frame))
 
     # -- public API -------------------------------------------------------------
     def output_tuple(self, query: ConjunctiveQuery, binding: Binding) -> tuple:

@@ -248,12 +248,15 @@ class CostEstimate:
     Costs are unitless work estimates (probes + scanned rows); only their
     comparison matters.  ``survival`` is the per-step fraction of rows the
     full reduction is expected to keep (both semi-join directions applied).
+    ``frames`` is the expected number of result frames: the plain
+    traversal's final frontier (both executors emit the same frames).
     """
 
     program_cost: float
     reduced_cost: float
     prelude_cost: float
     survival: tuple[float, ...]
+    frames: float
 
     @property
     def prefers_reduction(self) -> bool:
@@ -271,6 +274,7 @@ class CostEstimate:
             "reduced_cost": round(self.reduced_cost, 2),
             "prelude_cost": round(self.prelude_cost, 2),
             "survival": [round(s, 4) for s in self.survival],
+            "frames": round(self.frames, 2),
         }
 
 
@@ -281,15 +285,17 @@ class ParallelEstimate:
     ``serial_cost`` is whatever the executor would cost on one thread (the
     winning side of the :class:`CostEstimate`); ``parallel_cost`` divides the
     join work across *workers* and adds the sharding overheads — per-worker
-    setup (task dispatch, result shipping) and the per-driving-row partition
-    pass.  Shard setup is deliberately not free: on small inputs the overhead
-    terms dominate and ``auto`` keeps picking serial below the crossover.
+    setup (fork, reap), the per-driving-row partition pass and the
+    shipping of every result *frame* from its child back to the parent.
+    On small inputs the setup dominates, on large ones the shipping, and
+    ``auto`` keeps picking serial wherever they outweigh the divided work.
     """
 
     serial_cost: float
     parallel_cost: float
     workers: int
     driving_rows: int
+    frames: float
 
     @property
     def prefers_parallel(self) -> bool:
@@ -302,6 +308,7 @@ class ParallelEstimate:
             "parallel_cost": round(self.parallel_cost, 2),
             "workers": self.workers,
             "driving_rows": self.driving_rows,
+            "frames": round(self.frames, 2),
         }
 
 
@@ -332,13 +339,18 @@ class CostModel:
     PRELUDE_PASS_COST = 2.0
     #: Work per *surviving* row for the ephemeral per-step bucket build.
     BUCKET_BUILD_COST = 1.0
-    #: Fixed work per shard worker (task dispatch, frame shipping, merge) —
-    #: the term that keeps ``auto`` serial on small inputs.
-    SHARD_SETUP_COST = 500.0
-    #: Work per driving row for the hash-partition pass that assigns rows to
-    #: shards (amortised to near zero on warm traffic by the partition cache,
-    #: but priced conservatively: the decision must hold on a cold run too).
-    SHARD_ROW_COST = 0.25
+    #: Shard pricing, from 2-worker fork runs against serial on a 2-vCPU VM
+    #: (CPython 3.11): Q6's join at 300/1,000/3,000 families and E22's scan
+    #: joins at 40-1,500 families.  A unit took 2.9-4.0 us of serial join;
+    #: every fork run was 6-29 ms slower.  Per forked child (fork, reap):
+    #: ~1,000 units, from the runs with few frames.
+    SHARD_SETUP_COST = 1000.0
+    #: Per driving row, for the hash-partition pass: cold runs measured
+    #: within noise of warm ones at 300-3,000 rows; this is that bound.
+    SHARD_ROW_COST = 0.1
+    #: Per result frame a child pickles back (median ~1 unit).  Without it,
+    #: the setup alone would have had to grow from ~900 to ~9,400 with size.
+    SHARD_FRAME_COST = 1.0
 
     def __init__(self, statistics: StatisticsCatalog) -> None:
         self.statistics = statistics
@@ -380,31 +392,34 @@ class CostModel:
                 hits[edge.child] *= parent_in_child
 
         ones = [1.0] * len(steps)
-        program_cost = self._join_cost(reduced, relations, counts, ones, hits)
+        program_cost, frames = self._join_cost(reduced, relations, counts, ones, hits)
         prelude_cost = sum(
             counts[i] * self.PRELUDE_PASS_COST
             + counts[i] * survival[i] * self.BUCKET_BUILD_COST
             for i in touched
         )
-        reduced_cost = prelude_cost + self._join_cost(
+        reduced_join_cost, _frames = self._join_cost(
             reduced, relations, counts, lookahead, hits
         )
         return CostEstimate(
             program_cost=program_cost,
-            reduced_cost=reduced_cost,
+            reduced_cost=prelude_cost + reduced_join_cost,
             prelude_cost=prelude_cost,
             survival=tuple(survival),
+            frames=frames,
         )
 
     def parallel_estimate(
-        self, serial_cost: float, driving_rows: int, workers: int
+        self, serial_cost: float, driving_rows: int, workers: int, frames: float
     ) -> ParallelEstimate:
         """Price sharding an evaluation of *serial_cost* across *workers*.
 
         The join work divides near-linearly (each shard runs the identical
         program over a disjoint slice of the driving rows); the overheads do
-        not: partitioning touches every driving row once and every worker
-        costs a fixed setup.  Comparison against *serial_cost* is what
+        not: partitioning touches every driving row once, every worker costs
+        a fixed setup, and each of the *frames* the evaluation yields
+        (:attr:`CostEstimate.frames`) is pickled in a child and unpickled in
+        the parent.  Comparison against *serial_cost* is what
         ``strategy="auto"`` uses for the parallel-vs-serial crossover.
         """
         workers = max(1, workers)
@@ -412,12 +427,14 @@ class CostModel:
             serial_cost / workers
             + self.SHARD_SETUP_COST * workers
             + driving_rows * self.SHARD_ROW_COST
+            + frames * self.SHARD_FRAME_COST
         )
         return ParallelEstimate(
             serial_cost=serial_cost,
             parallel_cost=parallel_cost,
             workers=workers,
             driving_rows=driving_rows,
+            frames=frames,
         )
 
     def _join_cost(
@@ -427,8 +444,9 @@ class CostModel:
         counts: list[int],
         scales: list[float],
         hits: list[float],
-    ) -> float:
-        """Frontier traversal of the step order; returns total probe/scan work."""
+    ) -> tuple[float, float]:
+        """Frontier traversal of the step order; returns the total probe/scan
+        work and the final frontier (the frames the join yields)."""
         frontier = 1.0
         cost = 0.0
         for i, step in enumerate(reduced.program.steps):
@@ -442,7 +460,7 @@ class CostModel:
             else:
                 cost += frontier * effective
                 frontier *= effective
-        return cost
+        return cost, frontier
 
 
 @shared_state(

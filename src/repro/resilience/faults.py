@@ -26,7 +26,8 @@ pure function of its seed — every failure it finds replays exactly.
 Forked children inherit the armed registry copy-on-write, which is exactly
 what ``fork.child`` needs: the parent arms the fault, the child trips it.
 Per-spec hit counters are process-local, so specs targeting a single forked
-child should select by ``key`` (the shard index), not by hit count.
+child should select by ``key`` (the shard index), not by hit count.  A child
+gets a fresh registry lock: another thread may hold the parent's at the fork.
 """
 
 from __future__ import annotations
@@ -112,6 +113,9 @@ class FaultRegistry:
         with self._lock:
             self._specs = {}
 
+    def _after_fork_in_child(self) -> None:
+        self._lock = threading.Lock()
+
     def reseed(self, seed: int) -> None:
         """Restart the probability RNG from *seed* (for replaying a run)."""
         with self._lock:
@@ -186,6 +190,8 @@ class _SeededRandom:
 
 #: Process-wide registry; chaos tests arm it, production code fires it.
 _REGISTRY = FaultRegistry()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_REGISTRY._after_fork_in_child)
 
 
 def registry() -> FaultRegistry:

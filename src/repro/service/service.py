@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -143,8 +144,8 @@ class CitationService:
         if self.admission is not None:
             self.metrics.register_gauge_source("admission", self.admission.snapshot)
         # CPU-derived bounded default, shared with the evaluator's shard
-        # pool (repro.concurrency.default_worker_count) so the two pools
-        # scale together instead of oversubscribing each other.
+        # count (repro.concurrency.default_worker_count) so request threads
+        # and forked shards scale together.
         self.max_workers = (
             max_workers if max_workers is not None else default_worker_count()
         )
@@ -411,7 +412,7 @@ class CitationService:
                 "workers": self.engine.workers
                 if self.engine.workers is not None
                 else default_worker_count(),
-                "parallel_backend": self.engine.parallel_backend,
+                "parallel_backend": "fork" if hasattr(os, "fork") else "serial",
                 "refresh": self.engine.refresh_stats(),
             }
         if self.startup_lint_report is not None:

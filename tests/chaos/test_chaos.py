@@ -166,8 +166,7 @@ class TestDeadlineStorm:
 class TestForkWorkerCrash:
     def test_killed_shard_child_degrades_to_serial_retry(self, db):
         engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2,
-            parallel_backend="fork",
+            db, gtopdb.citation_views(), strategy="parallel", workers=2
         )
         expected = frozenset(engine.cite(QUERIES[0]).result.rows)
         engine.invalidate_caches()
@@ -180,8 +179,7 @@ class TestForkWorkerCrash:
 
     def test_every_child_killed_still_answers(self, db):
         engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2,
-            parallel_backend="fork",
+            db, gtopdb.citation_views(), strategy="parallel", workers=2
         )
         expected = frozenset(engine.cite(QUERIES[2]).result.rows)
         engine.invalidate_caches()
@@ -193,8 +191,7 @@ class TestForkWorkerCrash:
 
     def test_crash_through_the_service_conserves_metrics(self, db):
         engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2,
-            parallel_backend="fork",
+            db, gtopdb.citation_views(), strategy="parallel", workers=2
         )
         with CitationService(engine) as service:
             baseline = service.submit(CitationRequest(query=QUERIES[0]))
@@ -210,6 +207,43 @@ class TestForkWorkerCrash:
             counters = service.stats()["counters"]
             conservation(counters)
             assert counters["errors"] == 0
+
+
+    def test_stalled_child_is_killed_at_the_deadline(self, db, monkeypatch):
+        engine = CitationEngine(
+            db, gtopdb.citation_views(), strategy="parallel", workers=2
+        )
+        forked = []
+        real_fork = os.fork
+
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        with CitationService(engine) as service:
+            service.submit(CitationRequest(query=QUERIES[0])).unwrap()
+            monkeypatch.setattr(os, "fork", recording_fork)
+            # Shard 0's child stalls before its first checkpoint, so only the
+            # parent can enforce the deadline.
+            with fault_plan(FaultSpec("fork.child", stall=3.0, key=0)):
+                started = time.perf_counter()
+                response = service.submit(
+                    CitationRequest(
+                        query=QUERIES[0],
+                        timeout=0.3,
+                        metadata={"no_result_cache": True},
+                    )
+                )
+                elapsed = time.perf_counter() - started
+            assert response.error_code == "DEADLINE_EXCEEDED"
+            assert elapsed < 0.3 + 0.5
+            conservation(service.stats()["counters"])
+        assert forked
+        for pid in forked:  # reaped: no child process is left
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestAdmissionShedding:

@@ -537,7 +537,6 @@ class TestInvalidationClearsWarmState:
         engine.invalidate_caches()
         assert evaluator._shard_parts == {}
         assert len(engine._statistics) == 0
-        evaluator.close()
 
     def test_results_stay_exact_across_invalidation_and_drift(
         self, paper_engine, paper_query, paper_db

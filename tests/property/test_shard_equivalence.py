@@ -50,11 +50,7 @@ def _evaluator(database, extra, strategy, use_indexes=True):
 
 
 def _parallel_answers(database, extra, query, use_indexes=True):
-    evaluator = _evaluator(database, extra, "parallel", use_indexes)
-    try:
-        return evaluator.evaluate(query).rows
-    finally:
-        evaluator.close()
+    return _evaluator(database, extra, "parallel", use_indexes).evaluate(query).rows
 
 
 class TestShardEquivalence:
@@ -109,13 +105,8 @@ class TestShardEquivalence:
         """Merged per-shard frames carry the same multiplicity-free binding
         sets as a serial run — Definition 2.2 citations depend on them."""
         database, extra = instance
-        serial = _evaluator(database, extra, "program")
-        sharded = _evaluator(database, extra, "parallel")
-        try:
-            left = serial.evaluate_with_bindings(query)
-            right = sharded.evaluate_with_bindings(query)
-        finally:
-            sharded.close()
+        left = _evaluator(database, extra, "program").evaluate_with_bindings(query)
+        right = _evaluator(database, extra, "parallel").evaluate_with_bindings(query)
         assert set(left) == set(right)
         as_sets = lambda bindings: {frozenset(b.items()) for b in bindings}
         for row in left:
@@ -131,10 +122,7 @@ class TestShardEquivalence:
         )
         reference = brute_force(substituted, database, extra)
         evaluator = _evaluator(database, extra, "parallel")
-        try:
-            assert evaluator.evaluate_parameterized(query, valuation).rows == reference
-        finally:
-            evaluator.close()
+        assert evaluator.evaluate_parameterized(query, valuation).rows == reference
 
     @given(random_queries(), random_instances(), drift_sequences())
     @settings(max_examples=50, deadline=None)
@@ -144,13 +132,6 @@ class TestShardEquivalence:
         relation version) must repartition, never serve stale slices."""
         database, extra = instance
         evaluator = _evaluator(database, extra, "parallel")
-        try:
-            assert evaluator.evaluate(query).rows == brute_force(
-                query, database, extra
-            )
-            apply_drift(database, extra, ops)
-            assert evaluator.evaluate(query).rows == brute_force(
-                query, database, extra
-            )
-        finally:
-            evaluator.close()
+        assert evaluator.evaluate(query).rows == brute_force(query, database, extra)
+        apply_drift(database, extra, ops)
+        assert evaluator.evaluate(query).rows == brute_force(query, database, extra)

@@ -2,15 +2,22 @@
 
 Covers the shard planner (:func:`shard_key_positions`,
 :func:`partition_driving_rows`, :meth:`JoinProgram.driving_rows`), the I008
-partition verifier, the ``"parallel"`` strategy on both backends, the cost
-model's parallel crossover (``auto`` stays serial on small inputs), the
-shard-partition cache, the worker pool lifecycle and the concurrency-lint
-registration of the new shared state.
+partition verifier, the ``"parallel"`` strategy on forked shards (and serial
+without ``os.fork``), the cost model's parallel crossover (``auto`` stays
+serial on small inputs), the shard-partition cache, the concurrency-lint
+registration of the shared state, and a forked shard's independence from
+locks other threads hold at the fork.
 """
 
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.analysis.ir import verify_shard_partition
 from repro.concurrency import MAX_DEFAULT_WORKERS, declared_shared_state, default_worker_count
@@ -24,6 +31,7 @@ from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
 from repro.relational.index import IndexManager
+from repro.service.service import CitationService
 from repro.workloads import gtopdb
 
 JOIN = "Q(FName, Text) :- Family(FID, FName, D), FamilyIntro(FID, Text)"
@@ -139,39 +147,22 @@ class TestParallelExecution:
     def _serial_reference(self, db, text):
         return QueryEvaluator(db, strategy="program").evaluate(parse_query(text)).rows
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork backend is POSIX-only")
     @pytest.mark.parametrize("text", [JOIN, CARTESIAN, THREE_WAY])
-    def test_thread_backend_matches_serial(self, db, text):
+    def test_fork_backend_matches_serial(self, db, text):
         evaluator = QueryEvaluator(
             db, strategy="parallel", workers=2, verify_partitions=True
         )
-        try:
-            assert evaluator.evaluate(parse_query(text)).rows == (
-                self._serial_reference(db, text)
-            )
-        finally:
-            evaluator.close()
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork backend is POSIX-only")
-    @pytest.mark.parametrize("text", [JOIN, THREE_WAY])
-    def test_fork_backend_matches_serial(self, db, text):
-        evaluator = QueryEvaluator(
-            db, strategy="parallel", workers=2, parallel_backend="fork"
+        assert evaluator.evaluate(parse_query(text)).rows == (
+            self._serial_reference(db, text)
         )
-        try:
-            assert evaluator.evaluate(parse_query(text)).rows == (
-                self._serial_reference(db, text)
-            )
-        finally:
-            evaluator.close()
 
     def test_binding_sets_survive_sharding(self, db):
         query = parse_query(JOIN)
         serial = QueryEvaluator(db, strategy="program").evaluate_with_bindings(query)
-        evaluator = QueryEvaluator(db, strategy="parallel", workers=2)
-        try:
-            sharded = evaluator.evaluate_with_bindings(query)
-        finally:
-            evaluator.close()
+        sharded = QueryEvaluator(
+            db, strategy="parallel", workers=2
+        ).evaluate_with_bindings(query)
         assert set(serial) == set(sharded)
         for row, bindings in serial.items():
             assert {frozenset(b.items()) for b in bindings} == {
@@ -194,10 +185,7 @@ class TestParallelExecution:
         evaluator = QueryEvaluator(
             db, strategy="parallel", workers=2, metrics=metrics
         )
-        try:
-            evaluator.evaluate(parse_query(JOIN))
-        finally:
-            evaluator.close()
+        evaluator.evaluate(parse_query(JOIN))
         sharding = metrics.snapshot()["sharding"]
         assert sharding["parallel"] == 1
         assert sharding["shards_executed"] == 2
@@ -224,14 +212,24 @@ class TestParallelExecution:
             evaluator.evaluate(parse_query(JOIN))
             assert metrics.snapshot()["sharding"]["reasons"] == {"forced_serial": 1}
 
-    def test_fork_degrades_to_thread_without_os_fork(self, db, monkeypatch):
+    def test_without_os_fork_every_strategy_runs_serial(self, db, monkeypatch):
         monkeypatch.delattr(os, "fork", raising=False)
-        evaluator = QueryEvaluator(db, parallel_backend="fork")
-        assert evaluator.parallel_backend == "thread"
+        for strategy in ("parallel", "auto"):
+            metrics = EvaluationMetrics()
+            evaluator = QueryEvaluator(
+                db, strategy=strategy, workers=2, metrics=metrics
+            )
+            assert evaluator.evaluate(parse_query(JOIN)).rows == (
+                self._serial_reference(db, JOIN)
+            )
+            assert metrics.snapshot()["sharding"]["reasons"] == {"no_fork": 1}
 
     def test_unknown_backend_rejected(self, db):
-        with pytest.raises(ValueError):
-            QueryEvaluator(db, parallel_backend="processes")
+        """The shard backend is not an option: fork where it exists."""
+        with pytest.raises(TypeError):
+            QueryEvaluator(db, parallel_backend="thread")
+        with pytest.raises(TypeError):
+            CitationEngine(db, gtopdb.citation_views(), parallel_backend="fork")
 
     def test_bad_worker_count_rejected(self, db):
         with pytest.raises(ValueError):
@@ -243,83 +241,82 @@ class TestParallelCostModel:
         return CostModel(StatisticsCatalog(IndexManager(db)))
 
     def test_small_input_prefers_serial(self, db):
-        estimate = self._model(db).parallel_estimate(100.0, 10, 4)
+        estimate = self._model(db).parallel_estimate(100.0, 10, 4, 10.0)
         assert not estimate.prefers_parallel
         assert estimate.as_dict()["strategy"] == "serial"
 
     def test_large_input_prefers_parallel(self, db):
-        estimate = self._model(db).parallel_estimate(1_000_000.0, 1_000, 4)
+        estimate = self._model(db).parallel_estimate(1_000_000.0, 1_000, 4, 1_000.0)
         assert estimate.prefers_parallel
         assert estimate.as_dict()["strategy"] == "parallel"
 
     def test_crossover_is_monotone_in_serial_cost(self, db):
         model = self._model(db)
-        costs = [model.parallel_estimate(c, 100, 4) for c in (1e2, 1e4, 1e6)]
+        costs = [model.parallel_estimate(c, 100, 4, 100.0) for c in (1e2, 1e4, 1e6)]
         flips = [e.prefers_parallel for e in costs]
         assert flips == sorted(flips)  # serial → parallel, never back
+
+    def test_output_bound_join_stays_serial_at_any_size(self, db):
+        """Shipping a frame back costs about what producing it did, so a
+        join whose frames match its work never pays for forking."""
+        model = self._model(db)
+        for cost in (1e3, 1e5, 1e7):
+            assert not model.parallel_estimate(cost, 1_000, 2, cost).prefers_parallel
+
+    @pytest.mark.parametrize("families", [300, 1_000, 3_000])
+    def test_auto_keeps_warm_cite_q6_join_serial(self, families):
+        """Q6's join (V4 ⋈ V6 ⋈ V5) measured slower forked than serial."""
+        database = gtopdb.generate(families=families, targets_per_family=3, seed=17)
+        engine = CitationEngine(database, gtopdb.citation_views(extended=True))
+        plan = engine.compile_plan(gtopdb.example_queries()[5])
+        metrics = EvaluationMetrics()
+        evaluator = QueryEvaluator(
+            database,
+            extra_relations=engine.view_relations(),
+            workers=2,
+            metrics=metrics,
+        )
+        for rewriting in plan.rewritings:
+            evaluator.evaluate(rewriting.query)
+        sharding = metrics.snapshot()["sharding"]
+        assert sharding["parallel"] == 0
+        assert sharding["reasons"] == {"cost_model": len(plan.rewritings)}
 
 
 class TestPartitionCache:
     def test_warm_traffic_reuses_the_partition(self, db):
         query = parse_query(JOIN)
         evaluator = QueryEvaluator(db, strategy="parallel", workers=2)
-        try:
-            evaluator.evaluate(query)
-            first = evaluator._shard_parts[query][4]
-            evaluator.evaluate(query)
-            assert evaluator._shard_parts[query][4] is first
-        finally:
-            evaluator.close()
+        evaluator.evaluate(query)
+        first = evaluator._shard_parts[query][4]
+        evaluator.evaluate(query)
+        assert evaluator._shard_parts[query][4] is first
 
     def test_drift_recomputes_the_partition(self, db):
         query = parse_query(JOIN)
         evaluator = QueryEvaluator(db, strategy="parallel", workers=2)
-        try:
-            evaluator.evaluate(query)
-            first = evaluator._shard_parts[query][4]
-            db.insert("Family", (77, "NewFam", "ND"))
-            db.insert("FamilyIntro", (77, "text"))
-            assert (
-                evaluator.evaluate(query).rows
-                == QueryEvaluator(db, strategy="program").evaluate(query).rows
-            )
-            assert evaluator._shard_parts[query][4] is not first
-        finally:
-            evaluator.close()
+        evaluator.evaluate(query)
+        first = evaluator._shard_parts[query][4]
+        db.insert("Family", (77, "NewFam", "ND"))
+        db.insert("FamilyIntro", (77, "text"))
+        assert (
+            evaluator.evaluate(query).rows
+            == QueryEvaluator(db, strategy="program").evaluate(query).rows
+        )
+        assert evaluator._shard_parts[query][4] is not first
 
     def test_invalidate_caches_drops_partitions(self, db):
         query = parse_query(JOIN)
         evaluator = QueryEvaluator(db, strategy="parallel", workers=2)
-        try:
-            evaluator.evaluate(query)
-            assert evaluator._shard_parts
-            evaluator.invalidate_caches()
-            assert not evaluator._shard_parts
-        finally:
-            evaluator.close()
+        evaluator.evaluate(query)
+        assert evaluator._shard_parts
+        evaluator.invalidate_caches()
+        assert not evaluator._shard_parts
 
 
 class TestWorkerPool:
-    def test_close_is_idempotent_and_evaluator_survives(self, db):
-        query = parse_query(JOIN)
-        evaluator = QueryEvaluator(db, strategy="parallel", workers=2)
-        reference = QueryEvaluator(db, strategy="program").evaluate(query).rows
-        assert evaluator.evaluate(query).rows == reference
-        evaluator.close()
-        evaluator.close()
-        # The evaluator stays usable: the next sharded run recreates the pool.
-        assert evaluator.evaluate(query).rows == reference
-        evaluator.close()
-
-    def test_pool_is_lazy(self, db):
-        evaluator = QueryEvaluator(db, strategy="program", workers=2)
-        evaluator.evaluate(parse_query(JOIN))
-        assert evaluator._shard_pool is None
-
     def test_shared_state_registration(self):
-        declared = declared_shared_state(QueryEvaluator)
-        assert declared["_shard_parts"] == "_cache_lock"
-        assert declared["_shard_pool"] == "_pool_lock"
+        assert declared_shared_state(QueryEvaluator) == {"_shard_parts": "_cache_lock"}
 
     def test_default_worker_count_is_bounded(self):
         count = default_worker_count()
@@ -339,9 +336,10 @@ class TestEngineWiring:
 
     def test_engine_threads_workers_and_backend(self, db):
         engine = CitationEngine(db, gtopdb.citation_views(), workers=3)
-        evaluator = engine._execution_evaluator()
-        assert evaluator.workers == 3
-        assert evaluator.parallel_backend == "thread"
+        assert engine._execution_evaluator().workers == 3
+        with CitationService(engine) as service:
+            backend = service.stats()["engine"]["parallel_backend"]
+        assert backend == ("fork" if hasattr(os, "fork") else "serial")
 
     def test_parallel_engine_citations_match_serial(self, db):
         serial = CitationEngine(db, gtopdb.citation_views())
@@ -355,3 +353,79 @@ class TestEngineWiring:
             t.row for t in right.tuple_citations
         }
         assert str(left.citation.to_text()) == str(right.citation.to_text())
+
+
+#: Runs a forced-parallel plain-program join while, at every fork, another
+#: thread holds ``Database._sync_lock`` and the fault registry's lock (a
+#: fault is armed, so firing one takes it): a child that took either lock
+#: would inherit it held and block forever.
+_LOCKS_HELD_ACROSS_FORK = """
+import os
+import threading
+
+from repro.query.evaluator import QueryEvaluator
+from repro.query.parser import parse_query
+from repro.resilience import faults
+from repro.workloads import gtopdb
+
+db = gtopdb.generate(families=60, targets_per_family=3, seed=5)
+query = parse_query(
+    "Q(FName, TName) :- Family(FID, FName, D), Target(TID, FID, TName, TT)"
+)
+serial = QueryEvaluator(db, strategy="program").evaluate(query).rows
+evaluator = QueryEvaluator(db, strategy="parallel", workers=2)
+assert evaluator.select_strategy(query) == "program"
+faults.inject(faults.FaultSpec("fork.child", key=-1, exit_status=1))
+real_fork = os.fork
+
+
+def fork_while_another_thread_holds_the_locks():
+    held, release = threading.Event(), threading.Event()
+
+    def writer():
+        with db._sync_lock, faults.registry()._lock:
+            held.set()
+            release.wait()
+
+    thread = threading.Thread(target=writer)
+    thread.start()
+    held.wait()
+    pid = real_fork()
+    if pid:
+        release.set()
+        thread.join()
+    return pid
+
+
+os.fork = fork_while_another_thread_holds_the_locks
+assert evaluator.evaluate(query).rows == serial
+print("ok")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork backend is POSIX-only")
+class TestForkChildTakesNoLock:
+    def test_shards_finish_while_another_thread_holds_their_locks(self):
+        source = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            path for path in (source, env.get("PYTHONPATH")) if path
+        )
+        # Its own session: on a hang, one killpg takes the stuck shard
+        # children down with the interpreter.
+        process = subprocess.Popen(
+            [sys.executable, "-c", _LOCKS_HELD_ACROSS_FORK],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            out, err = process.communicate(timeout=30)
+        except subprocess.TimeoutExpired:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.communicate()
+            pytest.fail("a forked shard child blocked on a lock held at the fork")
+        assert process.returncode == 0, err
+        assert out.strip() == "ok"

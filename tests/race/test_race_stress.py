@@ -16,8 +16,9 @@ query shapes force concurrent FIFO eviction, which without
 size during iteration``, lost stats updates), and sharded evaluation races
 the evaluator's ``_cache_lock``-guarded partition cache.
 :class:`TestShardedEvaluationUnderChurn` repeats the service stampede with
-``strategy="parallel"`` so every execution fans out across the shard pool
-*while* the writer churns: cached shard partitions must repartition on
+``strategy="parallel"`` so every execution forks its shards from the
+service's threads *while* the writer churns (a child must take no lock the
+writer may hold at the fork): cached shard partitions must repartition on
 version bumps (never serve stale slices), the I008 partition verifier runs
 on every fresh partition (strict mode), and the merged answers and metric
 conservation must be byte-identical to the serial harness's guarantees.
@@ -189,7 +190,6 @@ class TestShardedEvaluationUnderChurn:
             gtopdb.citation_views(),
             strategy="parallel",
             workers=2,
-            parallel_backend="thread",
         )
         with CitationService(engine, max_workers=THREADS) as service:
             expected = {
@@ -351,5 +351,4 @@ class TestEngineCacheRaces:
         finally:
             stop.set()
             writer.join(timeout=30)
-            evaluator.close()
         assert counts == [BATCHES_PER_THREAD * len(queries)] * THREADS

@@ -1,13 +1,15 @@
-"""Tests for per-item fork fan-out outcomes and crash reporting."""
+"""Tests for per-item fork fan-out outcomes, crash reporting and deadlines."""
 
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
-from repro.concurrency import fork_map, fork_map_outcomes
+from repro.concurrency import fork_map_outcomes
 from repro.errors import DeadlineExceeded, WorkerCrashError, is_transient
+from repro.resilience.deadline import Deadline
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork"), reason="fork fan-out is POSIX-only"
@@ -62,15 +64,31 @@ class TestOutcomes:
         assert "boom" in str(error)
 
 
-class TestForkMapWrapper:
-    def test_all_or_nothing_success(self):
-        assert fork_map(lambda x: x + 1, [1, 2]) == [2, 3]
+class TestDeadline:
+    def test_expired_deadline_kills_and_reaps_running_children(self, monkeypatch):
+        forked = []
+        real_fork = os.fork
 
-    def test_first_error_is_raised_after_all_children_reaped(self):
-        def work(x):
-            if x % 2:
-                raise ValueError(f"odd {x}")
-            return x
+        def recording_fork():
+            pid = real_fork()
+            if pid:
+                forked.append(pid)
+            return pid
 
-        with pytest.raises(ValueError, match="odd 1"):
-            fork_map(work, [0, 1, 2, 3])
+        monkeypatch.setattr(os, "fork", recording_fork)
+        started = time.monotonic()
+        with pytest.raises(DeadlineExceeded) as raised:
+            fork_map_outcomes(
+                lambda x: time.sleep(x) or x, [0.0, 5.0], Deadline.after(0.2)
+            )
+        elapsed = time.monotonic() - started
+        assert raised.value.where == "shard"
+        assert elapsed < 2.0
+        assert len(forked) == 2
+        for pid in forked:  # reaped: no zombie is left to signal
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_children_inside_the_deadline_report_normally(self):
+        outcomes = fork_map_outcomes(lambda x: x + 1, [1, 2], Deadline.after(30.0))
+        assert outcomes == [(2, None), (3, None)]

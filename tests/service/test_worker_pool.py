@@ -12,10 +12,11 @@ Three regression suites for the pool bugs fixed alongside sharded evaluation:
   writes silently no longer counted into ``mutations_observed``.  Closed is
   now terminal: batch entry points raise, :meth:`submit` carries the error;
 * **sizing** — the default worker count derives from the CPU count (bounded),
-  shared with the evaluator's shard pool via
+  shared with the evaluator's shard count via
   :func:`repro.concurrency.default_worker_count`.
 """
 
+import os
 import threading
 import time
 
@@ -238,15 +239,15 @@ class TestWorkerSizing:
 
     def test_stats_expose_workers_and_parallel_knobs(self):
         database = gtopdb.paper_instance()
-        engine = CitationEngine(
-            database, gtopdb.citation_views(), workers=3, parallel_backend="thread"
-        )
+        engine = CitationEngine(database, gtopdb.citation_views(), workers=3)
         service = CitationService(engine, max_workers=5)
         try:
             snapshot = service.stats()
             assert snapshot["workers"] == 5
             assert snapshot["engine"]["workers"] == 3
-            assert snapshot["engine"]["parallel_backend"] == "thread"
+            assert snapshot["engine"]["parallel_backend"] == (
+                "fork" if hasattr(os, "fork") else "serial"
+            )
             assert "sharding" in snapshot["evaluation"]
         finally:
             service.close()
