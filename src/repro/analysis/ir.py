@@ -426,7 +426,7 @@ def _verify_snapshot(
                 eloc,
             ))
             continue
-        if kind not in ("all", "map", "scan"):
+        if kind not in ("all", "map"):
             report.add(diagnostic(
                 "I007", f"unknown row-source kind {kind!r}", eloc
             ))

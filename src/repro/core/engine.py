@@ -1179,9 +1179,7 @@ class CitationEngine:
         fallback = self.fallback_citation or CitationRecord(
             {"title": "Cited database", "note": "no citation view covers this query"}
         )
-        result_relation = QueryEvaluator(self.database, strategy=self.strategy).evaluate(
-            query.without_parameters()
-        )
+        result_relation = self._execution_evaluator().evaluate(query.without_parameters())
         rows = result_relation.rows
         atom = CitationAtom("__database__", {}, fallback)
         tuple_citations = [

@@ -21,11 +21,14 @@ A program is pure description — it holds no relation data — so it stays vali
 across database mutations (the answer set of a conjunctive query does not
 depend on the join order) and can be cached on a
 :class:`~repro.core.engine.CitationPlan` and reused across requests by the
-serving layer.  Executing a program needs a predicate→relation mapping
-resolved once per evaluation, and optionally an
-:class:`~repro.relational.index.IndexManager` so that bound-position probes
-become hash-index lookups — including probes into materialised views and
-other ``extra_relations``, which the interpreted evaluator always scanned.
+serving layer.  Executing a program first resolves a **prepared plan**
+(:meth:`JoinProgram.prepared_plan`) against a predicate→relation mapping and
+an :class:`~repro.relational.index.IndexManager`: one row source per step,
+with every bound-position probe served by a hash index — including probes
+into materialised views and other ``extra_relations``, which the interpreted
+evaluator always scanned.  One nested-loop join (:meth:`JoinProgram.run_plan`)
+then runs any prepared plan, counting per-step work only when handed a
+:class:`JoinProfile`.
 
 On top of the plain program, :func:`reduce_program` performs a join-tree /
 GYO analysis and produces a :class:`ReducedProgram` — a Yannakakis-style
@@ -48,7 +51,9 @@ reduction prelude plus sideways information passing:
 
 Both passes are pure semi-joins: they only ever *remove* rows that cannot
 contribute to any satisfying frame, so a reduced program yields exactly the
-frames of its plain program (possibly in a different order).
+frames of its plain program (possibly in a different order).  The prelude's
+surviving rows become the row sources of the plain program's prepared plan,
+which the same join loop runs.
 
 The prelude's per-step candidate lists are pure functions of ``(relation
 version, prefilters, join tree)``, so repeated evaluations against unchanged
@@ -69,7 +74,7 @@ from collections.abc import Set as AbstractSet, Callable, Iterator, Mapping, Seq
 from repro.errors import QueryError
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
 from repro.resilience import faults
-from repro.relational.index import HashIndex, IndexManager
+from repro.relational.index import IndexManager
 from repro.relational.relation import Relation
 
 __all__ = [
@@ -111,26 +116,29 @@ class JoinStep:
 class JoinProfile:
     """Per-step counters filled by one profiled run of a join program.
 
-    Passing a profile to :meth:`JoinProgram.run_frames` /
-    :meth:`ReducedProgram.run_frames` switches to an instrumented copy of the
-    nested-loop join that counts, per step (= per depth of the join order):
+    Preparing a plan with a profile records, per step (= per depth of the
+    join order):
 
     * ``relation_rows`` — the step's full extension size;
     * ``rows_in`` — rows its row source could supply after the reduction
       prelude (equals ``relation_rows`` for untouched steps and for the
       plain program), so ``rows_in / relation_rows`` is the step's measured
-      semi-join survival fraction;
-    * ``rows_scanned`` — rows actually iterated at that depth, summed over
-      every entry into the depth (index probes touch only matching rows);
-    * ``frames_out`` — partial frames that survived the step's checks and
-      descended further.
+      semi-join survival fraction.
+
+    Running the plan with the profile (:meth:`JoinProgram.run_plan`) adds:
+
+    * ``rows_scanned`` — rows iterated at that depth, summed over every
+      entry into the depth (index probes touch only matching rows);
+    * ``frames_out`` — partial frames that survived the step's checks, i.e.
+      entries into the next depth.
 
     ``prelude`` records how the reduction prelude was served (``"hit"`` /
     ``"miss"`` from a :class:`PreludeCache`, ``"cold"`` without one, ``None``
     for the plain program); ``empty`` is set when the prelude proved the
     query has no answers (the join never ran); ``results`` counts yielded
-    frames.  The profiled path is a deliberate mirror of the tight loops —
-    the hot (unprofiled) path never pays for the counters.
+    frames.  The join loop counts once per entry into a depth, never per
+    scanned row, so an unprofiled run pays only a ``None`` test or two per
+    entry.
     """
 
     __slots__ = (
@@ -153,6 +161,19 @@ class JoinProfile:
         self.prelude: str | None = None
         self.empty = False
         self.results = 0
+
+    def record_inputs(
+        self,
+        steps: Sequence[JoinStep],
+        relations: Mapping[str, Relation],
+        candidates: Sequence[list[tuple] | None] | None = None,
+    ) -> None:
+        """Record per-step relation sizes and the rows each source supplies."""
+        for position, step in enumerate(steps):
+            size = len(relations[step.predicate])
+            self.relation_rows[position] = size
+            rows = candidates[position] if candidates is not None else None
+            self.rows_in[position] = size if rows is None else len(rows)
 
     def survival(self, position: int) -> float:
         """Measured surviving fraction of step *position*'s extension."""
@@ -193,60 +214,87 @@ class JoinProgram:
         """Number of variable slots in an execution frame."""
         return len(self.variables)
 
-    def driving_rows(
+    def prepared_plan(
         self,
         relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
-    ) -> list[tuple]:
-        """Resolve the row source of the driving (depth-0) step once.
-
-        At depth 0 the probe key is frame-independent — every bound slot was
-        filled by the seed — so the rows the driving step iterates are a fixed
-        list: the full extension, or one index bucket / filtering scan for a
-        constant-seeded key.  Sharded execution resolves this list centrally,
-        partitions it, and hands each worker its slice via the
-        ``driving_rows`` override of :meth:`run_frames`.
-        """
-        step = self.steps[0]
-        relation = relations[step.predicate]
-        if not step.key_positions:
-            return list(relation)
-        frame: list = [None] * len(self.variables)
-        for slot, value in self.seed:
-            frame[slot] = value
-        key = tuple(
-            value if slot is None else frame[slot]
-            for slot, value in zip(step.key_slots, step.key_values)
-        )
-        if use_indexes and index_manager is not None:
-            index = index_manager.index_for(step.predicate, relation, step.key_positions)
-            return list(index.get(key))
-        return list(relation.rows_matching(dict(zip(step.key_positions, key))))
-
-    def run_frames(
-        self,
-        relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
+        index_manager: IndexManager,
         profile: JoinProfile | None = None,
+        candidates: Sequence[list[tuple] | None] | None = None,
+    ) -> list[tuple]:
+        """Resolve every step's row source for :meth:`run_plan`.
+
+        One ``(step, kind, source, key_pairs)`` entry per step: ``"all"``
+        iterates *source* directly, ``"map"`` probes it with the key read
+        through ``key_pairs`` — the shared hash index of a step whose
+        extension is whole, or an ephemeral dict over a reduced step's rows.
+        *candidates* are a reduction prelude's per-step surviving rows
+        (``None`` entries keep a step whole; see
+        :meth:`ReducedProgram.reduce_relations`).
+
+        Every index is resolved here, so running the plan touches neither
+        the index manager nor the relations and takes no lock: the sharded
+        driver prepares one plan and each forked shard reads it
+        copy-on-write.  With a *profile*, records the per-step input sizes.
+        """
+        if profile is not None:
+            profile.record_inputs(self.steps, relations, candidates)
+        plan = []
+        for position, step in enumerate(self.steps):
+            rows = candidates[position] if candidates is not None else None
+            relation = relations[step.predicate]
+            key_pairs = tuple(zip(step.key_slots, step.key_values))
+            if not step.key_positions:
+                plan.append((step, "all", relation if rows is None else rows, key_pairs))
+            elif rows is None:
+                index = index_manager.index_for(
+                    step.predicate, relation, step.key_positions
+                )
+                plan.append((step, "map", index, key_pairs))
+            else:
+                buckets: dict[tuple, list[tuple]] = {}
+                key_positions = step.key_positions
+                for row in rows:
+                    buckets.setdefault(
+                        tuple(row[p] for p in key_positions), []
+                    ).append(row)
+                plan.append((step, "map", buckets, key_pairs))
+        return plan
+
+    def driving_rows_from_plan(self, plan: Sequence[tuple]) -> list[tuple]:
+        """The rows the depth-0 step of a prepared *plan* iterates.
+
+        The driving step's probe key reads only seed-filled slots, so its
+        rows — the whole source, or one bucket of it — are a fixed list the
+        sharded driver partitions and hands back to :meth:`run_plan` as
+        *driving_rows*.
+        """
+        _step, kind, source, key_pairs = plan[0]
+        if kind == "all":
+            return list(source)
+        seed = dict(self.seed)
+        key = tuple(value if slot is None else seed[slot] for slot, value in key_pairs)
+        return list(source.get(key, ()))
+
+    def run_plan(
+        self,
+        plan: Sequence[tuple],
         driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
-        indexes: Sequence[HashIndex | None] | None = None,
+        profile: JoinProfile | None = None,
     ) -> Iterator[tuple]:
-        """Yield every satisfying frame (tuple of slot values, aligned with
-        :attr:`variables`).
+        """Run the nested-loop join over a prepared *plan*; yield every
+        satisfying frame (tuple of slot values, aligned with :attr:`variables`).
 
-        With a *profile*, an instrumented copy of the join runs instead and
-        fills the per-step counters (see :class:`JoinProfile`) — the plain
-        path below stays counter-free.
+        This is the join loop of both executors: the plan comes from
+        :meth:`prepared_plan`, or from :meth:`ReducedProgram.prepared_plan`
+        over the reduction prelude's surviving rows.
 
         With *driving_rows*, the depth-0 step iterates exactly the supplied
-        rows instead of resolving its own source: the sharded-execution seam.
-        The caller is responsible for the rows being a subset of what the
-        step would have resolved (see :meth:`driving_rows`); every other
+        rows instead of its own source: the sharded-execution seam.  The
+        caller is responsible for the rows being a subset of what the step
+        would have iterated (see :meth:`driving_rows_from_plan`); every other
         check (writes, post-checks, deeper probes) still applies, so a
-        partition of the resolved rows yields a partition of the frames.
+        partition of the driving rows yields a partition of the frames.
 
         With *cancel* (a zero-arg callable, typically
         :meth:`Deadline.checker <repro.resilience.deadline.Deadline.checker>`),
@@ -254,57 +302,35 @@ class JoinProgram:
         :class:`~repro.errors.DeadlineExceeded` to abandon the join
         mid-descent.  ``None`` costs one predicate test per row.
 
-        With *indexes* (one per step), a step probes its given index instead
-        of resolving one: a forked shard child must not take the lock that
-        resolving a database relation's index takes.
+        With a *profile*, each entry into a depth adds its row count to
+        ``rows_scanned``, each surviving row counts one entry into the next
+        depth in ``frames_out``, and each yielded frame counts in
+        ``results`` (see :class:`JoinProfile`).
         """
-        if profile is not None:
-            yield from self._run_frames_profiled(
-                relations, index_manager, use_indexes, profile, driving_rows, cancel,
-                indexes,
-            )
-            return
         frame: list = [None] * len(self.variables)
         for slot, value in self.seed:
             frame[slot] = value
-        probe = use_indexes and index_manager is not None
-        # Per-step state resolved at most once per run: the relation up
-        # front, the (current) index lazily on first entry at that depth —
-        # a join that short-circuits early never pays for deeper indexes —
-        # so the per-row loop touches neither the resolver nor the manager.
-        # The writes/post_checks inner loop is mirrored (with a different
-        # row-source dispatch) in ReducedProgram.run_frames; the plain path
-        # keeps its own tight copy, so fix both when touching either.
-        plan = [
-            [step, relations[step.predicate], index, tuple(zip(step.key_slots, step.key_values))]
-            for step, index in zip(self.steps, indexes or [None] * len(self.steps))
-        ]
         depth_count = len(plan)
 
         def descend(depth: int) -> Iterator[tuple]:
             if depth == depth_count:
+                if profile is not None:
+                    profile.results += 1
                 yield tuple(frame)
                 return
-            entry = plan[depth]
-            step, relation, index, key_pairs = entry
+            step, kind, source, key_pairs = plan[depth]
             if depth == 0 and driving_rows is not None:
                 rows = driving_rows
-            elif step.key_positions:
+            elif kind == "all":
+                rows = source
+            else:
                 key = tuple(
                     value if slot is None else frame[slot]
                     for slot, value in key_pairs
                 )
-                if probe:
-                    if index is None:
-                        index = index_manager.index_for(
-                            step.predicate, relation, step.key_positions
-                        )
-                        entry[2] = index
-                    rows = index.get(key)
-                else:
-                    rows = relation.rows_matching(dict(zip(step.key_positions, key)))
-            else:
-                rows = relation
+                rows = source.get(key, ())
+            if profile is not None:
+                profile.rows_scanned[depth] += len(rows)
             writes = step.writes
             post_checks = step.post_checks
             for row in rows:
@@ -316,78 +342,25 @@ class JoinProgram:
                     if row[position] != frame[slot]:
                         break
                 else:
+                    if profile is not None:
+                        profile.frames_out[depth] += 1
                     yield from descend(depth + 1)
 
         yield from descend(0)
 
-    def _run_frames_profiled(
+    def run_frames(
         self,
         relations: Mapping[str, Relation],
-        index_manager: IndexManager | None,
-        use_indexes: bool,
-        profile: JoinProfile,
-        driving_rows: Sequence[tuple] | None = None,
+        index_manager: IndexManager,
+        profile: JoinProfile | None = None,
         cancel: Callable[[], None] | None = None,
-        indexes: Sequence[HashIndex | None] | None = None,
     ) -> Iterator[tuple]:
-        """The counting mirror of :meth:`run_frames`'s descend loop."""
-        frame: list = [None] * len(self.variables)
-        for slot, value in self.seed:
-            frame[slot] = value
-        probe = use_indexes and index_manager is not None
-        plan = [
-            [step, relations[step.predicate], index, tuple(zip(step.key_slots, step.key_values))]
-            for step, index in zip(self.steps, indexes or [None] * len(self.steps))
-        ]
-        for position, step in enumerate(self.steps):
-            rows = len(relations[step.predicate])
-            profile.relation_rows[position] = rows
-            profile.rows_in[position] = rows
-        depth_count = len(plan)
-        rows_scanned = profile.rows_scanned
-        frames_out = profile.frames_out
+        """Prepare this program's plan and run it: every satisfying frame.
 
-        def descend(depth: int) -> Iterator[tuple]:
-            if depth == depth_count:
-                profile.results += 1
-                yield tuple(frame)
-                return
-            entry = plan[depth]
-            step, relation, index, key_pairs = entry
-            if depth == 0 and driving_rows is not None:
-                rows = driving_rows
-            elif step.key_positions:
-                key = tuple(
-                    value if slot is None else frame[slot]
-                    for slot, value in key_pairs
-                )
-                if probe:
-                    if index is None:
-                        index = index_manager.index_for(
-                            step.predicate, relation, step.key_positions
-                        )
-                        entry[2] = index
-                    rows = index.get(key)
-                else:
-                    rows = relation.rows_matching(dict(zip(step.key_positions, key)))
-            else:
-                rows = relation
-            writes = step.writes
-            post_checks = step.post_checks
-            for row in rows:
-                if cancel is not None:
-                    cancel()
-                rows_scanned[depth] += 1
-                for position, slot in writes:
-                    frame[slot] = row[position]
-                for position, slot in post_checks:
-                    if row[position] != frame[slot]:
-                        break
-                else:
-                    frames_out[depth] += 1
-                    yield from descend(depth + 1)
-
-        yield from descend(0)
+        *profile* and *cancel* are those of :meth:`run_plan`.
+        """
+        plan = self.prepared_plan(relations, index_manager, profile)
+        return self.run_plan(plan, cancel=cancel, profile=profile)
 
     def output_row(self, frame: tuple) -> tuple:
         """Project one frame onto the query's head terms."""
@@ -395,32 +368,6 @@ class JoinProgram:
             value if slot is None else frame[slot]
             for slot, value in zip(self.head_slots, self.head_values)
         )
-
-    def run_rows(
-        self,
-        relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
-    ) -> Iterator[tuple]:
-        """Yield the head projection of every satisfying frame (with repeats)."""
-        head_slots = self.head_slots
-        head_values = self.head_values
-        for frame in self.run_frames(relations, index_manager, use_indexes):
-            yield tuple(
-                value if slot is None else frame[slot]
-                for slot, value in zip(head_slots, head_values)
-            )
-
-    def run_bindings(
-        self,
-        relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
-    ) -> Iterator[dict[Variable, object]]:
-        """Yield every satisfying assignment as a variable→value dict."""
-        variables = self.variables
-        for frame in self.run_frames(relations, index_manager, use_indexes):
-            yield dict(zip(variables, frame))
 
 
 def compile_query(
@@ -613,7 +560,7 @@ class ReducedProgram:
 
     Execution runs up to three pruning passes over the per-step extensions
     before the nested-loop join of the underlying :class:`JoinProgram`:
-    constant pre-filters (served by hash indexes when available), the
+    constant pre-filters (served by hash indexes), the
     Yannakakis bottom-up/top-down semi-joins over the join tree (acyclic
     programs only), and the sideways-information-passing forward pass.  A
     step left untouched by every pass joins exactly like the plain program —
@@ -637,8 +584,7 @@ class ReducedProgram:
         self,
         position: int,
         relation: Relation,
-        index_manager: IndexManager | None,
-        probe: bool,
+        index_manager: IndexManager,
     ) -> list[tuple] | None:
         """Constant pre-filter + within-atom repeat filter for one step.
 
@@ -650,18 +596,11 @@ class ReducedProgram:
         reduction = self.reductions[position]
         rows: list[tuple] | None = None
         if reduction.prefilters:
-            if probe:
-                positions = tuple(p for p, _ in reduction.prefilters)
-                index = index_manager.index_for(
-                    self.program.steps[position].predicate, relation, positions
-                )
-                rows = list(index.get(tuple(v for _, v in reduction.prefilters)))
-            else:
-                rows = [
-                    row
-                    for row in relation
-                    if all(row[p] == v for p, v in reduction.prefilters)
-                ]
+            positions = tuple(p for p, _ in reduction.prefilters)
+            index = index_manager.index_for(
+                self.program.steps[position].predicate, relation, positions
+            )
+            rows = list(index.get(tuple(v for _, v in reduction.prefilters)))
         if reduction.repeat_pairs:
             base: Iterator[tuple] | list[tuple] = (
                 rows if rows is not None else iter(relation)
@@ -676,8 +615,7 @@ class ReducedProgram:
     def reduce_relations(
         self,
         relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
+        index_manager: IndexManager,
         _step_rows: Sequence[list[tuple] | None] | None = None,
         _edge_keys: dict[int, AbstractSet[tuple]] | None = None,
         cancel: Callable[[], None] | None = None,
@@ -702,7 +640,6 @@ class ReducedProgram:
         """
         faults.fire("prelude.build")
         steps = self.program.steps
-        probe = use_indexes and index_manager is not None
         candidates: list[list[tuple] | None] = []
         for position, step in enumerate(steps):
             if cancel is not None:
@@ -711,7 +648,7 @@ class ReducedProgram:
             if _step_rows is not None:
                 rows = _step_rows[position]
             else:
-                rows = self._prefilter_step(position, relation, index_manager, probe)
+                rows = self._prefilter_step(position, relation, index_manager)
             if (rows is not None and not rows) or (rows is None and not len(relation)):
                 return None
             candidates.append(rows)
@@ -725,7 +662,7 @@ class ReducedProgram:
                 if keys is None:
                     keys = self._projection(
                         edge.child, edge.child_positions, candidates, relations,
-                        index_manager, probe,
+                        index_manager,
                     )
                     if _edge_keys is not None:
                         _edge_keys[index] = keys
@@ -738,7 +675,7 @@ class ReducedProgram:
                     cancel()
                 keys = self._projection(
                     edge.parent, edge.parent_positions, candidates, relations,
-                    index_manager, probe,
+                    index_manager,
                 )
                 if not self._restrict(
                     edge.child, edge.child_positions, keys, candidates, relations
@@ -780,25 +717,21 @@ class ReducedProgram:
         positions: tuple[int, ...],
         candidates: list[list[tuple] | None],
         relations: Mapping[str, Relation],
-        index_manager: IndexManager | None,
-        probe: bool,
+        index_manager: IndexManager,
     ) -> AbstractSet[tuple]:
         """The distinct key projection of a step's surviving rows."""
         rows = candidates[position]
-        if rows is None:
-            relation = relations[self.program.steps[position].predicate]
-            if not positions:
-                return {()} if len(relation) else set()
-            if probe:
-                # An untouched step's projection is exactly the key set of a
-                # hash index on those positions — served from (and cached in)
-                # the shared manager instead of re-scanning the relation.
-                index = index_manager.index_for(
-                    self.program.steps[position].predicate, relation, positions
-                )
-                return index.key_set()
-            rows = relation
-        return {tuple(row[p] for p in positions) for row in rows}
+        if rows is not None:
+            return {tuple(row[p] for p in positions) for row in rows}
+        relation = relations[self.program.steps[position].predicate]
+        if not positions:
+            return {()} if len(relation) else set()
+        # An untouched step's projection is exactly the key set of a hash
+        # index on those positions — served from (and cached in) the shared
+        # manager instead of re-scanning the relation.
+        return index_manager.index_for(
+            self.program.steps[position].predicate, relation, positions
+        ).key_set()
 
     def _restrict(
         self,
@@ -822,246 +755,63 @@ class ReducedProgram:
         return bool(surviving)
 
     # -- execution ----------------------------------------------------------
-    def _execution_plan(
-        self,
-        candidates: list[list[tuple] | None],
-        relations: Mapping[str, Relation],
-        index_manager: IndexManager | None,
-        probe: bool,
-    ) -> list[tuple]:
-        """Prepare the per-step row sources for the nested-loop join.
-
-        "all" iterates the source directly, "map" probes a keyed mapping (an
-        ephemeral dict over reduced rows, or the shared hash index for steps
-        the reduction left untouched), "scan" falls back to a filtering scan
-        when indexing is disabled.  The plan only references the candidates,
-        the current relations and their (version-checked) indexes, so a
-        :class:`PreludeCache` snapshot can carry it across evaluations: as
-        long as no participating relation drifted, every source stays valid.
-        """
-        plan = []
-        for position, step in enumerate(self.program.steps):
-            rows = candidates[position]
-            relation = relations[step.predicate]
-            key_pairs = tuple(zip(step.key_slots, step.key_values))
-            if not step.key_positions:
-                plan.append((step, "all", rows if rows is not None else relation, key_pairs))
-            elif rows is None and probe:
-                index = index_manager.index_for(
-                    step.predicate, relation, step.key_positions
-                )
-                plan.append((step, "map", index, key_pairs))
-            elif rows is None:
-                plan.append((step, "scan", relation, key_pairs))
-            else:
-                buckets: dict[tuple, list[tuple]] = {}
-                key_positions = step.key_positions
-                for row in rows:
-                    buckets.setdefault(
-                        tuple(row[p] for p in key_positions), []
-                    ).append(row)
-                plan.append((step, "map", buckets, key_pairs))
-        return plan
-
-    def driving_rows_from_plan(self, plan: list[tuple]) -> list[tuple]:
-        """Resolve the depth-0 row source of a prepared execution plan.
-
-        The reduced-program counterpart of :meth:`JoinProgram.driving_rows`:
-        the driving step's probe key is frame-independent (seed-filled slots
-        only), so its rows — post-prelude candidates, an index bucket, or a
-        filtering scan — are a fixed list the sharded driver can partition.
-        """
-        step, kind, source, key_pairs = plan[0]
-        if kind == "all":
-            return list(source)
-        frame: list = [None] * self.program.slot_count
-        for slot, value in self.program.seed:
-            frame[slot] = value
-        key = tuple(
-            value if slot is None else frame[slot] for slot, value in key_pairs
-        )
-        if kind == "map":
-            return list(source.get(key, ()))
-        return list(source.rows_matching(dict(zip(step.key_positions, key))))
-
-    def _frames(
-        self,
-        plan: list[tuple],
-        driving_rows: Sequence[tuple] | None = None,
-        cancel: Callable[[], None] | None = None,
-    ) -> Iterator[tuple]:
-        """Run the nested-loop join over prepared row sources.
-
-        The descend loop mirrors JoinProgram.run_frames — fix both together.
-        *driving_rows* overrides the depth-0 row source (sharded execution);
-        *cancel* makes every scanned row a cancellation checkpoint; see
-        :meth:`JoinProgram.run_frames`.
-        """
-        program = self.program
-        frame: list = [None] * program.slot_count
-        for slot, value in program.seed:
-            frame[slot] = value
-        depth_count = len(plan)
-
-        def descend(depth: int) -> Iterator[tuple]:
-            if depth == depth_count:
-                yield tuple(frame)
-                return
-            step, kind, source, key_pairs = plan[depth]
-            if depth == 0 and driving_rows is not None:
-                rows = driving_rows
-            elif kind == "all":
-                rows = source
-            else:
-                key = tuple(
-                    value if slot is None else frame[slot]
-                    for slot, value in key_pairs
-                )
-                if kind == "map":
-                    rows = source.get(key, ())
-                else:
-                    rows = source.rows_matching(dict(zip(step.key_positions, key)))
-            writes = step.writes
-            post_checks = step.post_checks
-            for row in rows:
-                if cancel is not None:
-                    cancel()
-                for position, slot in writes:
-                    frame[slot] = row[position]
-                for position, slot in post_checks:
-                    if row[position] != frame[slot]:
-                        break
-                else:
-                    yield from descend(depth + 1)
-
-        yield from descend(0)
-
-    def _frames_profiled(
-        self,
-        plan: list[tuple],
-        profile: JoinProfile,
-        driving_rows: Sequence[tuple] | None = None,
-        cancel: Callable[[], None] | None = None,
-    ) -> Iterator[tuple]:
-        """The counting mirror of :meth:`_frames` (same descend loop)."""
-        program = self.program
-        frame: list = [None] * program.slot_count
-        for slot, value in program.seed:
-            frame[slot] = value
-        depth_count = len(plan)
-        rows_scanned = profile.rows_scanned
-        frames_out = profile.frames_out
-
-        def descend(depth: int) -> Iterator[tuple]:
-            if depth == depth_count:
-                profile.results += 1
-                yield tuple(frame)
-                return
-            step, kind, source, key_pairs = plan[depth]
-            if depth == 0 and driving_rows is not None:
-                rows = driving_rows
-            elif kind == "all":
-                rows = source
-            else:
-                key = tuple(
-                    value if slot is None else frame[slot]
-                    for slot, value in key_pairs
-                )
-                if kind == "map":
-                    rows = source.get(key, ())
-                else:
-                    rows = source.rows_matching(dict(zip(step.key_positions, key)))
-            writes = step.writes
-            post_checks = step.post_checks
-            for row in rows:
-                if cancel is not None:
-                    cancel()
-                rows_scanned[depth] += 1
-                for position, slot in writes:
-                    frame[slot] = row[position]
-                for position, slot in post_checks:
-                    if row[position] != frame[slot]:
-                        break
-                else:
-                    frames_out[depth] += 1
-                    yield from descend(depth + 1)
-
-        yield from descend(0)
-
-    def _fill_profile_inputs(
-        self,
-        profile: JoinProfile,
-        candidates: list[list[tuple] | None],
-        relations: Mapping[str, Relation],
-    ) -> None:
-        """Record per-step relation sizes and post-prelude survivor counts."""
-        for position, step in enumerate(self.program.steps):
-            size = len(relations[step.predicate])
-            profile.relation_rows[position] = size
-            rows = candidates[position]
-            profile.rows_in[position] = size if rows is None else len(rows)
-
     def prepared_plan(
         self,
         relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
+        index_manager: IndexManager,
         prelude: "PreludeCache | None" = None,
         profile: JoinProfile | None = None,
         cancel: Callable[[], None] | None = None,
     ) -> list[tuple] | None:
         """Run (or serve from *prelude*) the reduction and prepare row sources.
 
-        Returns the execution plan :meth:`_frames` consumes, or ``None`` when
-        the prelude proved the query has no answers.  Extracted from
-        :meth:`run_frames` so sharded execution can prepare the prelude
-        exactly once in the parent and broadcast the plan read-only to every
-        shard worker.  With a *profile*, fills its prelude outcome, emptiness
-        and per-step input counters.  *cancel* checkpoints the prelude
-        passes (see :meth:`reduce_relations`).
+        Returns the plain program's prepared plan over the prelude's
+        surviving rows (see :meth:`JoinProgram.prepared_plan`), for
+        :meth:`JoinProgram.run_plan`, or ``None`` when the prelude proved the
+        query has no answers.  A *prelude* cache built for this very program
+        also memoizes the plan, so a warm evaluation skips the bucket builds
+        too: the plan references only the candidates, the relations and their
+        version-checked indexes, so every source stays valid while no
+        participating relation drifts.  With a *profile*, fills its prelude outcome, emptiness and
+        per-step input counters.  *cancel* checkpoints the prelude passes
+        (see :meth:`reduce_relations`).
         """
-        probe = use_indexes and index_manager is not None
         if prelude is not None and prelude.reduced is self:
             hits_before = prelude.hits
-            snapshot = prelude.refresh(relations, index_manager, use_indexes, cancel)
+            snapshot = prelude.refresh(relations, index_manager, cancel)
             if profile is not None:
                 profile.prelude = "hit" if prelude.hits > hits_before else "miss"
-            if snapshot.empty:
-                if profile is not None:
-                    profile.empty = True
-                return None
-            plan = snapshot.plan if snapshot.plan_probe == probe else None
-            if plan is None:
-                plan = self._execution_plan(
-                    snapshot.candidates, relations, index_manager, probe
+            candidates = snapshot.candidates
+            if candidates is not None and snapshot.plan is None:
+                snapshot.plan = self.program.prepared_plan(
+                    relations, index_manager, candidates=candidates
                 )
-                snapshot.plan = plan
-                snapshot.plan_probe = probe
+            plan = snapshot.plan
+        else:
             if profile is not None:
-                self._fill_profile_inputs(profile, snapshot.candidates, relations)
-            return plan
-        if profile is not None:
-            profile.prelude = "cold"
-        candidates = self.reduce_relations(
-            relations, index_manager, use_indexes, cancel=cancel
-        )
-        if candidates is None:
+                profile.prelude = "cold"
+            candidates = self.reduce_relations(relations, index_manager, cancel=cancel)
+            plan = (
+                None
+                if candidates is None
+                else self.program.prepared_plan(
+                    relations, index_manager, candidates=candidates
+                )
+            )
+        if plan is None:
             if profile is not None:
                 profile.empty = True
             return None
-        plan = self._execution_plan(candidates, relations, index_manager, probe)
         if profile is not None:
-            self._fill_profile_inputs(profile, candidates, relations)
+            profile.record_inputs(self.program.steps, relations, candidates)
         return plan
 
     def run_frames(
         self,
         relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
+        index_manager: IndexManager,
         prelude: "PreludeCache | None" = None,
         profile: JoinProfile | None = None,
-        driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
     ) -> Iterator[tuple]:
         """Yield every satisfying frame (same frames as the plain program).
@@ -1070,56 +820,14 @@ class ReducedProgram:
         reduction prelude is served from — and memoized into — the cache: a
         warm evaluation against unchanged relations skips the passes *and*
         the bucket builds entirely, and a drifted one recomputes only what
-        the drift invalidated.
-
-        With a *profile*, the instrumented copy of the join runs instead and
-        fills the per-step counters plus the prelude outcome
-        (``hit``/``miss`` under a cache, ``cold`` without one); the plain
-        path stays counter-free.
-
-        With *driving_rows*, the depth-0 step iterates exactly the supplied
-        rows (sharded execution; see :meth:`JoinProgram.run_frames`).
-
-        With *cancel*, prelude passes and scanned rows become cancellation
-        checkpoints (see :meth:`JoinProgram.run_frames`).
+        the drift invalidated.  With a *profile*, also records the prelude
+        outcome (``hit``/``miss`` under a cache, ``cold`` without one).
+        *cancel* checkpoints the prelude passes and every scanned row.
         """
-        plan = self.prepared_plan(
-            relations, index_manager, use_indexes, prelude, profile, cancel
-        )
+        plan = self.prepared_plan(relations, index_manager, prelude, profile, cancel)
         if plan is None:
-            return
-        if profile is not None:
-            yield from self._frames_profiled(plan, profile, driving_rows, cancel)
-            return
-        yield from self._frames(plan, driving_rows, cancel)
-
-    def output_row(self, frame: tuple) -> tuple:
-        """Project one frame onto the query's head terms."""
-        return self.program.output_row(frame)
-
-    def run_rows(
-        self,
-        relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
-        prelude: "PreludeCache | None" = None,
-    ) -> Iterator[tuple]:
-        """Yield the head projection of every satisfying frame (with repeats)."""
-        output_row = self.program.output_row
-        for frame in self.run_frames(relations, index_manager, use_indexes, prelude):
-            yield output_row(frame)
-
-    def run_bindings(
-        self,
-        relations: Mapping[str, Relation],
-        index_manager: IndexManager | None = None,
-        use_indexes: bool = True,
-        prelude: "PreludeCache | None" = None,
-    ) -> Iterator[dict[Variable, object]]:
-        """Yield every satisfying assignment as a variable→value dict."""
-        variables = self.program.variables
-        for frame in self.run_frames(relations, index_manager, use_indexes, prelude):
-            yield dict(zip(variables, frame))
+            return iter(())
+        return self.program.run_plan(plan, cancel=cancel, profile=profile)
 
 
 def reduce_program(program: JoinProgram) -> ReducedProgram:
@@ -1282,11 +990,11 @@ class _PreludeSnapshot:
     when the candidates were computed; ``candidates`` is the
     :meth:`ReducedProgram.reduce_relations` result (``None`` = no answers).
     ``plan`` caches the prepared execution plan (including the ephemeral
-    buckets over reduced rows) lazily, per probe flavour, so warm traffic
-    skips the bucket builds too.
+    buckets over reduced rows) lazily, so warm traffic skips the bucket
+    builds too.
     """
 
-    __slots__ = ("stamps", "candidates", "plan", "plan_probe")
+    __slots__ = ("stamps", "candidates", "plan")
 
     def __init__(
         self,
@@ -1296,7 +1004,6 @@ class _PreludeSnapshot:
         self.stamps = stamps
         self.candidates = candidates
         self.plan: list[tuple] | None = None
-        self.plan_probe: bool | None = None
 
     @property
     def empty(self) -> bool:
@@ -1396,8 +1103,7 @@ class PreludeCache:
     def refresh(
         self,
         relations: Mapping[str, Relation],
-        index_manager: IndexManager | None,
-        use_indexes: bool,
+        index_manager: IndexManager,
         cancel: Callable[[], None] | None = None,
     ) -> _PreludeSnapshot:
         """Return a current snapshot, recomputing only what drift invalidated.
@@ -1419,7 +1125,6 @@ class PreludeCache:
             return snapshot
         self.misses += 1
         reduced = self.reduced
-        probe = use_indexes and index_manager is not None
 
         step_rows: list[list[tuple] | None] = []
         recomputed = reused = 0
@@ -1431,7 +1136,7 @@ class PreludeCache:
             else:
                 if cancel is not None:
                     cancel()
-                rows = reduced._prefilter_step(position, relation, index_manager, probe)
+                rows = reduced._prefilter_step(position, relation, index_manager)
                 self._step_memo[position] = (relation, version, rows)
                 recomputed += 1
             step_rows.append(rows)
@@ -1456,7 +1161,6 @@ class PreludeCache:
         candidates = reduced.reduce_relations(
             relations,
             index_manager,
-            use_indexes,
             _step_rows=step_rows,
             _edge_keys=edge_keys,
             cancel=cancel,

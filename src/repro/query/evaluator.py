@@ -11,10 +11,11 @@ Two entry points matter for the citation model:
 
 Evaluation runs a compiled join program (:mod:`repro.query.compiler`): the
 atom order, variable→slot assignment and per-atom bound-position accessors
-are fixed once at compile time, relations are resolved once per evaluation,
-and bound-position probes use hash indexes — over database relations *and*
-over ``extra_relations`` such as materialised views, via an
-:class:`~repro.relational.index.IndexManager`.  The evaluator caches nothing
+are fixed once at compile time; per evaluation the program's prepared plan
+resolves every step's row source, with bound-position probes served by hash
+indexes — over database relations *and* over ``extra_relations`` such as
+materialised views, via an :class:`~repro.relational.index.IndexManager` —
+and one join loop runs that plan for plain and reduced programs alike.  The evaluator caches nothing
 per query: a call compiles its program and reduction afresh, unless the
 caller hands in a :class:`~repro.query.compiler.PreludeCache`, which carries
 the reduced program (``prelude.reduced``), the plain one
@@ -37,11 +38,12 @@ The evaluator has a **strategy knob** for how a program is executed:
 * ``"parallel"`` — resolve the executor like ``"auto"``, then force
   **sharded execution**: the driving step's resolved row source is
   partitioned by join-key hash into one slice per worker
-  (:func:`~repro.query.compiler.partition_driving_rows`), the identical
-  compiled program runs once per shard with the ``driving_rows`` override,
+  (:func:`~repro.query.compiler.partition_driving_rows`), the join loop runs
+  the same prepared plan once per shard with the ``driving_rows`` override,
   and the per-shard frame sets are merged (exact — each frame descends from
-  exactly one driving row).  The semi-join prelude is prepared **once** in
-  the calling thread and broadcast read-only to every shard.
+  exactly one driving row).  The plan — semi-join prelude and probe indexes
+  included — is prepared **once** in the calling thread and read by every
+  shard copy-on-write.
 
 Under ``"auto"`` the evaluator also *considers* sharding after resolving the
 executor: :meth:`~repro.query.stats.CostModel.parallel_estimate` prices the
@@ -93,7 +95,7 @@ from repro.query.stats import (
     StatisticsCatalog,
 )
 from repro.relational.database import Database
-from repro.relational.index import HashIndex, IndexManager
+from repro.relational.index import IndexManager
 from repro.relational.relation import Relation
 from repro.relational.schema import Attribute, RelationSchema
 
@@ -130,7 +132,6 @@ class QueryEvaluator:
         self,
         database: Database,
         extra_relations: Mapping[str, Relation] | None = None,
-        use_indexes: bool = True,
         index_manager: IndexManager | None = None,
         strategy: Strategy = "auto",
         statistics: StatisticsCatalog | None = None,
@@ -147,7 +148,6 @@ class QueryEvaluator:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.database = database
         self.extra_relations = dict(extra_relations or {})
-        self.use_indexes = use_indexes
         self.strategy: Strategy = strategy
         # Not `or`: an IndexManager with no entries yet is len() == 0, falsy.
         self.index_manager = (
@@ -171,11 +171,11 @@ class QueryEvaluator:
         # threads, so the partition cache is guarded: its FIFO eviction
         # (iterate + pop) races destructively without the lock.
         self._cache_lock = threading.Lock()
-        # query -> (source token, version, key positions, shard count, parts):
-        # the cached hash-partition of the driving row source, stamped by the
-        # identity of what produced the rows (the prepared plan for reduced
-        # runs, the driving relation + version for plain ones), so warm
-        # sharded traffic skips the per-row partition pass entirely.
+        # query -> (row source, version, key positions, shard count, parts):
+        # the cached hash-partition of the driving rows, stamped by the
+        # prepared plan's depth-0 row source and the driving relation's
+        # version, so warm sharded traffic skips the per-row partition pass
+        # entirely.
         self._shard_parts: dict[ConjunctiveQuery, tuple] = {}
 
     # -- relation resolution ------------------------------------------------
@@ -389,34 +389,34 @@ class QueryEvaluator:
         self,
         query: ConjunctiveQuery,
         program: JoinProgram,
-        token: object,
-        version: int | None,
-        resolve_rows,
+        plan: list[tuple],
+        version: int,
         key_positions: tuple[int, ...],
         shards: int,
     ) -> list[list[tuple]]:
-        """The cached hash-partition of the driving rows (recomputed on drift).
+        """The cached hash-partition of *plan*'s driving rows (recomputed on drift).
 
-        *token*/*version* stamp what produced the rows: the prepared plan
-        object for reduced runs (replaced whenever any participating relation
-        drifts), the driving relation and its version for plain ones.  On a
-        stamp hit the per-row partition pass is skipped entirely — the warm
-        sharded path then costs only the fan-out itself.  *resolve_rows* is
-        called only on a miss; under :attr:`verify_partitions` every fresh
-        partition must pass the I008 verifier before it is cached or run.
+        A partition is stamped by the plan's depth-0 row source (the driving
+        relation, its shared index, or the prelude's surviving rows, which a
+        warm prelude hands back unchanged) and the driving relation's
+        *version*.  On a stamp hit the per-row partition pass is skipped
+        entirely — the warm sharded path then costs only the fan-out itself.
+        Under :attr:`verify_partitions` every fresh partition must pass the
+        I008 verifier before it is cached or run.
         """
+        source = plan[0][2]
         with self._cache_lock:
             entry = self._shard_parts.get(query)
         if entry is not None:
-            held_token, held_version, held_positions, held_shards, parts = entry
+            held_source, held_version, held_positions, held_shards, parts = entry
             if (
-                held_token is token
+                held_source is source
                 and held_version == version
                 and held_positions == key_positions
                 and held_shards == shards
             ):
                 return parts
-        rows = resolve_rows()
+        rows = program.driving_rows_from_plan(plan)
         parts = partition_driving_rows(rows, key_positions, shards)
         if self.verify_partitions:
             # Lazy import: repro.analysis pulls in rule modules that import
@@ -432,7 +432,7 @@ class QueryEvaluator:
                     report.errors,
                 )
         with self._cache_lock:
-            self._shard_parts[query] = (token, version, key_positions, shards, parts)
+            self._shard_parts[query] = (source, version, key_positions, shards, parts)
             while len(self._shard_parts) > _SHARD_PARTS_LIMIT:
                 self._shard_parts.pop(next(iter(self._shard_parts)))
         return parts
@@ -450,13 +450,13 @@ class QueryEvaluator:
     ) -> list[tuple]:
         """Run one evaluation sharded; return the merged frame list.
 
-        The calling thread resolves everything a shard reads before forking
-        — a reduced executor's prelude and prepared plan (served from
-        *prelude* when the caller holds one), a plain program's probe
-        indexes — so each child reads it copy-on-write with its slice of the
-        driving rows and takes no lock.  Per-shard timings and row counts
-        land on *span* as ``shard`` children; per-shard profiles are merged
-        into *profile* so the span's per-step counters equal the serial run's.
+        The calling thread prepares *executor*'s plan before forking — a
+        reduced executor's prelude runs (or is served from *prelude*), and
+        every probe index is resolved — so each child runs the one join loop
+        over it copy-on-write with its slice of the driving rows and takes no
+        lock.  Per-shard timings and row counts land on *span* as ``shard``
+        children; per-shard profiles are merged into *profile* so the span's
+        per-step counters equal the serial run's.
 
         With a *deadline*, the prelude and every shard poll it at their
         cancellation checkpoints, and the parent waits for the children only
@@ -465,43 +465,20 @@ class QueryEvaluator:
         degradation, counted in :attr:`metrics` and on *span*, instead of a
         failed evaluation.
         """
-        program = executor.program if isinstance(executor, ReducedProgram) else executor
-        key_positions = shard_key_positions(program)
         parent_cancel = deadline.checker("prelude") if deadline is not None else None
-        plan: list[tuple] | None = None
-        indexes: list[HashIndex | None] | None = None
         if isinstance(executor, ReducedProgram):
+            program = executor.program
             plan = executor.prepared_plan(
-                relations, self.index_manager, self.use_indexes, prelude, profile,
-                parent_cancel,
+                relations, self.index_manager, prelude, profile, parent_cancel
             )
             if plan is None:  # prelude proved emptiness; nothing to fan out
                 return []
-            parts = self._partition_for(
-                query, program, plan, None,
-                lambda: executor.driving_rows_from_plan(plan),
-                key_positions, shards,
-            )
         else:
-            driving_relation = relations[program.steps[0].predicate]
-            parts = self._partition_for(
-                query, program, driving_relation, driving_relation.version,
-                lambda: program.driving_rows(
-                    relations, self.index_manager, self.use_indexes
-                ),
-                key_positions, shards,
-            )
-            if self.use_indexes and self.index_manager is not None:
-                # Resolving a database relation's index takes its sync lock,
-                # which a writer thread may hold at the fork: never in a child.
-                indexes = [
-                    self.index_manager.index_for(
-                        step.predicate, relations[step.predicate], step.key_positions
-                    )
-                    if position and step.key_positions
-                    else None
-                    for position, step in enumerate(program.steps)
-                ]
+            program = executor
+            plan = program.prepared_plan(relations, self.index_manager, profile)
+        key_positions = shard_key_positions(program)
+        version = relations[program.steps[0].predicate].version
+        parts = self._partition_for(query, program, plan, version, key_positions, shards)
 
         profiled = profile is not None
 
@@ -511,25 +488,7 @@ class QueryEvaluator:
             cancel = deadline.checker("shard") if deadline is not None else None
             started = time.perf_counter()
             shard_profile = JoinProfile(len(program.steps)) if profiled else None
-            if isinstance(executor, ReducedProgram):
-                if shard_profile is not None:
-                    frames = list(
-                        executor._frames_profiled(plan, shard_profile, part, cancel)
-                    )
-                else:
-                    frames = list(executor._frames(plan, part, cancel))
-            else:
-                frames = list(
-                    executor.run_frames(
-                        relations,
-                        self.index_manager,
-                        self.use_indexes,
-                        profile=shard_profile,
-                        driving_rows=part,
-                        cancel=cancel,
-                        indexes=indexes,
-                    )
-                )
+            frames = list(program.run_plan(plan, part, cancel, shard_profile))
             return frames, time.perf_counter() - started, shard_profile
 
         tasks = [(index, part) for index, part in enumerate(parts) if part]
@@ -583,7 +542,7 @@ class QueryEvaluator:
                     frames=len(shard_frames),
                     elapsed_ms=round(elapsed * 1000.0, 3),
                 )
-                self._merge_shard_profile(profile, shard_profile, executor)
+                self._merge_shard_profile(profile, shard_profile)
         if profiled:
             span.set_attribute("shards", len(tasks))
             if retried_serially:
@@ -591,26 +550,17 @@ class QueryEvaluator:
         return frames
 
     @staticmethod
-    def _merge_shard_profile(
-        profile: JoinProfile,
-        shard_profile: JoinProfile,
-        executor: JoinProgram | ReducedProgram,
-    ) -> None:
-        """Fold one shard's counters into the evaluation's profile.
+    def _merge_shard_profile(profile: JoinProfile, shard_profile: JoinProfile) -> None:
+        """Fold one shard's join counters into the evaluation's profile.
 
         Scanned rows, surviving frames and results are additive across the
-        disjoint shards.  The per-step input sizes are identical in every
-        shard (full extensions for a plain program), so for plain executors
-        they are copied from the shard; reduced executors had them filled
-        centrally by ``prepared_plan``.
+        disjoint shards; the per-step input sizes were recorded once, when
+        the plan was prepared.
         """
         for position in range(profile.step_count):
             profile.rows_scanned[position] += shard_profile.rows_scanned[position]
             profile.frames_out[position] += shard_profile.frames_out[position]
         profile.results += shard_profile.results
-        if not isinstance(executor, ReducedProgram):
-            profile.relation_rows = list(shard_profile.relation_rows)
-            profile.rows_in = list(shard_profile.rows_in)
 
     # -- core join ------------------------------------------------------------
     def _frames_for(
@@ -624,16 +574,13 @@ class QueryEvaluator:
         """Run *executor*, threading warm-prelude state into reduced runs.
 
         *cancel* (a zero-arg checkpoint callable) flows through to the
-        prelude passes and the per-row join loops.
+        prelude passes and the per-row join loop.
         """
         if isinstance(executor, ReducedProgram):
             return executor.run_frames(
-                relations, self.index_manager, self.use_indexes, prelude, profile,
-                cancel=cancel,
+                relations, self.index_manager, prelude, profile, cancel
             )
-        return executor.run_frames(
-            relations, self.index_manager, self.use_indexes, profile, cancel=cancel
-        )
+        return executor.run_frames(relations, self.index_manager, profile, cancel)
 
     def _compiled(
         self,

@@ -296,6 +296,26 @@ class TestNoRewriting:
         result = engine.cite("Q(PName) :- Committee(FID, PName)")
         assert result.citation.record_count() == 1
 
+    def test_fallback_evaluates_on_the_engine_evaluator(self):
+        """The engine's workers and metrics govern a fallback query too: one
+        worker keeps a forced-parallel join serial, and the evaluation is
+        recorded in the engine's metrics."""
+        database = gtopdb.generate(families=20, targets_per_family=2, seed=3)
+        engine = CitationEngine(
+            database,
+            gtopdb.citation_views(),
+            on_no_rewriting="fallback",
+            strategy="parallel",
+            workers=1,
+        )
+        text = "Q(TName, FName) :- Target(TID, FID, TName, TT), Family(FID, FName, D)"
+        result = engine.cite(text)
+        assert result.used_fallback
+        assert result.result.rows == evaluate(parse_query(text), database).rows
+        snapshot = engine.evaluation_metrics.snapshot()
+        assert snapshot["sharding"]["reasons"] == {"no_workers": 1}
+        assert sum(snapshot["picks"].values()) == 1
+
 
 class TestValidation:
     def test_engine_requires_views(self, paper_db):

@@ -1,11 +1,14 @@
-"""Property: all evaluation strategies agree on random conjunctive queries.
+"""Property: the compiled evaluator agrees with brute force on random CQs.
 
-Three independent answers are compared on randomly generated queries and
-instances (generators shared via :mod:`strategies`), including self-joins
-(the same predicate twice) and view-backed ``extra_relations``:
+Two independent answers — and per-row binding sets — are compared on
+randomly generated queries and instances (generators shared via
+:mod:`strategies`), including self-joins (the same predicate twice) and
+view-backed ``extra_relations``:
 
-* the compiled evaluator probing hash indexes,
-* the compiled evaluator restricted to scans (``use_indexes=False``),
+* the compiled evaluator probing hash indexes, both running its plain
+  program and running whatever the default ``"auto"`` strategy picks (on
+  these tiny instances, mostly the reduced program, whose prelude already
+  filters within-atom repeats),
 * a brute-force reference that enumerates the full cartesian product of the
   body atoms' relations and filters by the term constraints — no join
   ordering, no slots, no indexes, just the textbook semantics.
@@ -16,36 +19,39 @@ The semi-join-reduction strategies get the same treatment in
 
 from hypothesis import given, settings
 
-from strategies import brute_force, random_instances, random_queries, self_join_queries
+from strategies import (
+    binding_sets,
+    brute_force,
+    brute_force_bindings,
+    random_instances,
+    random_queries,
+    self_join_queries,
+)
 
 from repro.query.evaluator import QueryEvaluator
+
+#: The plain program, and the default pick.
+STRATEGIES = ("program", "auto")
 
 
 class TestEvaluatorEquivalence:
     @given(random_queries(), random_instances())
     @settings(max_examples=80, deadline=None)
-    def test_indexed_scan_and_brute_force_agree(self, query, instance):
+    def test_indexed_matches_brute_force(self, query, instance):
         database, extra = instance
-        indexed = QueryEvaluator(database, extra_relations=extra, use_indexes=True)
-        scanning = QueryEvaluator(database, extra_relations=extra, use_indexes=False)
         reference = brute_force(query, database, extra)
-        assert indexed.evaluate(query).rows == reference
-        assert scanning.evaluate(query).rows == reference
+        for strategy in STRATEGIES:
+            indexed = QueryEvaluator(database, extra_relations=extra, strategy=strategy)
+            assert indexed.evaluate(query).rows == reference, strategy
 
     @given(random_queries(), random_instances())
     @settings(max_examples=60, deadline=None)
-    def test_binding_sets_agree_between_indexed_and_scan(self, query, instance):
+    def test_binding_sets_agree_between_indexed_and_brute_force(self, query, instance):
         database, extra = instance
-        indexed = QueryEvaluator(database, extra_relations=extra, use_indexes=True)
-        scanning = QueryEvaluator(database, extra_relations=extra, use_indexes=False)
-        left = indexed.evaluate_with_bindings(query)
-        right = scanning.evaluate_with_bindings(query)
-        assert set(left) == set(right)
-        for row in left:
-            as_sets = lambda bindings: {
-                frozenset(b.items()) for b in bindings
-            }
-            assert as_sets(left[row]) == as_sets(right[row])
+        reference = brute_force_bindings(query, database, extra)
+        for strategy in STRATEGIES:
+            indexed = QueryEvaluator(database, extra_relations=extra, strategy=strategy)
+            assert binding_sets(indexed.evaluate_with_bindings(query)) == reference, strategy
 
     @given(self_join_queries(), random_instances())
     @settings(max_examples=40, deadline=None)

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from strategies import (
     acyclic_queries,
+    binding_sets,
     brute_force,
+    brute_force_bindings,
     cyclic_queries,
     drift_sequences,
     apply_drift,
@@ -38,19 +40,18 @@ SERIAL_KNOBS = ("program", "reduced")
 WORKERS = 3
 
 
-def _evaluator(database, extra, strategy, use_indexes=True):
+def _evaluator(database, extra, strategy):
     return QueryEvaluator(
         database,
         extra_relations=extra,
-        use_indexes=use_indexes,
         strategy=strategy,
         workers=WORKERS,
         verify_partitions=True,
     )
 
 
-def _parallel_answers(database, extra, query, use_indexes=True):
-    return _evaluator(database, extra, "parallel", use_indexes).evaluate(query).rows
+def _parallel_answers(database, extra, query):
+    return _evaluator(database, extra, "parallel").evaluate(query).rows
 
 
 class TestShardEquivalence:
@@ -93,24 +94,15 @@ class TestShardEquivalence:
 
     @given(random_queries(), random_instances())
     @settings(max_examples=40, deadline=None)
-    def test_sharded_without_indexes_agrees(self, query, instance):
-        database, extra = instance
-        assert _parallel_answers(database, extra, query, use_indexes=False) == (
-            brute_force(query, database, extra)
-        )
-
-    @given(random_queries(), random_instances())
-    @settings(max_examples=40, deadline=None)
     def test_binding_sets_agree_between_sharded_and_serial(self, query, instance):
         """Merged per-shard frames carry the same multiplicity-free binding
-        sets as a serial run — Definition 2.2 citations depend on them."""
+        sets as a serial run and brute force — Definition 2.2 citations
+        depend on them."""
         database, extra = instance
-        left = _evaluator(database, extra, "program").evaluate_with_bindings(query)
-        right = _evaluator(database, extra, "parallel").evaluate_with_bindings(query)
-        assert set(left) == set(right)
-        as_sets = lambda bindings: {frozenset(b.items()) for b in bindings}
-        for row in left:
-            assert as_sets(left[row]) == as_sets(right[row])
+        reference = brute_force_bindings(query, database, extra)
+        for strategy in ("program", "parallel"):
+            evaluator = _evaluator(database, extra, strategy)
+            assert binding_sets(evaluator.evaluate_with_bindings(query)) == reference
 
     @given(parameterized_queries(), random_instances())
     @settings(max_examples=40, deadline=None)

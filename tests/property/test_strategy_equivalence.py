@@ -5,18 +5,21 @@ view extras — and every generated instance, the differential harness checks
 
     reduced == program == brute-force reference
 
-for answers *and* per-tuple binding sets, with and without indexes, through
-parameterized evaluation, and again after the database drifts (inserts and
-deletes between evaluations of one long-lived evaluator, exercising the
-cached programs against changed data).  The brute-force reference is the
-textbook cartesian-product semantics from :mod:`strategies`.
+for answers *and* per-tuple binding sets, through parameterized evaluation,
+and again after the database drifts (inserts and deletes between evaluations
+of one long-lived evaluator, exercising the cached programs against changed
+data).  The brute-force references are the
+textbook cartesian-product semantics from :mod:`strategies`, for answers and
+for bindings.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from strategies import (
     acyclic_queries,
+    binding_sets,
     brute_force,
+    brute_force_bindings,
     cyclic_queries,
     parameterized_queries,
     random_instances,
@@ -32,13 +35,8 @@ from repro.query.evaluator import QueryEvaluator
 STRATEGY_KNOBS = ("program", "reduced", "auto")
 
 
-def _answers(database, extra, query, strategy, use_indexes=True):
-    evaluator = QueryEvaluator(
-        database,
-        extra_relations=extra,
-        use_indexes=use_indexes,
-        strategy=strategy,
-    )
+def _answers(database, extra, query, strategy):
+    evaluator = QueryEvaluator(database, extra_relations=extra, strategy=strategy)
     return evaluator.evaluate(query).rows
 
 
@@ -50,7 +48,6 @@ class TestStrategyEquivalence:
         reference = brute_force(query, database, extra)
         for strategy in STRATEGY_KNOBS:
             assert _answers(database, extra, query, strategy) == reference
-        assert _answers(database, extra, query, "reduced", use_indexes=False) == reference
 
     @given(acyclic_queries(), random_instances())
     @settings(max_examples=60, deadline=None)
@@ -84,16 +81,10 @@ class TestStrategyEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_binding_sets_agree_between_program_and_reduced(self, query, instance):
         database, extra = instance
-        program_eval = QueryEvaluator(database, extra_relations=extra, strategy="program")
-        reduced_eval = QueryEvaluator(
-            database, extra_relations=extra, strategy="reduced"
-        )
-        left = program_eval.evaluate_with_bindings(query)
-        right = reduced_eval.evaluate_with_bindings(query)
-        assert set(left) == set(right)
-        as_sets = lambda bindings: {frozenset(b.items()) for b in bindings}
-        for row in left:
-            assert as_sets(left[row]) == as_sets(right[row])
+        reference = brute_force_bindings(query, database, extra)
+        for strategy in ("program", "reduced"):
+            evaluator = QueryEvaluator(database, extra_relations=extra, strategy=strategy)
+            assert binding_sets(evaluator.evaluate_with_bindings(query)) == reference
 
     @given(parameterized_queries(), random_instances())
     @settings(max_examples=60, deadline=None)

@@ -74,12 +74,6 @@ class TestEvaluate:
         query = parse_query("Q(A, B) :- Family(A, X, Y), FamilyIntro(B, T)")
         assert len(evaluate(query, db)) == 9
 
-    def test_without_indexes(self, db):
-        query = parse_query("Q(FName) :- Family(FID, FName, D), FamilyIntro(FID, T)")
-        with_idx = QueryEvaluator(db, use_indexes=True).evaluate(query)
-        without_idx = QueryEvaluator(db, use_indexes=False).evaluate(query)
-        assert with_idx.rows == without_idx.rows
-
 
 class TestBindings:
     def test_all_bindings_per_tuple(self, db):

@@ -1,7 +1,7 @@
 """Tests for sharded parallel evaluation: planning, partitioning, execution.
 
 Covers the shard planner (:func:`shard_key_positions`,
-:func:`partition_driving_rows`, :meth:`JoinProgram.driving_rows`), the I008
+:func:`partition_driving_rows`, :meth:`JoinProgram.driving_rows_from_plan`), the I008
 partition verifier, the ``"parallel"`` strategy on forked shards (and serial
 without ``os.fork``), the cost model's parallel crossover (``auto`` stays
 serial on small inputs), the shard-partition cache, the concurrency-lint
@@ -92,11 +92,13 @@ class TestShardPlanning:
 
     def test_driving_rows_match_the_relation(self, db):
         _query, program, relations = _program(db, JOIN)
-        assert sorted(program.driving_rows(relations)) == sorted(relations["Family"])
+        plan = program.prepared_plan(relations, IndexManager(db))
+        assert sorted(program.driving_rows_from_plan(plan)) == sorted(relations["Family"])
 
     def test_driving_rows_respect_constant_seeds(self, db):
         query, program, relations = _program(db, "Q(FName) :- Family(11, FName, D)")
-        rows = program.driving_rows(relations, IndexManager(db), True)
+        plan = program.prepared_plan(relations, IndexManager(db))
+        rows = program.driving_rows_from_plan(plan)
         assert rows == [row for row in relations["Family"] if row[0] == 11]
 
 

@@ -24,6 +24,9 @@ strategies must agree on:
 :func:`brute_force` is the shared reference semantics: filter the full
 cartesian product of the body extensions, no join order, no indexes — the
 textbook answer every execution strategy is compared against.
+:func:`brute_force_bindings` is the same enumeration keeping each row's
+bindings, the reference for Definition 2.2's binding sets, and
+:func:`binding_sets` puts an evaluator's bindings in the same form.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ __all__ = [
     "drift_sequences",
     "apply_drift",
     "brute_force",
+    "brute_force_bindings",
+    "binding_sets",
 ]
 
 RS_SCHEMA = DatabaseSchema(
@@ -284,8 +289,16 @@ def apply_drift(database, extra, ops) -> None:
             database.delete(name, row)
 
 
-def brute_force(query: ConjunctiveQuery, database, extra=None) -> set[tuple]:
-    """Reference semantics: filter the cartesian product of the body relations."""
+def brute_force_bindings(
+    query: ConjunctiveQuery, database, extra=None
+) -> dict[tuple, set[frozenset]]:
+    """Reference bindings: every consistent valuation of the cartesian
+    product of the body relations, grouped by the output row it produces.
+
+    Each binding is a frozenset of ``(variable, value)`` pairs covering the
+    body and equality variables — compare an evaluator's
+    ``evaluate_with_bindings`` through :func:`binding_sets`.
+    """
     extra = extra or {}
 
     def relation_rows(predicate):
@@ -293,7 +306,7 @@ def brute_force(query: ConjunctiveQuery, database, extra=None) -> set[tuple]:
             return list(extra[predicate])
         return list(database.relation(predicate))
 
-    answers = set()
+    bindings: dict[tuple, set[frozenset]] = {}
     pools = [relation_rows(atom.predicate) for atom in query.body]
     seed = {eq.variable: eq.constant.value for eq in query.equalities}
     for combination in itertools.product(*pools):
@@ -312,10 +325,22 @@ def brute_force(query: ConjunctiveQuery, database, extra=None) -> set[tuple]:
             if not consistent:
                 break
         if consistent:
-            answers.add(
-                tuple(
-                    term.value if isinstance(term, Constant) else binding[term]
-                    for term in query.head_terms
-                )
+            row = tuple(
+                term.value if isinstance(term, Constant) else binding[term]
+                for term in query.head_terms
             )
-    return answers
+            bindings.setdefault(row, set()).add(frozenset(binding.items()))
+    return bindings
+
+
+def brute_force(query: ConjunctiveQuery, database, extra=None) -> set[tuple]:
+    """Reference semantics: filter the cartesian product of the body relations."""
+    return set(brute_force_bindings(query, database, extra))
+
+
+def binding_sets(bindings_by_row) -> dict[tuple, set[frozenset]]:
+    """An ``evaluate_with_bindings`` result in :func:`brute_force_bindings` form."""
+    return {
+        row: {frozenset(binding.items()) for binding in bindings}
+        for row, bindings in bindings_by_row.items()
+    }
