@@ -23,7 +23,8 @@ themselves:
   snapshotted from (I007);
 * :func:`verify_citation_plan` — all of the above over everything compiled
   onto a :class:`~repro.core.engine.CitationPlan`, plus a check that each
-  rewriting's program was compiled from that rewriting;
+  rewriting's program was compiled from that rewriting and that its
+  citation program reads that program's frames (I004);
 * :func:`verify_shard_partition` — sharded execution state: the partition of
   a program's driving rows must be an exact multiset cover, with every row
   routed to the shard its join-key hash dictates (I008), so the union of
@@ -542,7 +543,10 @@ def verify_citation_plan(plan) -> AnalysisReport:
 
     Walks ``plan.compiled``: one entry per rewriting, whose prelude (with
     the reduced and plain programs under it) must verify and whose program
-    must have been compiled from that rewriting's query.  Duck typed on
+    must have been compiled from that rewriting's query.  Its citation
+    program reads that program's frames by slot, so it must be laid out on
+    the program's variables, follow the rewriting's body atom by atom, and
+    read each λ-parameter from a variable of its view atom.  Duck typed on
     purpose — importing the engine here would be an import cycle.
     """
     report = AnalysisReport()
@@ -553,14 +557,26 @@ def verify_citation_plan(plan) -> AnalysisReport:
             f"for {len(plan.rewritings)} rewritings",
             f"plan {plan.query.name!r}",
         ))
-    for position, (rewriting, (_citation, prelude)) in enumerate(
+    for position, (rewriting, (citation, prelude)) in enumerate(
         zip(plan.rewritings, plan.compiled)
     ):
-        if prelude.reduced.program.query != rewriting.query:
-            report.add(diagnostic(
-                "I004",
-                "program was compiled from a different query than the rewriting",
-                f"plan {plan.query.name!r}, rewriting {position}",
-            ))
+        loc = f"plan {plan.query.name!r}, rewriting {position}"
+        program, body = prelude.reduced.program, rewriting.query.body
+        problems = []
+        if program.query != rewriting.query:
+            problems.append("program was compiled from a different query than the rewriting")
+        if tuple(citation.variables) != program.variables:
+            problems.append("citation program is laid out on another program's variables")
+        if [view for view, _, _ in citation.atoms] != [atom.predicate for atom in body]:
+            problems.append("citation program does not follow the rewriting's body")
+        for (view, sources, _), atom in zip(citation.atoms, body):
+            problems += [
+                f"parameter {name!r} of {view!r} reads slot {slot!r}, "
+                "which holds no variable of its view atom"
+                for name, slot in sources
+                if slot is not None and _slot_variable(program, slot) not in atom.terms
+            ]
+        for message in problems:
+            report.add(diagnostic("I004", message, loc))
         report.extend(verify_prelude(prelude))
     return report

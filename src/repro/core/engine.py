@@ -57,7 +57,7 @@ from repro.errors import (
 from repro.observability import NULL_SPAN, get_tracer
 from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
 from repro.query.compiler import PreludeCache
-from repro.query.evaluator import Binding, QueryEvaluator, Strategy
+from repro.query.evaluator import Binding, QueryEvaluator, Strategy, result_schema
 from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
 from repro.query.parser import parse_query
 from repro.query.ucq import UnionQuery
@@ -194,20 +194,29 @@ def _with_atoms_from(expression: CitationExpression, cache: AtomCache) -> Citati
 
 
 class CitationProgram:
-    """Definitions 2.1/2.2 for one rewriting, resolved once.
+    """Definitions 2.1/2.2 for one rewriting, read from frames of one value
+    per variable of :attr:`variables` (the join program's slots; by default
+    the variables in name order, which :meth:`frame` fills from a dict).
 
     Per view atom: ``(view, sources, key)``, one source per λ-parameter in
-    name order — ``(name, variable)``, or ``((name, value), None)`` for a
-    constant — and the atom's :data:`CitationKey` when no source is a
-    variable.  Bindings are ordered by the ``repr`` of their values, taken in
-    variable-name order (:attr:`order`).
+    name order — ``(name, slot)``, or ``((name, value), None)`` for a
+    constant — and the atom's :data:`CitationKey` when no source is a slot;
+    :attr:`fixed` holds every atom's key when all do.  Frames are ordered by
+    the ``repr`` of their values in variable-name order (:attr:`order`).
     """
 
-    __slots__ = ("atoms", "order")
+    __slots__ = ("variables", "atoms", "order", "fixed")
 
     def __init__(
-        self, rewriting: Rewriting, citation_views: Mapping[str, CitationView]
+        self,
+        rewriting: Rewriting,
+        citation_views: Mapping[str, CitationView],
+        variables: Sequence[Variable] | None = None,
     ) -> None:
+        if variables is None:
+            variables = sorted(rewriting.query.variables(), key=lambda v: v.name)
+        self.variables = tuple(variables)
+        slots = {variable: slot for slot, variable in enumerate(self.variables)}
         atoms: list[tuple[str, tuple, CitationKey | None]] = []
         for view_atom in rewriting.query.body:
             citation_view = citation_views.get(view_atom.predicate)
@@ -219,42 +228,55 @@ class CitationProgram:
             sources: list[tuple] = []
             for name in sorted(positions):
                 term = view_atom.terms[positions[name]]
-                sources.append(
-                    ((name, term.value), None) if isinstance(term, Constant) else (name, term)
-                )
-            fixed = all(var is None for _, var in sources)
+                constant = isinstance(term, Constant)
+                sources.append(((name, term.value), None) if constant else (name, slots[term]))
+            fixed = all(slot is None for _, slot in sources)
             key = (view_atom.predicate, tuple(item for item, _ in sources)) if fixed else None
             atoms.append((view_atom.predicate, tuple(sources), key))
         self.atoms = tuple(atoms)
-        self.order = tuple(sorted(rewriting.query.variables(), key=lambda v: v.name))
+        self.order = tuple(sorted(slots.values(), key=lambda slot: self.variables[slot].name))
+        keys = tuple(key for _, _, key in atoms)
+        self.fixed = keys if all(key is not None for key in keys) else None
 
-    def keys(self, binding: Binding) -> tuple[CitationKey, ...]:
-        """Definition 2.1: the :data:`CitationKey` of each view atom under *binding*."""
-        try:
-            return tuple([
-                key if key is not None else (
-                    view, tuple([item if v is None else (item, binding[v]) for item, v in sources])
-                )
-                for view, sources, key in self.atoms
-            ])
-        except KeyError:
-            view, name = next(
-                (view, name)
-                for view, sources, _ in self.atoms
-                for name, v in sources
-                if v is not None and v not in binding
+    def frame(self, binding: Binding) -> tuple:
+        """The frame of a binding dict: the adapter for callers holding
+        bindings rather than join frames."""
+        for view, sources, _ in self.atoms:
+            for name, slot in sources:
+                if slot is not None and self.variables[slot] not in binding:
+                    raise CitationError(
+                        f"binding does not determine parameter {name!r} of view {view!r}"
+                    )
+        return tuple([binding.get(variable) for variable in self.variables])
+
+    def keys(self, frame: Sequence) -> tuple[CitationKey, ...]:
+        """Definition 2.1: the :data:`CitationKey` of each view atom under *frame*."""
+        return tuple([
+            key if key is not None else (
+                view, tuple([item if s is None else (item, frame[s]) for item, s in sources])
             )
-            raise CitationError(
-                f"binding does not determine parameter {name!r} of view {view!r}"
-            ) from None
+            for view, sources, key in self.atoms
+        ])
 
-    def alternative(self, bindings: Sequence[Binding]) -> tuple[tuple[CitationKey, ...], ...]:
-        """Definition 2.2: the distinct :meth:`keys` of *bindings*, in ``+`` order."""
-        if len(bindings) == 1:
-            return (self.keys(bindings[0]),)
-        order = self.order
-        ordered = sorted(bindings, key=lambda binding: [repr(binding[v]) for v in order])
-        return tuple(dict.fromkeys(map(self.keys, ordered)))
+    def alternative(self, frames: Sequence[tuple]) -> tuple[tuple[CitationKey, ...], ...]:
+        """Definition 2.2: the distinct :meth:`keys` of *frames*, in ``+`` order.
+
+        The order only matters between distinct keys, so it is skipped when
+        every atom's key is fixed or the frames all give one key.
+        """
+        if self.fixed is not None:
+            return (self.fixed,)
+        if len(frames) == 1:
+            return (self.keys(frames[0]),)
+        keys = list(map(self.keys, frames))
+        distinct = dict.fromkeys(keys)
+        if len(distinct) > 1:
+            order = self.order
+            ranked = sorted(
+                range(len(frames)), key=lambda i: [repr(frames[i][slot]) for slot in order]
+            )
+            distinct = dict.fromkeys([keys[i] for i in ranked])
+        return tuple(distinct)
 
 
 class AtomCache(dict):
@@ -786,7 +808,8 @@ class CitationEngine:
     ) -> CitationExpression:
         """Definition 2.1: the joint citation of one binding of one rewriting."""
         self._refresh_generation()
-        keys = CitationProgram(rewriting, self._citation_view_by_name).keys(binding)
+        program = CitationProgram(rewriting, self._citation_view_by_name)
+        keys = program.keys(program.frame(binding))
         return joint([self._atom_cache[key][0] for key in keys])
 
     def cite_row(
@@ -794,16 +817,16 @@ class CitationEngine:
     ) -> TupleCitation:
         """The citation of *row*, given the bindings producing it per rewriting."""
         self._refresh_generation()
-        programs = [
-            (CitationProgram(rewriting, self._citation_view_by_name), bindings)
-            for rewriting, bindings in alternatives
-        ]
+        programs = []
+        for rewriting, bindings in alternatives:
+            program = CitationProgram(rewriting, self._citation_view_by_name)
+            programs.append((program, [program.frame(binding) for binding in bindings]))
         return self._cite_row(row, programs, self._atom_cache, self.policy)
 
     def _cite_row(
         self,
         row: tuple,
-        alternatives: Sequence[tuple[CitationProgram, Sequence[Binding]]],
+        alternatives: Sequence[tuple[CitationProgram, Sequence[tuple]]],
         cache: AtomCache,
         policy: CitationPolicy,
     ) -> TupleCitation:
@@ -814,8 +837,8 @@ class CitationEngine:
         expression, in the same order and with equal operands.
         """
         kept: dict[tuple, None] = {}
-        for program, bindings in alternatives:
-            kept[program.alternative(bindings)] = None
+        for program, frames in alternatives:
+            kept[program.alternative(frames)] = None
         expressions: list[CitationExpression] = []
         folded: list[CitationSet] = []
         for alternative in kept:
@@ -908,6 +931,15 @@ class CitationEngine:
                 rewritings = self.selector.select(rewritings)
                 span.set_attribute("rewritings_selected", len(rewritings))
             evaluator = self._execution_evaluator()
+            compiled = []
+            for rewriting in rewritings:
+                prelude = evaluator.prelude_for(
+                    rewriting.query, evaluator.reduce(rewriting.query)
+                )
+                citation = CitationProgram(
+                    rewriting, self._citation_view_by_name, prelude.reduced.program.variables
+                )
+                compiled.append((citation, prelude))
             plan = CitationPlan(
                 query,
                 tuple(rewritings),
@@ -915,15 +947,7 @@ class CitationEngine:
                 token,
                 core=analysis.core,
                 diagnostics=analysis.diagnostics,
-                compiled=tuple(
-                    (
-                        CitationProgram(rewriting, self._citation_view_by_name),
-                        evaluator.prelude_for(
-                            rewriting.query, evaluator.reduce(rewriting.query)
-                        ),
-                    )
-                    for rewriting in rewritings
-                ),
+                compiled=tuple(compiled),
             )
             self._verify_compiled_plan(plan, span)
             return plan
@@ -1025,7 +1049,7 @@ class CitationEngine:
         evaluator = self._execution_evaluator()
         # Read after the evaluator, which refreshes the generation.
         cache = self._atom_cache
-        alternatives_by_row: dict[tuple, list[tuple[CitationProgram, list[Binding]]]] = {}
+        alternatives_by_row: dict[tuple, list[tuple[CitationProgram, list[tuple]]]] = {}
         for position, (rewriting, (citation, prelude)) in enumerate(
             zip(plan.rewritings, plan.compiled, strict=True)
         ):
@@ -1039,12 +1063,12 @@ class CitationEngine:
                 else NULL_SPAN
             )
             with rewriting_span:
-                bindings_by_row = evaluator.evaluate_with_bindings(
-                    rewriting.query, prelude=prelude
-                )
-                rewriting_span.set_attribute("rows", len(bindings_by_row))
-            for row, bindings in bindings_by_row.items():
-                alternatives_by_row.setdefault(row, []).append((citation, bindings))
+                # Frames in the layout of prelude.reduced.program, which
+                # the citation program was resolved against.
+                frames_by_row = evaluator.frames_by_row(rewriting.query, prelude=prelude)
+                rewriting_span.set_attribute("rows", len(frames_by_row))
+            for row, frames in frames_by_row.items():
+                alternatives_by_row.setdefault(row, []).append((citation, frames))
 
         assemble_span = (
             tracer.span("engine.assemble_citations", rows=len(alternatives_by_row))
@@ -1070,7 +1094,8 @@ class CitationEngine:
             citation=aggregate_citation(tuple_citations, policy, query),
             policy=policy,
             mode=plan.mode,
-            result=self._result_relation(query, alternatives_by_row),
+            # Keyless and all-object: the join's answers need no validation.
+            result=Relation.of_valid_rows(result_schema(query), set(alternatives_by_row)),
         )
 
     def refresh_result(
@@ -1082,12 +1107,13 @@ class CitationEngine:
         change log no longer reaches back to *token*, the result is
         economical (its rewriting selection read the data), or a change
         touches a relation that the body of one of its views reads (for a
-        fallback result, its query's own body).  Otherwise the answer stands
-        and only citation records can have changed: a result whose records
-        no change reaches comes back as it is; else a copy rebuilds the
-        citations of just the rows whose expression holds a reached atom,
-        with the atoms the refreshed cache holds now, folded under the
-        result's policy.  The answer relation is shared, not copied.
+        fallback result, its query's body, or the body of a view it names).
+        Otherwise the answer stands and only citation records can have
+        changed: a result whose records no change reaches comes back as it
+        is; else a copy rebuilds the citations of just the rows whose
+        expression holds a reached atom, with the atoms the refreshed cache
+        holds now, folded under the result's policy.  The answer relation is
+        shared, not copied.
         """
         generation, epoch = token
         if epoch != self._cache_epoch or result.mode == "economical":
@@ -1100,8 +1126,9 @@ class CitationEngine:
         views = {
             atom.predicate for rewriting in result.rewritings for atom in rewriting.query.body
         }
-        if result.used_fallback:
-            reads = {atom.predicate for atom in result.query.body}
+        if result.used_fallback:  # an atom over a view reads what the view reads
+            body = result.query.body
+            reads = set().union(*[self._view_reads.get(a.predicate, {a.predicate}) for a in body])
         else:
             reads = {relation for view in views for relation in self._view_reads[view]}
         if changed & reads:
@@ -1134,7 +1161,7 @@ class CitationEngine:
         return replace(result, tuple_citations=tuple_citations, citation=citation), fresh
 
     # -- helpers -------------------------------------------------------------------------
-    def _execution_evaluator(self) -> QueryEvaluator:
+    def _execution_evaluator(self, views: bool = True) -> QueryEvaluator:
         """The engine's persistent evaluator, pointed at the current views.
 
         Built once and reused so its shard-partition cache persists across
@@ -1142,16 +1169,16 @@ class CitationEngine:
         it resolves against are re-bound per call: within one database
         generation they are the same objects, and after a mutation
         the fresh materialisations replace them (the plans' prelude caches
-        notice via their identity stamps).  Mutations must not race
-        in-flight executions — the usual reader/writer discipline of the
-        in-memory store.
+        notice via their identity stamps); ``views=False`` skips both, for a
+        query that names no view.  Mutations must not race in-flight
+        executions — the usual reader/writer discipline of the in-memory store.
         """
-        views = self.view_relations()
+        relations = self.view_relations() if views else None
         evaluator = self._evaluator
         if evaluator is None:
             evaluator = QueryEvaluator(
                 self.database,
-                extra_relations=views,
+                extra_relations=relations,
                 index_manager=self._index_manager,
                 strategy=self.strategy,
                 statistics=self._statistics,
@@ -1162,8 +1189,8 @@ class CitationEngine:
             )
             self._evaluator = evaluator
         else:
-            if evaluator.extra_relations is not views:
-                evaluator.extra_relations = views
+            if relations is not None and evaluator.extra_relations is not relations:
+                evaluator.extra_relations = relations
             evaluator.strategy = self.strategy
         return evaluator
 
@@ -1179,7 +1206,10 @@ class CitationEngine:
         fallback = self.fallback_citation or CitationRecord(
             {"title": "Cited database", "note": "no citation view covers this query"}
         )
-        result_relation = self._execution_evaluator().evaluate(query.without_parameters())
+        evaluator = self._execution_evaluator(
+            views=any(atom.predicate in self._view_reads for atom in query.body)
+        )
+        result_relation = evaluator.evaluate(query.without_parameters())
         rows = result_relation.rows
         atom = CitationAtom("__database__", {}, fallback)
         tuple_citations = [
@@ -1200,11 +1230,6 @@ class CitationEngine:
             result=result_relation,
             used_fallback=True,
         )
-
-    def _result_relation(self, query: ConjunctiveQuery, rows: Iterable[tuple]) -> Relation:
-        from repro.query.evaluator import result_schema
-
-        return Relation(result_schema(query), rows)
 
     @staticmethod
     def _as_query(query: ConjunctiveQuery | str) -> ConjunctiveQuery:

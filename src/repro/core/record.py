@@ -38,7 +38,7 @@ class CitationRecord(Mapping[str, object]):
     Arbitrary additional fields are allowed and preserved.
     """
 
-    __slots__ = ("_fields", "_hash")
+    __slots__ = ("_fields", "_hash", "_size")
 
     def __init__(self, fields: Mapping[str, object] | Iterable[tuple[str, object]] = ()) -> None:
         items = dict(fields)
@@ -49,6 +49,7 @@ class CitationRecord(Mapping[str, object]):
             frozen[key] = _freeze_value(value)
         self._fields: dict[str, object] = frozen
         self._hash: int | None = None
+        self._size: int | None = None
 
     # -- mapping protocol ----------------------------------------------------
     def __getitem__(self, key: str) -> object:
@@ -92,13 +93,11 @@ class CitationRecord(Mapping[str, object]):
     # -- measurement -------------------------------------------------------------
     def size(self) -> int:
         """Number of atomic snippet values carried by the record."""
-        total = 0
-        for value in self._fields.values():
-            if isinstance(value, tuple):
-                total += len(value)
-            else:
-                total += 1
-        return total
+        if self._size is None:
+            self._size = sum(
+                len(value) if isinstance(value, tuple) else 1 for value in self._fields.values()
+            )
+        return self._size
 
     def text_length(self) -> int:
         """Length of the record when rendered as plain text (rough size proxy)."""

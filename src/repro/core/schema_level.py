@@ -68,7 +68,8 @@ def cite_schema_level(
     result_rows: set[tuple] = set()
     for binding in evaluator.bindings(rewriting.query):
         result_rows.add(evaluator.output_tuple(rewriting.query, binding))
-        for (_view, seen), (_name, items) in zip(valuations_per_atom, program.keys(binding)):
+        keys = program.keys(program.frame(binding))
+        for (_view, seen), (_name, items) in zip(valuations_per_atom, keys):
             seen.add(items)
 
     per_atom_expressions = []

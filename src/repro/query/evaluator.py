@@ -1,13 +1,18 @@
 """Evaluation of conjunctive queries over a relational database.
 
-Two entry points matter for the citation model:
+Three entry points matter for the citation model:
 
 * :func:`evaluate` — the ordinary set-semantics answer of a query, returned
   as a :class:`~repro.relational.relation.Relation`;
-* :func:`evaluate_with_bindings` — for every output tuple, the list of
-  *all* bindings (valuations of the query's variables) that produce it.
-  Definition 2.2 of the paper combines one citation per binding with the
-  alternative-use operator ``+``, so the engine needs the full binding set.
+* :meth:`QueryEvaluator.frames_by_row` — for every output tuple, *all* the
+  join frames (valuations of the query's variables, one value per slot of
+  the program that ran) that produce it.  Definition 2.2 of the paper
+  combines one citation per binding with the alternative-use operator
+  ``+``, so the engine needs the full binding set; it reads the citation
+  keys straight from the frames;
+* :func:`evaluate_with_bindings` — the dict adapter over the same grouping:
+  each frame as a ``{variable: value}`` binding, for callers that hold no
+  compiled program.
 
 Evaluation runs a compiled join program (:mod:`repro.query.compiler`): the
 atom order, variable→slot assignment and per-atom bound-position accessors
@@ -69,6 +74,7 @@ import os
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
+from operator import itemgetter
 from typing import Literal, TypeVar
 
 from repro.concurrency import default_worker_count, fork_map_outcomes, shared_state
@@ -710,29 +716,39 @@ class QueryEvaluator:
         )
         return Relation.of_valid_rows(result_schema(query), answers)
 
+    def frames_by_row(
+        self,
+        query: ConjunctiveQuery,
+        strategy: Strategy | None = None,
+        prelude: PreludeCache | None = None,
+    ) -> dict[tuple, list[tuple]]:
+        """Map every output tuple to the join frames producing it.
+
+        A frame holds one value per slot of the program that ran.  With
+        *prelude* (a :class:`~repro.query.compiler.PreludeCache` for
+        *query*), its reduced program and the plain program under it run
+        instead of a fresh compile, its warm state serves reduced runs, and
+        the frames are laid out as ``prelude.reduced.program.variables``.
+        """
+        return self._join(query, strategy, prelude, _grouped)
+
     def evaluate_with_bindings(
         self,
         query: ConjunctiveQuery,
         strategy: Strategy | None = None,
         prelude: PreludeCache | None = None,
     ) -> dict[tuple, list[Binding]]:
-        """Map every output tuple to the list of bindings producing it.
+        """Map every output tuple to the list of bindings producing it: the
+        dict adapter over :meth:`frames_by_row`."""
 
-        With *prelude* (a :class:`~repro.query.compiler.PreludeCache` for
-        *query*), its reduced program and the plain program under it run
-        instead of a fresh compile, and its warm state serves reduced runs.
-        """
-
-        def group(program: JoinProgram, frames) -> dict[tuple, list[Binding]]:
+        def as_bindings(program: JoinProgram, frames) -> dict[tuple, list[Binding]]:
             variables = program.variables
-            out: dict[tuple, list[Binding]] = {}
-            for frame in frames:
-                out.setdefault(program.output_row(frame), []).append(
-                    dict(zip(variables, frame))
-                )
-            return out
+            return {
+                row: [dict(zip(variables, frame)) for frame in group]
+                for row, group in _grouped(program, frames).items()
+            }
 
-        return self._join(query, strategy, prelude, group)
+        return self._join(query, strategy, prelude, as_bindings)
 
     def _join(
         self,
@@ -811,6 +827,18 @@ class QueryEvaluator:
                 )
             substitution[param] = Constant(value)
         return self.evaluate(query.substitute(substitution), strategy=strategy)
+
+
+def _grouped(program: JoinProgram, frames: Iterable[tuple]) -> dict[tuple, list[tuple]]:
+    """*frames* grouped by the output row each projects to."""
+    slots = program.head_slots
+    row_of: Callable[[tuple], tuple] = (
+        itemgetter(*slots) if len(slots) > 1 and None not in slots else program.output_row
+    )
+    out: dict[tuple, list[tuple]] = {}
+    for frame in frames:
+        out.setdefault(row_of(frame), []).append(frame)
+    return out
 
 
 def result_schema(query: ConjunctiveQuery) -> RelationSchema:

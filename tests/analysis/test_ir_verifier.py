@@ -21,7 +21,9 @@ from repro.analysis.ir import (
     verify_program,
     verify_reduced,
 )
+from repro.core.engine import CitationProgram
 from repro.errors import PlanVerificationError
+from repro.query.ast import Variable
 from repro.query.compiler import StepReduction, reduce_program
 from repro.query.evaluator import QueryEvaluator
 from repro.relational.database import Database
@@ -268,6 +270,44 @@ class TestEngineKnob:
         object.__setattr__(plan, "compiled", (other.compiled[0], *plan.compiled[1:]))
         report = verify_citation_plan(plan)
         assert "I004" in codes(report)
+
+    def test_verify_plan_catches_swapped_citation_programs(self, paper_engine, paper_query):
+        # Both rewritings' join programs lay out (FID, FName, Desc, Text),
+        # so only the citation programs' atoms tell the swap apart.
+        plan = paper_engine.compile_plan(paper_query)
+        (first, first_prelude), (second, second_prelude) = plan.compiled
+        assert first.variables == second.variables
+        object.__setattr__(
+            plan, "compiled", ((second, first_prelude), (first, second_prelude))
+        )
+        report = verify_citation_plan(plan)
+        assert codes(report) == ["I004"]
+        assert any("does not follow the rewriting's body" in d.message for d in report.errors)
+
+    def test_verify_plan_catches_citation_program_on_another_layout(
+        self, paper_engine, paper_query
+    ):
+        plan = paper_engine.compile_plan(paper_query)
+        (rewriting, *_), ((_citation, prelude), *rest) = plan.rewritings, plan.compiled
+        # Laid out in variable-name order, not on the join program's slots.
+        by_name = CitationProgram(rewriting, paper_engine._citation_view_by_name)
+        assert by_name.variables != prelude.reduced.program.variables
+        object.__setattr__(plan, "compiled", ((by_name, prelude), *rest))
+        assert "I004" in codes(verify_citation_plan(plan))
+
+    def test_verify_plan_catches_a_parameter_read_from_a_foreign_slot(
+        self, paper_engine, paper_query
+    ):
+        plan = paper_engine.compile_plan(paper_query)
+        citation, prelude = plan.compiled[0]
+        slot_of = prelude.reduced.program.variables.index
+        (view, sources, key), *others = citation.atoms
+        assert view == "V1" and sources == (("FID", slot_of(Variable("FID"))),)
+        # Text is a variable of V3's atom, not of V1's.
+        citation.atoms = ((view, (("FID", slot_of(Variable("Text"))),), key), *others)
+        report = verify_citation_plan(plan)
+        assert codes(report) == ["I004"]
+        assert any("holds no variable of its view atom" in d.message for d in report.errors)
 
     def test_strict_via_cite_on_healthy_engine_is_silent(self, paper_engine, paper_query):
         result = paper_engine.cite(paper_query)

@@ -3,6 +3,7 @@
 import pytest
 
 import repro.analysis.ir as ir_module
+import repro.core.engine as engine_module
 import repro.query.evaluator as evaluator_module
 from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
 from repro.core.citation_view import CitationView, DefaultCitationFunction
@@ -315,6 +316,47 @@ class TestNoRewriting:
         snapshot = engine.evaluation_metrics.snapshot()
         assert snapshot["sharding"]["reasons"] == {"no_workers": 1}
         assert sum(snapshot["picks"].values()) == 1
+
+    def test_cached_fallback_over_a_view_follows_its_base_relation(self):
+        """A fallback body may name a citation view; a write to the view's
+        base relation must retire the cached answer."""
+        database = gtopdb.paper_instance()
+        engine = CitationEngine(database, gtopdb.citation_views(), on_no_rewriting="fallback")
+        request = CitationRequest(query="Q(N) :- V2(F, N, D)")
+        with CitationService(engine) as service:
+            first = service.submit(request).unwrap()
+            database.insert("Family", (777, "Added", "d"))
+            response = service.submit(request)
+        fresh = CitationEngine(
+            database, gtopdb.citation_views(), on_no_rewriting="fallback"
+        ).cite(request.query)
+        assert first.used_fallback and len(first) == 2
+        assert not response.cached
+        assert response.unwrap().rows() == fresh.rows()
+        assert len(fresh) == 3
+
+    def test_fallback_over_base_relations_leaves_the_views_alone(self, monkeypatch):
+        """A fallback query that names no view neither materializes the views
+        nor patches them after a write."""
+        database = gtopdb.generate(families=20, targets_per_family=2, seed=3)
+        engine = CitationEngine(database, gtopdb.citation_views(), on_no_rewriting="fallback")
+        materialized: list = []
+        real = engine_module.materialize_views
+
+        def counting(views, db):
+            materialized.extend(view.name for view in views)
+            return real(views, db)
+
+        monkeypatch.setattr(engine_module, "materialize_views", counting)
+        text = "Q(TName, FName) :- Target(TID, FID, TName, TT), Family(FID, FName, D)"
+        assert engine.cite(text).used_fallback
+        assert materialized == []
+        engine.view_relations()
+        database.insert("Family", (777, "Added", "d"))
+        result = engine.cite(text)
+        assert result.rows() == evaluate(parse_query(text), database).sorted_rows()
+        assert engine.refresh_stats()["views_patched"] == 0
+        assert materialized == ["V1", "V2", "V3"]
 
 
 class TestValidation:
