@@ -88,11 +88,9 @@ def test_e14_batch_matches_sequential():
     )
 
     service_engine = _make_engine()
-    with CitationService(service_engine) as service:
+    with CitationService(service_engine, max_workers=8) as service:
         responses, batch_elapsed = _timed(
-            lambda: service.submit_batch(
-                [CitationRequest(query=query) for query in queries], max_workers=8
-            )
+            lambda: service.submit_batch([CitationRequest(query=query) for query in queries])
         )
         assert all(response.ok for response in responses)
         for expected, response in zip(sequential, responses):

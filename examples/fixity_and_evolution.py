@@ -5,7 +5,9 @@ result; the database then evolves (new families are added, an introduction is
 rewritten).  Later the citation is resolved again: the reader gets back the
 data exactly as cited, verified against the recorded content hash, while a
 fresh citation reflects the new release.  A second part keeps the citations
-of a standing query up to date incrementally as updates stream in.
+of a standing query up to date incrementally as updates stream into the
+database: the maintainer follows the database's change log and brings its
+result forward whenever it is read.
 
 Run with:  python examples/fixity_and_evolution.py
 """
@@ -67,7 +69,7 @@ def evolution_walkthrough() -> None:
         ("Committee", (901, "New Curator")),                     # snippet-only update
     ]
     for relation, row in updates:
-        maintainer.insert(relation, row)
+        database.insert(relation, row)
         print(f"after insert into {relation!r}: answers={len(maintainer.result)}, "
               f"recomputed rows so far={maintainer.statistics.rows_recomputed}")
 

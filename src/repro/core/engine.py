@@ -186,6 +186,15 @@ def row_image(view: View, schema: DatabaseSchema) -> Callable[[tuple], tuple | N
     return image
 
 
+def holds_reached(expression: CitationExpression, keys: set[CitationKey], whole: set[str]) -> bool:
+    """Whether *expression* holds a record that logged changes reach: an atom
+    of a *whole* view or one whose key is in *keys* (see ``CitationEngine._reach``)."""
+    return any(
+        atom.view_name in whole or (atom.view_name, atom.parameter_items) in keys
+        for atom in expression.atoms()
+    )
+
+
 def _with_atoms_from(expression: CitationExpression, cache: AtomCache) -> CitationExpression:
     """*expression* with every atom replaced by the cache's atom for its key."""
     if isinstance(expression, CitationAtom):
@@ -1144,11 +1153,7 @@ class CitationEngine:
         patched = False
         tuple_citations: list[TupleCitation] = []
         for tc in result.tuple_citations:
-            if any(
-                atom.view_name in reached
-                and (atom.view_name in whole or (atom.view_name, atom.parameter_items) in keys)
-                for atom in tc.expression.atoms()
-            ):
+            if holds_reached(tc.expression, keys, whole):
                 if deadline is not None:
                     deadline.check("assembly")
                 expression = _with_atoms_from(tc.expression, cache)
@@ -1194,6 +1199,14 @@ class CitationEngine:
             evaluator.strategy = self.strategy
         return evaluator
 
+    def evaluate_uncovered(self, query: ConjunctiveQuery) -> Relation:
+        """The answer of *query*, which no rewriting covers, from the engine's
+        evaluator; the views are bound only when its body names one."""
+        evaluator = self._execution_evaluator(
+            views=any(atom.predicate in self._view_reads for atom in query.body)
+        )
+        return evaluator.evaluate(query.without_parameters())
+
     def _handle_no_rewriting(
         self,
         query: ConjunctiveQuery,
@@ -1206,10 +1219,7 @@ class CitationEngine:
         fallback = self.fallback_citation or CitationRecord(
             {"title": "Cited database", "note": "no citation view covers this query"}
         )
-        evaluator = self._execution_evaluator(
-            views=any(atom.predicate in self._view_reads for atom in query.body)
-        )
-        result_relation = evaluator.evaluate(query.without_parameters())
+        result_relation = self.evaluate_uncovered(query)
         rows = result_relation.rows
         atom = CitationAtom("__database__", {}, fallback)
         tuple_citations = [

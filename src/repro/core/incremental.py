@@ -1,33 +1,40 @@
 """Incremental citation maintenance (Section 3, "Citation evolution").
 
-Data and citation views evolve over time.  Recomputing every citation after
-every update is wasteful; the paper calls computing citations incrementally
-"an intriguing computational challenge".  The
-:class:`IncrementalCitationMaintainer` keeps the cited result of one query up
-to date under base-table inserts and deletes:
+Recomputing every citation after every update is wasteful; the paper calls
+computing citations incrementally "an intriguing computational challenge".
+The :class:`IncrementalCitationMaintainer` keeps the cited result of one
+query current under writes made through the
+:class:`~repro.relational.database.Database`, by any writer: the database's
+change log is its only input.  Reading the result brings it forward
+(:meth:`~IncrementalCitationMaintainer.refresh`):
 
-* updates to relations that none of the used views mention are absorbed with
-  no work at all (the common case for a curated database with many tables);
-* inserts are handled with semi-naive delta evaluation: only bindings that
-  use at least one *new* view row are enumerated and added;
-* deletes first compute which view rows disappeared; only output tuples whose
-  citation used one of those rows are re-derived.
+* :meth:`CitationEngine.refresh_result` goes first, re-stamping a result no
+  logged change reaches or rebuilding the rows whose records alone changed;
+* when the result's views only gained rows, semi-naive delta evaluation
+  finds the output rows with a derivation through a *new* view row, and
+  those rows, plus every row holding a record the changes reach, are
+  re-derived;
+* otherwise the held plan is executed again, and compiled again first when
+  it is economical or the cache epoch moved.
 
-A full recomputation path (:meth:`recompute`) is kept for comparison — the E7
-benchmark measures the speed-up of the incremental path over it.
+The held view extents are the engine's own relation objects (the engine
+replaces a view it patches or re-materialises), so no copy is kept.
+:meth:`~IncrementalCitationMaintainer.recompute` cites from scratch; the E7
+benchmark measures the incremental path against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Mapping
+from dataclasses import dataclass, replace
+from collections.abc import Mapping
 
 from repro.core.engine import (
     CitationEngine,
+    CitationPlan,
     CitedResult,
     PlanToken,
-    TupleCitation,
     aggregate_citation,
+    holds_reached,
 )
 from repro.core.citation import Citation
 from repro.errors import CitationError
@@ -35,20 +42,14 @@ from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
 from repro.query.evaluator import Binding, QueryEvaluator
 from repro.relational.relation import Relation
 from repro.rewriting.rewriting import Rewriting
-from repro.rewriting.view import View
-
-#: Signature of a maintenance listener: ``(relation, kind)`` where *kind* is
-#: one of ``"answer"`` (the cited result was patched), ``"records"`` (only
-#: snippet contents were refreshed) or ``"ignored"`` (the update did not
-#: affect the maintained result).  The serving layer registers one of these
-#: to observe maintenance activity; cache *correctness* does not depend on it
-#: (stale plans are already rejected via the database generation token).
-MaintenanceListener = Callable[[str, str], None]
 
 
 @dataclass
 class MaintenanceStatistics:
-    """Counters describing the work done by the maintainer."""
+    """Counters of the maintainer's work: logged generations consumed and
+    those absorbed with no row touched; rows re-derived (an execution counts
+    every row), gained and lost; full recomputations (the initial citation
+    and each :meth:`IncrementalCitationMaintainer.recompute`)."""
 
     updates_seen: int = 0
     updates_ignored: int = 0
@@ -59,218 +60,160 @@ class MaintenanceStatistics:
 
 
 class IncrementalCitationMaintainer:
-    """Keeps the cited result of one query current under database updates."""
+    """Keeps the cited result of one query current under database updates.
+
+    Construction cites the query over the engine's caches as they stand and
+    counts as the one full recomputation.
+    """
 
     def __init__(self, engine: CitationEngine, query: ConjunctiveQuery | str) -> None:
         self.engine = engine
         self.query = engine._as_query(query)
-        self.statistics = MaintenanceStatistics()
-        self._listeners: list[MaintenanceListener] = []
-        self._result: CitedResult | None = None
-        # The engine token the result is current at.
-        self._token: PlanToken = engine.plan_token()
-        self._view_extents: dict[str, set[tuple]] = {}
-        self._relations_of_interest: set[str] = set()
-        self._citation_relations: set[str] = set()
-        self.recompute()
+        self.statistics = MaintenanceStatistics(full_recomputations=1)
+        self._cite()
 
     # -- state -----------------------------------------------------------------
     @property
     def result(self) -> CitedResult:
-        """The current cited result."""
-        assert self._result is not None
-        return self._result
+        """The cited result, brought forward to the database's current state."""
+        return self.refresh()
 
     def citation(self) -> Citation:
         """The current aggregate citation."""
         return self.result.citation
 
-    def _rewritings(self) -> list[Rewriting]:
-        return self.result.rewritings
+    def _cite(self) -> None:
+        """Compile and execute the query with the engine's caches as they stand."""
+        self._token: PlanToken = self.engine.plan_token()
+        self._plan: CitationPlan = self.engine.compile_plan(self.query)
+        self._take(self.engine.execute_plan(self._plan))
 
-    # -- invalidation hooks -----------------------------------------------------
-    def add_change_listener(self, listener: MaintenanceListener) -> None:
-        """Register a callback invoked after every processed update."""
-        self._listeners.append(listener)
-
-    def remove_change_listener(self, listener: MaintenanceListener) -> None:
-        """Unregister a previously added listener (no-op if absent)."""
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
-    def _notify(self, relation: str, kind: str) -> None:
-        for listener in self._listeners:
-            listener(relation, kind)
-
-    def _views_in_use(self) -> list[View]:
-        views: list[View] = []
-        for rewriting in self._rewritings():
-            for view in rewriting.views_used():
-                if view not in views:
-                    views.append(view)
-        return views
+    def _take(self, result: CitedResult) -> None:
+        """Hold *result* and the extents of the views its rewritings read."""
+        self._result = result
+        relations = self.engine.view_relations() if result.rewritings else {}
+        self._views = {
+            atom.predicate: relations[atom.predicate]
+            for rewriting in result.rewritings
+            for atom in rewriting.query.body
+        }
 
     # -- full recomputation -------------------------------------------------------
     def recompute(self) -> CitedResult:
-        """Recompute the cited result from scratch (also refreshes caches)."""
+        """Recompute the cited result from scratch (also drops the engine's caches)."""
         self.engine.invalidate_caches()
-        result = self._cite()
+        self._cite()
         self.statistics.full_recomputations += 1
-        return result
-
-    def _cite(self) -> CitedResult:
-        """Cite the query with the engine's caches as they stand, and take
-        the view extents and relation sets maintenance reads from it."""
-        self._token = self.engine.plan_token()
-        self._result = self.engine.cite(self.query)
-        self._view_extents = {
-            name: set(relation.rows)
-            for name, relation in self.engine.view_relations().items()
-        }
-        self._relations_of_interest = {
-            atom.predicate
-            for view in self._views_in_use()
-            for atom in view.query.body
-        }
-        views_in_use = {view.name for view in self._views_in_use()}
-        self._citation_relations = {
-            atom.predicate
-            for citation_view in self.engine.citation_views
-            if citation_view.name in views_in_use
-            for citation_query in citation_view.citation_queries
-            for atom in citation_query.body
-        } - self._relations_of_interest
         return self._result
 
-    # -- update entry points ----------------------------------------------------------
-    def insert(self, relation: str, row: tuple | Mapping[str, object]) -> bool:
-        """Apply an insert to the database and maintain the citations."""
-        changed = self.engine.database.insert(relation, row)
-        return self._after_update(relation, changed)
-
-    def delete(self, relation: str, row: tuple) -> bool:
-        """Apply a delete to the database and maintain the citations."""
-        changed = self.engine.database.delete(relation, row)
-        return self._after_update(relation, changed)
-
-    def _after_update(self, relation: str, changed: bool) -> bool:
-        self.statistics.updates_seen += 1
-        if not changed:
-            self.statistics.updates_ignored += 1
-            return False
-        if relation in self._relations_of_interest:
-            self._apply_view_deltas()
-            self._token = self.engine.plan_token()
-            self._notify(relation, "answer")
-            return True
-        if relation in self._citation_relations:
-            # Only the snippet contents changed: the answer set and the
-            # expressions' structure are unaffected.
-            self._refresh_citation_records()
-            self._notify(relation, "records")
-            return True
-        self._token = self.engine.plan_token()
-        self.statistics.updates_ignored += 1
-        self._notify(relation, "ignored")
-        return False
-
-    def _refresh_citation_records(self) -> None:
-        """Rebuild the tuple citations a snippet update reaches.
-
-        The engine brings the result forward through its change log,
-        rebuilding just the rows whose citation holds a record the update
-        can reach (:meth:`CitationEngine.refresh_result`).  When it cannot
-        (an economical result, whose selection read the data, or a moved
-        cache epoch), the query is cited again over the engine's caches as
-        they stand, every row counting as recomputed.
-        """
-        refreshed = self.engine.refresh_result(self.result, self._token)
-        if refreshed is None:
-            self.statistics.rows_recomputed += len(self._cite())
+    # -- bringing the result forward -------------------------------------------------
+    def refresh(self) -> CitedResult:
+        """Bring the held result forward over the database's logged changes."""
+        token = self.engine.plan_token()
+        if token == self._token:
+            return self._result
+        statistics = self.statistics
+        seen = token[0] - self._token[0]
+        statistics.updates_seen += seen
+        result = self._result
+        brought = self.engine.refresh_result(result, self._token)
+        if brought is not None:
+            self._result, self._token = brought
+            if self._result is result:
+                statistics.updates_ignored += seen
+            return self._result
+        changes = self.engine.database.changes_since(self._token[0])
+        relations = self.engine.view_relations() if self._views else {}
+        if (
+            changes is None
+            or token[1] != self._token[1]
+            or self._plan.data_dependent
+            or (added := self._added_view_rows(relations)) is None
+        ):
+            self._execute(token)
+            return self._result
+        self._token = (changes[0], token[1])
+        # Delta and per-row queries probe a few rows: the plain program over
+        # the engine's view indexes, with no cost model and no shards.
+        evaluator = QueryEvaluator(
+            self.engine.database,
+            extra_relations=relations,
+            index_manager=self.engine._index_manager,
+            strategy="program",
+        )
+        rows = self._delta_output_rows(evaluator, added)
+        keys, whole, _ = self.engine._reach(changes[1])
+        if keys or whole:
+            rows.update(
+                tc.row
+                for tc in result.tuple_citations
+                if holds_reached(tc.expression, keys, whole)
+            )
+        if rows:
+            self._patch_rows(evaluator, rows)
         else:
-            self._result, self._token = refreshed
+            statistics.updates_ignored += seen
+        self._take(self._result)
+        return self._result
+
+    def _added_view_rows(self, relations: Mapping[str, Relation]) -> dict[str, set[tuple]] | None:
+        """The rows each held view gained since the held token; ``None``
+        when a view lost rows (or the result reads no view)."""
+        if not self._views:
+            return None
+        added: dict[str, set[tuple]] = {}
+        for name, old in self._views.items():
+            new = relations[name]
+            if new is not old:
+                old_rows, new_rows = old.rows, new.rows
+                if not old_rows <= new_rows:
+                    return None
+                if gained := new_rows - old_rows:
+                    added[name] = set(gained)
+        return added
+
+    def _execute(self, token: PlanToken) -> None:
+        """Execute the held plan again; compile it first when it is
+        economical or the cache epoch moved."""
+        old_rows = self._result.result.rows
+        if self._plan.data_dependent or token[1] != self._token[1]:
+            self._cite()
+        else:
+            self._token = token
+            self._take(self.engine.execute_plan(self._plan))
+        new_rows = self._result.result.rows
+        self.statistics.rows_recomputed += len(new_rows)
+        self.statistics.rows_added += len(new_rows - old_rows)
+        self.statistics.rows_removed += len(old_rows - new_rows)
 
     # -- delta machinery -----------------------------------------------------------------
-    def _apply_view_deltas(self) -> None:
-        """Refresh view extents, find added/removed view rows and patch the result.
-
-        ``engine.view_relations()`` re-materialises by itself the views over
-        the mutated relation (the others keep their relations), so no forced
-        invalidation is needed here.
-        """
-        new_extents = {
-            name: set(relation.rows)
-            for name, relation in self.engine.view_relations().items()
-        }
-        added: dict[str, set[tuple]] = {}
-        removed: dict[str, set[tuple]] = {}
-        for name, rows in new_extents.items():
-            old = self._view_extents.get(name, set())
-            plus = rows - old
-            minus = old - rows
-            if plus:
-                added[name] = plus
-            if minus:
-                removed[name] = minus
-        self._view_extents = new_extents
-        if not added and not removed:
-            self.statistics.updates_ignored += 1
-            return
-        affected_rows = self._rows_using(removed) if removed else set()
-        new_rows = self._delta_output_rows(added) if added else set()
-        self._patch_rows(affected_rows | new_rows)
-
-    def _rows_using(self, removed: Mapping[str, set[tuple]]) -> set[tuple]:
-        """Output rows whose citation used a view row that has disappeared.
-
-        Conservative: an output row is affected when, for some rewriting, one
-        of its recorded bindings instantiates a view atom to a removed row.
-        Bindings are re-derived from the stored tuple citations' expressions
-        (the parameter valuations) plus the rewriting structure; to stay
-        sound we simply mark every output row of a rewriting that uses a view
-        with removed rows.  Precision is then restored by re-deriving those
-        rows (rows that still have derivations keep their citations).
-        """
-        views_with_removals = set(removed)
-        affected: set[tuple] = set()
-        for rewriting in self._rewritings():
-            if views_with_removals & {atom.predicate for atom in rewriting.query.body}:
-                affected.update(tc.row for tc in self.result.tuple_citations)
-                break
-        return affected
-
-    def _delta_output_rows(self, added: Mapping[str, set[tuple]]) -> set[tuple]:
+    def _delta_output_rows(
+        self, evaluator: QueryEvaluator, added: Mapping[str, set[tuple]]
+    ) -> set[tuple]:
         """Output rows that gain at least one new derivation (semi-naive delta)."""
+        for name, rows in added.items():
+            evaluator.extra_relations[f"__delta_{name}__"] = Relation.of_valid_rows(
+                evaluator.extra_relations[name].schema, rows
+            )
         new_rows: set[tuple] = set()
-        relations = self.engine.view_relations()
-        for rewriting in self._rewritings():
-            for index, atom in enumerate(rewriting.query.body):
-                delta_rows = added.get(atom.predicate)
-                if not delta_rows:
-                    continue
-                delta_name = f"__delta_{atom.predicate}__"
-                extras = dict(relations)
-                extras[delta_name] = Relation(
-                    relations[atom.predicate].schema, delta_rows
-                )
-                body = list(rewriting.query.body)
-                body[index] = Atom(delta_name, atom.terms)
-                delta_query = ConjunctiveQuery(
-                    rewriting.query.head, tuple(body), rewriting.query.equalities
-                )
-                evaluator = QueryEvaluator(self.engine.database, extra_relations=extras)
-                for binding in evaluator.bindings(delta_query):
-                    new_rows.add(evaluator.output_tuple(delta_query, binding))
+        for rewriting in self._result.rewritings:
+            query = rewriting.query
+            for index, atom in enumerate(query.body):
+                if atom.predicate in added:
+                    delta = Atom(f"__delta_{atom.predicate}__", atom.terms)
+                    body = (*query.body[:index], delta, *query.body[index + 1 :])
+                    delta_query = ConjunctiveQuery(query.head, body, query.equalities)
+                    new_rows.update(evaluator.evaluate(delta_query).rows)
         return new_rows
 
     # -- row-level patching -------------------------------------------------------------------
-    def _bindings_for_row(self, rewriting: Rewriting, row: tuple) -> list[Binding]:
+    @staticmethod
+    def _bindings_for_row(
+        evaluator: QueryEvaluator, rewriting: Rewriting, row: tuple
+    ) -> list[Binding]:
         """All bindings of *rewriting* that produce exactly *row*."""
-        head_terms = rewriting.query.head_terms
         substitution: dict[Variable, Constant] = {}
-        for term, value in zip(head_terms, row):
+        for term, value in zip(rewriting.query.head_terms, row):
             if isinstance(term, Variable):
                 existing = substitution.get(term)
                 if existing is not None and existing.value != value:
@@ -278,54 +221,33 @@ class IncrementalCitationMaintainer:
                 substitution[term] = Constant(value)
             elif isinstance(term, Constant) and term.value != value:
                 return []
+        values = {variable: constant.value for variable, constant in substitution.items()}
         bound_query = rewriting.query.substitute(substitution)
-        evaluator = QueryEvaluator(
-            self.engine.database, extra_relations=self.engine.view_relations()
-        )
-        bindings = []
-        for binding in evaluator.bindings(bound_query):
-            merged: Binding = dict(binding)
-            for variable, constant in substitution.items():
-                merged[variable] = constant.value
-            bindings.append(merged)
-        return bindings
+        return [{**binding, **values} for binding in evaluator.bindings(bound_query)]
 
-    def _recompute_tuple(self, row: tuple) -> TupleCitation | None:
-        """Re-derive the citation of one output row (``None`` when it vanished)."""
-        alternatives = [
-            (rewriting, bindings)
-            for rewriting in self._rewritings()
-            if (bindings := self._bindings_for_row(rewriting, row))
-        ]
-        return self.engine.cite_row(row, alternatives) if alternatives else None
-
-    def _patch_rows(self, rows: Iterable[tuple]) -> None:
-        rows = set(rows)
-        if not rows:
-            return
-        result = self.result
+    def _patch_rows(self, evaluator: QueryEvaluator, rows: set[tuple]) -> None:
+        """Re-derive the citations of *rows*, dropping those that vanished."""
+        result = self._result
         surviving = [tc for tc in result.tuple_citations if tc.row not in rows]
-        existing_rows = {tc.row for tc in result.tuple_citations}
-        for row in sorted(rows, key=repr):
-            patched = self._recompute_tuple(row)
+        existing_rows = result.result.rows
+        for row in rows:
+            alternatives = [
+                (rewriting, bindings)
+                for rewriting in result.rewritings
+                if (bindings := self._bindings_for_row(evaluator, rewriting, row))
+            ]
             self.statistics.rows_recomputed += 1
-            if patched is not None:
-                surviving.append(patched)
-                if row not in existing_rows:
-                    self.statistics.rows_added += 1
-            elif row in existing_rows:
-                self.statistics.rows_removed += 1
+            if alternatives:
+                surviving.append(self.engine.cite_row(row, alternatives))
+                self.statistics.rows_added += row not in existing_rows
+            else:
+                self.statistics.rows_removed += row in existing_rows
         surviving.sort(key=lambda tc: repr(tc.row))
-
-        new_relation = Relation(result.result.schema, (tc.row for tc in surviving))
-        self._result = CitedResult(
-            query=result.query,
-            rewritings=result.rewritings,
+        self._result = replace(
+            result,
             tuple_citations=surviving,
-            citation=aggregate_citation(surviving, self.engine.policy, self.query),
-            policy=result.policy,
-            mode=result.mode,
-            result=new_relation,
+            citation=aggregate_citation(surviving, result.policy, result.query),
+            result=Relation.of_valid_rows(result.result.schema, {tc.row for tc in surviving}),
         )
 
     # -- invariants -------------------------------------------------------------------------------
@@ -334,8 +256,9 @@ class IncrementalCitationMaintainer:
 
         Raises :class:`CitationError` on divergence; used heavily in tests.
         """
+        maintained = self.result
         fresh_engine_result = self.engine.cite(self.query)
-        maintained_rows = {tc.row for tc in self.result.tuple_citations}
+        maintained_rows = {tc.row for tc in maintained.tuple_citations}
         fresh_rows = {tc.row for tc in fresh_engine_result.tuple_citations}
         if maintained_rows != fresh_rows:
             raise CitationError(
@@ -343,5 +266,5 @@ class IncrementalCitationMaintainer:
                 f"maintained={sorted(maintained_rows, key=repr)} "
                 f"fresh={sorted(fresh_rows, key=repr)}"
             )
-        if self.result.citation.records != fresh_engine_result.citation.records:
+        if maintained.citation.records != fresh_engine_result.citation.records:
             raise CitationError("incremental maintenance diverged on the aggregate citation")

@@ -128,12 +128,7 @@ def execute_union_plan(
     ):
         if disjunct_plan is None:
             uncovered.append(index)
-            from repro.query.evaluator import QueryEvaluator
-
-            rows = QueryEvaluator(engine.database).evaluate(
-                disjunct.without_parameters()
-            ).rows
-            all_rows.update(rows)
+            all_rows.update(engine.evaluate_uncovered(disjunct).rows)
             per_disjunct_rewritings.append(0)
             continue
         result = engine.execute_plan(disjunct_plan)

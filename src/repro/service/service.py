@@ -322,7 +322,6 @@ class CitationService:
         self,
         requests: Sequence[CitationRequest],
         timeout: float | None = None,
-        max_workers: int | None = None,
     ) -> list[CitationResponse]:
         """Serve a batch concurrently with deduplication and error isolation.
 
@@ -342,10 +341,7 @@ class CitationService:
         """
         self._ensure_open()
         self.metrics.increment("batch_requests")
-        if max_workers is not None and max_workers != self.max_workers:
-            with self._batch_pool(max_workers) as executor:
-                return self._submit_deduplicated(requests, executor, timeout)
-        return self._submit_deduplicated(requests, self._pool(), timeout)
+        return self._submit_deduplicated(requests, timeout)
 
     # -- bare conjunctive queries -----------------------------------------------
     def _cq_request(
@@ -471,27 +467,6 @@ class CitationService:
                 )
             return self._executor
 
-    @contextlib.contextmanager
-    def _batch_pool(self, max_workers: int):
-        """An ad-hoc pool for one batch with an explicit worker override.
-
-        Shut down with ``wait=False``: the batch *timeout* is a **response
-        deadline**, so the call must return the moment every response is
-        decided.  A ``with ThreadPoolExecutor(...)`` block would block on
-        exit until timed-out stragglers finish — with ``timeout=2`` and one
-        hung backend the batch would not return for the straggler's full
-        runtime.  Letting stragglers finish in the background is safe: a
-        straggler only writes through to the token-stamped result cache,
-        exactly like the persistent pool's documented behaviour.
-        """
-        executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="citation-batch"
-        )
-        try:
-            yield executor
-        finally:
-            executor.shutdown(wait=False)
-
     def _cache_key(
         self, backend: CitationBackend, key: str, request: CitationRequest
     ) -> Hashable:
@@ -503,7 +478,7 @@ class CitationService:
         request: CitationRequest,
         parsed: Any,
         key: str,
-        started: float | None = None,
+        started: float,
     ) -> CitationResponse:
         """Serve an already routed, parsed and fingerprinted request.
 
@@ -547,12 +522,8 @@ class CitationService:
         request: CitationRequest,
         parsed: Any,
         key: str,
-        started: float | None = None,
+        started: float,
     ) -> CitationResponse:
-        if started is None:
-            started = time.perf_counter()
-            self.metrics.increment("requests")
-            self.metrics.increment_backend(backend.name, "requests")
         try:
             with self._request_deadline(request):
                 result, cached, stale = self._admitted_through_caches(
@@ -848,18 +819,13 @@ class CitationService:
     def _submit_deduplicated(
         self,
         requests: Sequence[CitationRequest],
-        executor: ThreadPoolExecutor,
         timeout: float | None,
     ) -> list[CitationResponse]:
         tracer = self.tracer()
         if not tracer.enabled:
-            return self._submit_deduplicated_inner(
-                requests, executor, timeout, propagate=False
-            )
+            return self._submit_deduplicated_inner(requests, timeout, propagate=False)
         with tracer.span("service.batch", size=len(requests)) as span:
-            responses = self._submit_deduplicated_inner(
-                requests, executor, timeout, propagate=True
-            )
+            responses = self._submit_deduplicated_inner(requests, timeout, propagate=True)
             span.set_attribute(
                 "errors", sum(1 for response in responses if not response.ok)
             )
@@ -868,10 +834,10 @@ class CitationService:
     def _submit_deduplicated_inner(
         self,
         requests: Sequence[CitationRequest],
-        executor: ThreadPoolExecutor,
         timeout: float | None,
         propagate: bool,
     ) -> list[CitationResponse]:
+        executor = self._pool()
         batch_started = time.monotonic()
         batch_deadline = (
             None if timeout is None else Deadline(batch_started + timeout)
@@ -926,8 +892,6 @@ class CitationService:
 
         def serve_representative(cache_key: Hashable, index: int) -> CitationResponse:
             backend, parsed = prepared[index]  # type: ignore[misc]
-            # The representative's "requests" counter was already bumped in
-            # the grouping loop; _serve_routed must not double-count it.
             started = time.perf_counter()
             if batch_deadline is None:
                 return self._serve_routed(

@@ -78,6 +78,23 @@ class TestUnionCitations:
         assert result.uncovered_disjuncts == [1]
         assert len(result) == 3  # answers still complete (FIDs 11, 12, 13)
 
+    def test_uncovered_disjunct_over_a_view_runs_on_the_engine(self, paper_views):
+        # A disjunct naming a citation view has no rewriting; skipped, it is
+        # evaluated by the engine's evaluator, which binds the views and
+        # counts the evaluation in the engine's metrics.
+        covered = "Q(N) :- Family(F, N, D), FamilyIntro(F, T)"
+
+        def picks(engine):
+            return sum(engine.evaluation_metrics.snapshot()["picks"].values())
+
+        alone = CitationEngine(gtopdb.paper_instance(), paper_views)
+        cite_union(alone, covered)
+        engine = CitationEngine(gtopdb.paper_instance(), paper_views)
+        result = cite_union(engine, f"{covered}\nQ(N) :- V2(F, N, D)", on_uncovered_disjunct="skip")
+        assert result.uncovered_disjuncts == [1]
+        assert set(result.rows()) == {("Adenosine",), ("Calcitonin",)}
+        assert picks(engine) == picks(alone) + 1
+
     def test_aggregate_size_under_default_policy(self, paper_db, paper_views, name_union):
         engine = CitationEngine(paper_db, paper_views, policy=CitationPolicy.default())
         result = cite_union(engine, name_union)

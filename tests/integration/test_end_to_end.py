@@ -87,9 +87,9 @@ class TestEvolutionAtScale:
         maintainer = IncrementalCitationMaintainer(engine, gtopdb.paper_query())
         next_fid = 1000
         for step in range(5):
-            maintainer.insert("Family", (next_fid + step, f"NewFam {step}", "desc"))
-            maintainer.insert("FamilyIntro", (next_fid + step, f"intro {step}"))
-            maintainer.insert("Ligand", (5000 + step, f"L{step}", "peptide"))
+            db.insert("Family", (next_fid + step, f"NewFam {step}", "desc"))
+            db.insert("FamilyIntro", (next_fid + step, f"intro {step}"))
+            db.insert("Ligand", (5000 + step, f"L{step}", "peptide"))
         maintainer.check_consistency()
         assert maintainer.statistics.updates_seen == 15
 

@@ -31,6 +31,14 @@ entries forward through the change log (re-stamped, or with the reached
 rows' citations patched) where it can.  Each answer must be byte-identical
 to the fresh engine's.
 
+Two :class:`IncrementalCitationMaintainer` instances, for the paper query
+and for Q6, are built on the long-lived engine before any of that warm-up.
+They follow the database's change log, and after every step each
+maintained result must be byte-identical to the fresh engine's formal-mode
+result.  Q6 is there because its views include ``V7``, whose records a
+``Ligand`` change reaches wholesale, and ``V9`` and ``V12``, which read
+``Ligand``.
+
 Besides the paper's extended views the engine carries six more:
 
 * ``V7``, whose citation query joins ``Contributor`` (keyed by the
@@ -59,7 +67,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.relational.database as database_module
-from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
+from repro import (
+    CitationEngine,
+    CitationPolicy,
+    CitationRequest,
+    CitationService,
+    IncrementalCitationMaintainer,
+    parse_query,
+)
 from repro.core.citation_view import CitationView, DefaultCitationFunction
 from repro.errors import IntegrityError
 from repro.workloads import gtopdb
@@ -263,6 +278,7 @@ class TestDeltaInvalidation:
         database.enforce_foreign_keys = False  # edits may leave dangling rows
         rng = random.Random(seed)
         engine = CitationEngine(database, views(), policy=policy, strategy=strategy)
+        maintained = [IncrementalCitationMaintainer(engine, QUERIES[i]) for i in (0, 5)]
         with CitationService(engine, startup_lint=False) as service:
             held = [engine.compile_plan(query, "formal") for query in QUERIES]
             for query, plan in zip(QUERIES, held):
@@ -291,4 +307,8 @@ class TestDeltaInvalidation:
                 for plan in held:
                     assert dump(engine.execute_plan(plan)) == expected[plan.query, "formal"], (
                         step, plan.query.name
+                    )
+                for maintainer in maintained:
+                    assert dump(maintainer.result) == expected[maintainer.query, "formal"], (
+                        step, maintainer.query.name
                     )

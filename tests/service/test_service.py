@@ -240,10 +240,11 @@ class TestBatching:
         assert service.metrics.counter("executions") == 1
         assert service.metrics.counter("deduplicated") == 4
 
-    def test_cite_many_matches_sequential(self, service, engine):
+    def test_cite_many_matches_sequential(self, engine):
         queries = list(gtopdb.example_queries()) * 2
         sequential = [engine.cite(query) for query in queries]
-        responses = service.submit_batch(requests_for(queries), max_workers=6)
+        with CitationService(engine, max_workers=6) as service:
+            responses = service.submit_batch(requests_for(queries))
         assert len(responses) == len(queries)
         assert all(response.ok for response in responses)
         for expected, response in zip(sequential, responses):
@@ -368,22 +369,34 @@ class TestGenerationTracking:
 
 
 class TestIncrementalHooks:
-    def test_maintainer_notifies_listeners(self):
+    def test_maintainer_classifies_writes(self):
+        # The maintainer follows the database's change log: each read
+        # consumes the generations written since the last one.
         engine = CitationEngine(
             gtopdb.paper_instance(),
             gtopdb.citation_views(),
             policy=CitationPolicy.union_everywhere(),
         )
         maintainer = IncrementalCitationMaintainer(engine, gtopdb.paper_query())
-        events = []
-        maintainer.add_change_listener(lambda relation, kind: events.append((relation, kind)))
-        maintainer.insert("Family", (50, "Maintained family", "d"))
-        maintainer.insert("FamilyIntro", (50, "intro"))
-        maintainer.insert("Ligand", (50, "L", "peptide"))
-        maintainer.insert("Committee", (50, "New curator"))
-        kinds = [kind for _relation, kind in events]
-        assert kinds[:2] == ["answer", "answer"]
-        assert "ignored" in kinds and "records" in kinds
+        statistics = maintainer.statistics
+        database = engine.database
+        # Two answer changes: a family and its introduction add a row.
+        database.insert("Family", (50, "Maintained family", "d"))
+        database.insert("FamilyIntro", (50, "intro"))
+        assert ("Maintained family",) in maintainer.result.rows()
+        assert (statistics.updates_seen, statistics.updates_ignored) == (2, 0)
+        assert (statistics.rows_recomputed, statistics.rows_added) == (1, 1)
+        # A Ligand write reaches nothing the query cites: ignored.
+        held = maintainer.result
+        database.insert("Ligand", (50, "L", "peptide"))
+        assert maintainer.result is held
+        assert (statistics.updates_seen, statistics.updates_ignored) == (3, 1)
+        # A Committee write changes records only: no row is re-derived.
+        database.insert("Committee", (50, "New curator"))
+        records = maintainer.result.citation_for(("Maintained family",)).records
+        assert any("New curator" in str(record) for record in records)
+        assert (statistics.updates_seen, statistics.updates_ignored) == (4, 1)
+        assert statistics.rows_recomputed == 1
         maintainer.check_consistency()
 
     def test_maintainer_consistent_with_generation_aware_caches(self):
@@ -393,9 +406,9 @@ class TestIncrementalHooks:
             policy=CitationPolicy.union_everywhere(),
         )
         maintainer = IncrementalCitationMaintainer(engine, gtopdb.paper_query())
-        maintainer.insert("Family", (60, "Calcitonin", "dup-name"))
-        maintainer.insert("FamilyIntro", (60, "intro"))
-        maintainer.delete("FamilyIntro", (11, "1st"))
+        engine.database.insert("Family", (60, "Calcitonin", "dup-name"))
+        engine.database.insert("FamilyIntro", (60, "intro"))
+        engine.database.delete("FamilyIntro", (11, "1st"))
         maintainer.check_consistency()
 
 

@@ -2,11 +2,11 @@
 
 Three regression suites for the pool bugs fixed alongside sharded evaluation:
 
-* **deadline** — ``submit_batch(..., timeout=T, max_workers=N)`` must return
-  within ``T`` plus scheduling slack even when a backend hangs far longer.
-  The old ad-hoc ``with ThreadPoolExecutor(...)`` blocks shut down with
-  ``wait=True`` on exit, so one straggler used to hold the whole batch
-  hostage for its full runtime;
+* **deadline** — ``submit_batch(..., timeout=T)`` on a service built with
+  ``max_workers=N`` must return within ``T`` plus scheduling slack even when
+  a backend hangs far longer.  The old ad-hoc ``with ThreadPoolExecutor(...)``
+  blocks shut down with ``wait=True`` on exit, so one straggler used to hold
+  the whole batch hostage for its full runtime;
 * **close** — :meth:`CitationService.close` detaches the mutation listener,
   so the old lazily recreated pool would serve post-close requests whose
   writes silently no longer counted into ``mutations_observed``.  Closed is
@@ -36,10 +36,10 @@ from repro.workloads import gtopdb
 DEADLINE_EPSILON = 0.5
 
 
-def _service():
+def _service(max_workers=None):
     database = gtopdb.paper_instance()
     engine = CitationEngine(database, gtopdb.citation_views())
-    return CitationService(engine), database
+    return CitationService(engine, max_workers=max_workers), database
 
 
 class SlowBackend(CitationBackend):
@@ -93,16 +93,14 @@ class TestBatchDeadline:
         ]
 
     def test_submit_batch_returns_within_timeout_with_explicit_workers(self):
-        """The regression: an explicit ``max_workers`` used to build the pool
-        in a ``with`` block whose exit blocked on the hung straggler."""
-        service, _database = _service()
+        """The regression: a batch pool built in a ``with`` block used to
+        block on exit until the hung straggler finished."""
+        service, _database = _service(max_workers=2)
         backend = SlowBackend(delay=10.0)
         service.register_backend(backend)
         try:
             started = time.monotonic()
-            responses = service.submit_batch(
-                self._requests(2), timeout=0.2, max_workers=2
-            )
+            responses = service.submit_batch(self._requests(2), timeout=0.2)
             elapsed = time.monotonic() - started
             assert elapsed < 0.2 + DEADLINE_EPSILON, (
                 f"submit_batch blocked {elapsed:.2f}s past its 0.2s deadline"
@@ -115,7 +113,7 @@ class TestBatchDeadline:
             service.close()
 
     def test_cite_many_honours_the_deadline_with_explicit_workers(self):
-        service, _database = _service()
+        service, _database = _service(max_workers=3)
         backend = SlowBackend(delay=10.0)
         service.register_backend(backend)
         queries = [f"q{i}" for i in range(2)]
@@ -123,7 +121,7 @@ class TestBatchDeadline:
         requests = self._requests(2)
         try:
             started = time.monotonic()
-            service.submit_batch(requests, timeout=0.2, max_workers=3)
+            service.submit_batch(requests, timeout=0.2)
             assert time.monotonic() - started < 0.2 + DEADLINE_EPSILON
             assert queries  # silence the unused warning without popping scope
         finally:
@@ -131,16 +129,14 @@ class TestBatchDeadline:
             service.close()
 
     def test_straggler_still_finishes_in_the_background(self):
-        """wait=False must not cancel the worker: the documented contract is
-        that a timed-out straggler completes and may write through to the
+        """The deadline must not cancel the worker: the documented contract
+        is that a timed-out straggler completes and may write through to the
         caches."""
-        service, _database = _service()
+        service, _database = _service(max_workers=2)
         backend = SlowBackend(delay=10.0)
         service.register_backend(backend)
         try:
-            responses = service.submit_batch(
-                self._requests(1), timeout=0.1, max_workers=2
-            )
+            responses = service.submit_batch(self._requests(1), timeout=0.1)
             assert isinstance(responses[0].error, TimeoutError)
             assert backend.started.wait(1.0)
             backend.release.set()
@@ -150,12 +146,10 @@ class TestBatchDeadline:
             service.close()
 
     def test_fast_batch_is_unaffected(self):
-        service, _database = _service()
+        service, _database = _service(max_workers=2)
         try:
             query = "Q(FName) :- Family(FID, FName, Desc)"
-            responses = service.submit_batch(
-                [CitationRequest(query=query)], timeout=30.0, max_workers=2
-            )
+            responses = service.submit_batch([CitationRequest(query=query)], timeout=30.0)
             assert responses[0].ok
         finally:
             service.close()
