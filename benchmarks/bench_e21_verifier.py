@@ -16,8 +16,8 @@ table on stdout.
 from __future__ import annotations
 
 import statistics
-import time
 from collections.abc import Iterator
+from functools import partial
 
 from repro import CitationEngine
 from repro.core.spec import default_views_for_schema
@@ -28,7 +28,7 @@ from benchmarks.bench_e18_cost_cache import (
     SMOKE,
     _dangling_instance,
 )
-from benchmarks.conftest import record_json, report
+from benchmarks.conftest import paired_rounds, record_json, report
 
 #: Hard gate: verify_plans="warn" may cost at most 5% on serving-shaped
 #: traffic (compile once, execute many — the production profile).
@@ -77,38 +77,6 @@ def _compile_pass(engine: CitationEngine) -> Iterator[None]:
         yield
 
 
-_DONE = object()
-
-
-def _paired_rounds(workload, engines: dict[str, CitationEngine], rounds: int):
-    """Per-knob best pass time and the per-round warn/off ratios.
-
-    Machine noise on shared runners comes in bursts of a few to tens of
-    milliseconds, longer than one request, and two back-to-back passes can
-    disagree by 30% with identical code.  So a round runs both knobs'
-    passes step by step, alternating which knob takes each step first, and
-    a burst lands on both.  The gate reads the median of the rounds'
-    ratios, which ignores the rounds a burst still skewed.
-    """
-    best = dict.fromkeys(engines, float("inf"))
-    ratios = []
-    for _ in range(rounds):
-        passes = {verify: workload(engine) for verify, engine in engines.items()}
-        spent = dict.fromkeys(engines, 0.0)
-        order = list(engines)
-        running = True
-        while running:
-            for verify in order:
-                started = time.perf_counter()
-                running = next(passes[verify], _DONE) is not _DONE
-                spent[verify] += time.perf_counter() - started
-            order.reverse()
-        for verify in engines:
-            best[verify] = min(best[verify], spent[verify])
-        ratios.append(spent["warn"] / spent["off"])
-    return best, ratios
-
-
 def test_e21_verifier_overhead_is_bounded():
     database = _dangling_instance(600 if SMOKE else 1500, seed=31)
 
@@ -119,7 +87,10 @@ def test_e21_verifier_overhead_is_bounded():
         for engine in engines.values():
             for _ in workload(engine):  # warm-up: indexes, statistics, view caches
                 pass
-        best, round_ratios = _paired_rounds(workload, engines, RATIO_ROUNDS)
+        best, round_ratios = paired_rounds(
+            {verify: partial(workload, engine) for verify, engine in engines.items()},
+            RATIO_ROUNDS, "warn", "off",
+        )
         ratios[shape] = statistics.median(round_ratios)
         for verify, engine in engines.items():
             stats = engine.analysis_stats()

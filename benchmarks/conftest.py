@@ -21,6 +21,8 @@ import json
 import os
 import platform
 import sys
+import time
+from collections.abc import Callable, Iterator, Mapping
 
 import pytest
 
@@ -80,6 +82,45 @@ def record_json(experiment: str, rows: list[dict], **extra) -> None:
         handle.write("\n")
     _WRITTEN_EXPERIMENTS.add(experiment)
     print(f"[bench] recorded {len(rows)} row(s) -> {path}", file=sys.stderr)
+
+
+_DONE = object()
+
+
+def paired_rounds(
+    passes: Mapping[str, Callable[[], Iterator[None]]],
+    rounds: int,
+    numerator: str,
+    denominator: str,
+) -> tuple[dict[str, float], list[float]]:
+    """Each side's best pass time and the rounds' *numerator*/*denominator*
+    ratios of pass time.  ``passes[side]()`` starts a pass that yields after
+    each step.
+
+    Machine noise on shared runners comes in bursts of a few to tens of
+    milliseconds, longer than one request, and two back-to-back passes can
+    disagree by 30% with identical code.  So a round runs the sides' passes
+    step by step, alternating which side takes each step first, and a burst
+    lands on both.  Gates read the median of the rounds' ratios, which
+    ignores the rounds a burst still skewed.
+    """
+    best = dict.fromkeys(passes, float("inf"))
+    ratios = []
+    for _ in range(rounds):
+        running_passes = {side: start() for side, start in passes.items()}
+        spent = dict.fromkeys(passes, 0.0)
+        order = list(passes)
+        running = True
+        while running:
+            for side in order:
+                started = time.perf_counter()
+                running = next(running_passes[side], _DONE) is not _DONE
+                spent[side] += time.perf_counter() - started
+            order.reverse()
+        for side in passes:
+            best[side] = min(best[side], spent[side])
+        ratios.append(spent[numerator] / spent[denominator])
+    return best, ratios
 
 
 @pytest.fixture(scope="session")

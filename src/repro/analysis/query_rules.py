@@ -52,6 +52,8 @@ class QueryAnalysis:
     core: ConjunctiveQuery
     diagnostics: tuple[Diagnostic, ...]
     _report: AnalysisReport | None = field(default=None, compare=False, repr=False)
+    #: Set by :meth:`~repro.core.engine.CitationEngine.shape`.
+    _shape: object = field(default=None, compare=False, repr=False)
 
     @property
     def minimized(self) -> bool:

@@ -14,8 +14,10 @@ stamp cache entries so mutations invalidate them,
 a mutation has moved past forward instead of discarding it, a cache variant
 (:meth:`CitationBackend.cache_variant`) separates entries that share a
 fingerprint but must not share an execution (e.g. formal vs economical mode,
-or different pinned versions), and :meth:`CitationBackend.rebind` re-attaches
-a cached result to a structurally identical variant of its query.
+or different pinned versions), :meth:`CitationBackend.plan_key` and
+:meth:`CitationBackend.instantiate` let one plan serve several fingerprints,
+and :meth:`CitationBackend.rebind` re-attaches a cached result to a
+structurally identical variant of its query.
 
 Registering a new backend is three steps: subclass :class:`CitationBackend`,
 describe it with :class:`BackendCapabilities`, and
@@ -130,6 +132,15 @@ class CitationBackend(abc.ABC):
     def cache_variant(self, request: CitationRequest) -> Hashable:
         """Discriminator added to cache keys beside the fingerprint."""
         return None
+
+    def plan_key(self, parsed: Any, request: CitationRequest, fingerprint: str) -> Hashable:
+        """The plan-cache key; a coarser one than the fingerprint lets a plan
+        serve several fingerprints through :meth:`instantiate`."""
+        return fingerprint
+
+    def instantiate(self, plan: Any, parsed: Any, request: CitationRequest) -> Any:
+        """The cached *plan* of *parsed*'s :meth:`plan_key` made its own."""
+        return plan
 
     def rebind(self, result: Any, parsed: Any, request: CitationRequest) -> Any:
         """Re-attach a cached result to an isomorphic variant of its query."""

@@ -9,6 +9,7 @@ protocol, and the structural fingerprint of
 from __future__ import annotations
 
 from collections.abc import Callable, Hashable
+from dataclasses import replace
 
 from repro.api.backend import BackendCapabilities, CitationBackend
 from repro.api.envelope import CitationRequest
@@ -20,7 +21,6 @@ from repro.query.evaluator import result_schema
 from repro.query.parser import parse_query
 from repro.query.sql import parse_sql
 from repro.relational.relation import Relation
-from repro.service.fingerprint import fingerprint
 
 __all__ = ["RelationalBackend"]
 
@@ -89,14 +89,30 @@ class RelationalBackend(CitationBackend):
 
         Cores are unique up to isomorphism and the fingerprint is
         isomorphism-invariant, so every redundant variant of the same query
-        lands on one plan-cache and result-cache entry.  The engine caches
-        the analysis, so the subsequent ``compile`` reuses it; with the
-        engine's ``analysis="off"`` the core *is* the parsed query.
+        lands on one cache entry.  The engine caches the analysis, so the
+        subsequent ``compile`` reuses it; with the engine's
+        ``analysis="off"`` the core *is* the parsed query.
         """
-        return fingerprint(self.engine.analyze(parsed).core)
+        return self.engine.shape(parsed).fingerprint
+
+    def plan_key(
+        self, parsed: ConjunctiveQuery, request: CitationRequest, fingerprint: str
+    ) -> Hashable:
+        """The core's shape for formal plans; economical selection reads the
+        data, so those stay keyed by value."""
+        if self._mode(request) == "economical":
+            return fingerprint
+        return self.engine.shape(parsed).plan_key
+
+    def instantiate(
+        self, plan: CitationPlan, parsed: ConjunctiveQuery, request: CitationRequest
+    ) -> CitationPlan:
+        """*plan* with *parsed*'s constants substituted."""
+        return self.engine.instantiate_plan(plan, self.engine.shape(parsed).constants)
 
     def compile(self, parsed: ConjunctiveQuery, request: CitationRequest) -> CitationPlan:
-        return self.engine.compile_plan(parsed, self._mode(request))
+        plan = self.engine.compile_plan(parsed, self._mode(request))
+        return replace(plan, constants=self.engine.shape(parsed).constants)
 
     def execute(
         self, plan: CitationPlan, parsed: ConjunctiveQuery, request: CitationRequest
@@ -123,17 +139,9 @@ class RelationalBackend(CitationBackend):
         return self.engine.refresh_result(result, token)  # type: ignore[arg-type]
 
     def plan_token(self, request: CitationRequest) -> Hashable:
-        """Formal-mode plans survive data changes; economical ones do not.
-
-        The rewriting search reads only the query and the view definitions,
-        so formal (and fallback) plans are stamped ``("any", epoch)`` and
-        outlive ordinary inserts/deletes; economical plans embed a cost-based
-        selection made against the data and carry the full generation stamp.
-        """
-        generation, epoch = self.engine.plan_token()
-        if self._mode(request) == "economical":
-            return (generation, epoch)
-        return ("any", epoch)
+        """Formal-mode plans survive data changes; economical ones do not
+        (:meth:`~repro.core.engine.CitationEngine.plan_stamp`)."""
+        return self.engine.plan_stamp(self._mode(request))
 
     def rebind(
         self, result: CitedResult, parsed: ConjunctiveQuery, request: CitationRequest

@@ -3,10 +3,11 @@
 Adapts :class:`~repro.core.temporal.TemporalCitationEngine`.  An ``as_of``
 request is rewritten at parse time into an ordinary conjunctive query whose
 timestamped atoms carry the era as a constant — from there the request flows
-through the relational machinery unchanged, and because the era constant
-participates in the structural fingerprint, every era gets its own plan and
-result cache entries.  Those entries are brought forward through the
-database's change log like the relational backend's.
+through the relational machinery unchanged.  The era constant participates
+in the structural fingerprint, so every era gets its own result cache entry,
+brought forward through the database's change log like the relational
+backend's; it is lifted from the plan key, so the eras share one formal plan,
+instantiated for each.
 """
 
 from __future__ import annotations

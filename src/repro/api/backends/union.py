@@ -122,10 +122,7 @@ class UnionBackend(CitationBackend):
         return self.engine.plan_token()
 
     def plan_token(self, request: CitationRequest) -> Hashable:
-        generation, epoch = self.engine.plan_token()
-        if self._mode(request) == "economical":
-            return (generation, epoch)
-        return ("any", epoch)
+        return self.engine.plan_stamp(self._mode(request))
 
     def rebind(
         self, result: UnionCitedResult, parsed: UnionQuery, request: CitationRequest

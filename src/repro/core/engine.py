@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable, Iterable, Mapping, Sequence
-from typing import Literal
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Literal
 
 from repro.core.citation import Citation
 from repro.core.citation_view import CitationView, views_of
@@ -42,7 +42,7 @@ from repro.core.expression import (
 )
 from repro.core.policy import CitationPolicy
 from repro.core.record import CitationRecord, CitationSet
-from repro.resilience.deadline import current_deadline
+from repro.resilience.deadline import CHECK_STRIDE, current_deadline
 from repro.analysis.diagnostics import AnalysisReport, Diagnostic
 from repro.analysis.ir import verify_citation_plan
 from repro.analysis.query_rules import QueryAnalysis, analyze_query
@@ -69,6 +69,9 @@ from repro.rewriting.bucket import BucketRewriter
 from repro.rewriting.minicon import MiniConRewriter
 from repro.rewriting.rewriting import Rewriting
 from repro.rewriting.view import View, materialize_views
+
+if TYPE_CHECKING:
+    from repro.service.fingerprint import Shape
 
 Mode = Literal["formal", "economical"]
 
@@ -348,6 +351,8 @@ class CitationPlan:
     compiled: tuple[tuple[CitationProgram, PreludeCache], ...] = field(
         default=(), compare=False, repr=False
     )
+    #: Its core's lifted constants (:meth:`CitationEngine.shape`), if recorded.
+    constants: tuple = field(default=(), compare=False)
 
     @property
     def data_dependent(self) -> bool:
@@ -355,9 +360,10 @@ class CitationPlan:
 
         The rewriting search itself (Bucket/MiniCon) reads only the query and
         the view definitions; the economical mode's cost-based selection also
-        reads the data.  Data-independent plans stay valid across ordinary
-        inserts/deletes — only a forced cache invalidation (epoch bump)
-        retires them.
+        reads the data.  So only a data-dependent plan goes stale: a write or
+        an epoch bump leaves any other plan correct, and whoever holds one
+        (the incremental maintainer, a caller of :meth:`~CitationEngine.execute_plan`)
+        executes it again as it is (caches: :meth:`CitationEngine.plan_stamp`).
         """
         return self.mode == "economical"
 
@@ -508,6 +514,10 @@ class CitationEngine:
         self._view_reads = {
             view.name: {atom.predicate for atom in view.query.body} for view in self._views
         }
+        # A query constant equal to one of these keeps its value in the plan key.
+        self._view_constants = {t.value for v in self._views for a in (v.query.head, *v.query.body)
+                                for t in a.terms if isinstance(t, Constant)}
+        self._view_constants |= {e.constant.value for v in self._views for e in v.query.equalities}
         # view → (base relation, row_image) for the views a change patches.
         self._view_images = {
             view.name: (view.query.body[0].predicate, image)
@@ -570,6 +580,14 @@ class CitationEngine:
         """
         return (self.database.generation, self._cache_epoch)
 
+    def plan_stamp(self, mode: str) -> Hashable:
+        """The validity stamp a cache holds a plan of *mode* under: the whole
+        :meth:`plan_token` for a :attr:`~CitationPlan.data_dependent`
+        (economical) plan; otherwise only the epoch, so that
+        :meth:`invalidate_caches` empties the caches holding it."""
+        generation, epoch = self.plan_token()
+        return (generation, epoch) if mode == "economical" else ("any", epoch)
+
     def is_current(self, plan: CitationPlan) -> bool:
         """``True`` when *plan* was compiled against the current database state."""
         return plan.token == self.plan_token()
@@ -583,7 +601,10 @@ class CitationEngine:
         inputs (the parameters and the citation queries' answers), so this
         remains for changes outside the database's view (e.g. a citation
         function whose output depends on external state).  It bumps the
-        cache epoch so that compiled plans held elsewhere are invalidated too.
+        cache epoch, which empties the caches stamped with it (the service's
+        plan and result caches, see :meth:`plan_stamp`); a plan held outside
+        a cache stays correct unless it is
+        :attr:`~CitationPlan.data_dependent`.
 
         Besides the views, citation records and view indexes, this clears the
         statistics catalog and the evaluator's shard-partition cache.  Warm
@@ -788,6 +809,15 @@ class CitationEngine:
             self._analysis_cache[query] = result
         return result
 
+    def shape(self, query: ConjunctiveQuery | str) -> Shape:
+        """The keys and lifted constants of *query*'s core, kept with its
+        cached analysis (:func:`repro.service.fingerprint.shape`)."""
+        analysis = self.analyze(query)
+        if analysis._shape is None:
+            from repro.service.fingerprint import shape  # the service imports this module
+            object.__setattr__(analysis, "_shape", shape(analysis.core, self._view_constants))
+        return analysis._shape  # type: ignore[return-value]
+
     def analysis_stats(self) -> dict[str, object]:
         """Counters of the static-analysis pass (exposed by the service)."""
         with self._analysis_lock:
@@ -939,16 +969,6 @@ class CitationEngine:
             if mode == "economical":
                 rewritings = self.selector.select(rewritings)
                 span.set_attribute("rewritings_selected", len(rewritings))
-            evaluator = self._execution_evaluator()
-            compiled = []
-            for rewriting in rewritings:
-                prelude = evaluator.prelude_for(
-                    rewriting.query, evaluator.reduce(rewriting.query)
-                )
-                citation = CitationProgram(
-                    rewriting, self._citation_view_by_name, prelude.reduced.program.variables
-                )
-                compiled.append((citation, prelude))
             plan = CitationPlan(
                 query,
                 tuple(rewritings),
@@ -956,10 +976,46 @@ class CitationEngine:
                 token,
                 core=analysis.core,
                 diagnostics=analysis.diagnostics,
-                compiled=tuple(compiled),
+                compiled=self._compile_rewritings(rewritings),
             )
             self._verify_compiled_plan(plan, span)
             return plan
+
+    def _compile_rewritings(self, rewritings: Iterable[Rewriting]) -> tuple:
+        """:attr:`CitationPlan.compiled` for *rewritings*, with new prelude caches."""
+        evaluator = self._execution_evaluator()
+        compiled = []
+        for rewriting in rewritings:
+            prelude = evaluator.prelude_for(rewriting.query, evaluator.reduce(rewriting.query))
+            citation = CitationProgram(
+                rewriting, self._citation_view_by_name, prelude.reduced.program.variables
+            )
+            compiled.append((citation, prelude))
+        return tuple(compiled)
+
+    def instantiate_plan(self, plan: CitationPlan, constants: tuple) -> CitationPlan:
+        """*plan* with *constants* in place of ``plan.constants`` (matched by
+        type and value) in its rewritings and their expansions, so no search
+        runs; the programs and prelude caches (warm state belongs to one set
+        of constants) are built anew and verified as :meth:`compile_plan` does.
+        *plan* itself when the constants are its own."""
+        if plan.constants == constants:
+            return plan
+        values = {(type(o), o): Constant(n) for o, n in zip(plan.constants, constants, strict=True)}
+        rewritings = tuple(
+            Rewriting(r.query.with_constants(values), r.views, r.expansion.with_constants(values))
+            for r in plan.rewritings
+        )
+        instantiated = replace(
+            plan,
+            query=plan.query.with_constants(values),
+            rewritings=rewritings,
+            core=None if plan.core is None else plan.core.with_constants(values),
+            compiled=self._compile_rewritings(rewritings),
+            constants=constants,
+        )
+        self._verify_compiled_plan(instantiated, NULL_SPAN)
+        return instantiated
 
     def _verify_compiled_plan(self, plan: CitationPlan, span) -> None:
         """Run the IR verifier over *plan*'s compiled join IR (see
@@ -1084,14 +1140,18 @@ class CitationEngine:
             if tracer.enabled
             else NULL_SPAN
         )
-        # One clock read per row: a row's record fetches can outweigh the
-        # stride a join loop amortizes its checks over.
+        # The clock is read every CHECK_STRIDE rows and after a row that
+        # fetched a record (the cache grew), which can outweigh the stride.
         deadline = current_deadline()
+        ticks, fetched = 0, len(cache)
         tuple_citations: list[TupleCitation] = []
         with assemble_span:
             for row in sorted(alternatives_by_row, key=repr):
                 if deadline is not None:
-                    deadline.check("assembly")
+                    ticks += 1
+                    if ticks == CHECK_STRIDE or len(cache) != fetched:
+                        deadline.check("assembly")
+                        ticks, fetched = 0, len(cache)
                 tuple_citations.append(
                     self._cite_row(row, alternatives_by_row[row], cache, policy)
                 )

@@ -15,7 +15,7 @@ change log is its only input.  Reading the result brings it forward
   those rows, plus every row holding a record the changes reach, are
   re-derived;
 * otherwise the held plan is executed again, and compiled again first when
-  it is economical or the cache epoch moved.
+  it is economical.
 
 The held view extents are the engine's own relation objects (the engine
 replaces a view it patches or re-materialises), so no copy is kept.
@@ -174,9 +174,9 @@ class IncrementalCitationMaintainer:
 
     def _execute(self, token: PlanToken) -> None:
         """Execute the held plan again; compile it first when it is
-        economical or the cache epoch moved."""
+        :attr:`~repro.core.engine.CitationPlan.data_dependent`."""
         old_rows = self._result.result.rows
-        if self._plan.data_dependent or token[1] != self._token[1]:
+        if self._plan.data_dependent:
             self._cite()
         else:
             self._token = token

@@ -285,6 +285,18 @@ class ConjunctiveQuery:
             tuple(new_params),
         )
 
+    def with_constants(self, values: Mapping[tuple, Term]) -> "ConjunctiveQuery":
+        """Replace the head and body constants *values* keys by ``(type, value)``."""
+
+        def replaced(atom: Atom) -> Atom:
+            return Atom(atom.predicate, tuple(
+                values.get((type(t.value), t.value), t) if isinstance(t, Constant) else t
+                for t in atom.terms
+            ))
+
+        return ConjunctiveQuery(replaced(self.head), map(replaced, self.body), self.equalities,
+                                self.parameters)
+
     def rename_apart(self, suffix: str) -> "ConjunctiveQuery":
         """Rename every variable by appending *suffix* (for fresh copies)."""
         mapping = {v: Variable(f"{v.name}{suffix}") for v in self.variables()}

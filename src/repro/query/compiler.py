@@ -74,6 +74,7 @@ from collections.abc import Set as AbstractSet, Callable, Iterator, Mapping, Seq
 from repro.errors import QueryError
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
 from repro.resilience import faults
+from repro.resilience.deadline import CHECK_STRIDE
 from repro.relational.index import IndexManager
 from repro.relational.relation import Relation
 
@@ -296,11 +297,13 @@ class JoinProgram:
         check (writes, post-checks, deeper probes) still applies, so a
         partition of the driving rows yields a partition of the frames.
 
-        With *cancel* (a zero-arg callable, typically
-        :meth:`Deadline.checker <repro.resilience.deadline.Deadline.checker>`),
-        every scanned row is a cancellation checkpoint: the callable raises
+        With *cancel* (a zero-arg callable that reads the clock, typically
+        ``partial(deadline.check, "join")``), every
+        :data:`~repro.resilience.deadline.CHECK_STRIDE`-th scanned row is a
+        cancellation checkpoint: the callable raises
         :class:`~repro.errors.DeadlineExceeded` to abandon the join
-        mid-descent.  ``None`` costs one predicate test per row.
+        mid-descent.  The stride is counted inline, so a row costs an
+        increment; ``None`` costs one predicate test per row.
 
         With a *profile*, each entry into a depth adds its row count to
         ``rows_scanned``, each surviving row counts one entry into the next
@@ -311,8 +314,10 @@ class JoinProgram:
         for slot, value in self.seed:
             frame[slot] = value
         depth_count = len(plan)
+        ticks = 0
 
         def descend(depth: int) -> Iterator[tuple]:
+            nonlocal ticks
             if depth == depth_count:
                 if profile is not None:
                     profile.results += 1
@@ -335,7 +340,9 @@ class JoinProgram:
             post_checks = step.post_checks
             for row in rows:
                 if cancel is not None:
-                    cancel()
+                    ticks += 1
+                    if ticks % CHECK_STRIDE == 0:
+                        cancel()
                 for position, slot in writes:
                     frame[slot] = row[position]
                 for position, slot in post_checks:

@@ -74,6 +74,7 @@ import os
 import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
+from functools import partial
 from operator import itemgetter
 from typing import Literal, TypeVar
 
@@ -471,7 +472,7 @@ class QueryEvaluator:
         degradation, counted in :attr:`metrics` and on *span*, instead of a
         failed evaluation.
         """
-        parent_cancel = deadline.checker("prelude") if deadline is not None else None
+        parent_cancel = partial(deadline.check, "prelude") if deadline is not None else None
         if isinstance(executor, ReducedProgram):
             program = executor.program
             plan = executor.prepared_plan(
@@ -491,7 +492,7 @@ class QueryEvaluator:
         def run_shard(task: tuple[int, list[tuple]]):
             shard_index, part = task
             faults.fire("shard.execute", key=shard_index)
-            cancel = deadline.checker("shard") if deadline is not None else None
+            cancel = partial(deadline.check, "shard") if deadline is not None else None
             started = time.perf_counter()
             shard_profile = JoinProfile(len(program.steps)) if profiled else None
             frames = list(program.run_plan(plan, part, cancel, shard_profile))
@@ -786,7 +787,7 @@ class QueryEvaluator:
                     profile=profile, span=span, deadline=deadline,
                 )
             else:
-                cancel = deadline.checker("join") if deadline is not None else None
+                cancel = partial(deadline.check, "join") if deadline is not None else None
                 frames = self._frames_for(
                     executor, relations, prelude, profile=profile, cancel=cancel
                 )

@@ -29,6 +29,7 @@ from repro.query.ast import (
     Term,
     Variable,
 )
+from repro.resilience.deadline import current_deadline
 from repro.rewriting.rewriting import (
     Rewriting,
     deduplicate_rewritings,
@@ -165,7 +166,11 @@ class BucketRewriter:
             return []
 
         results: list[Rewriting] = []
+        deadline = current_deadline()
+        check = deadline.checker("rewriting") if deadline is not None else None
         for combination in itertools.product(*buckets):
+            if check is not None:
+                check()
             statistics.candidates_considered += 1
             if (
                 self.max_candidates is not None

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Term, Variable
+from repro.resilience.deadline import current_deadline
 from repro.rewriting.rewriting import (
     Rewriting,
     deduplicate_rewritings,
@@ -179,8 +180,12 @@ class MiniConRewriter:
         self.last_statistics = statistics
         subgoals = frozenset(range(len(query.body)))
         results: list[Rewriting] = []
+        deadline = current_deadline()
+        check = deadline.checker("rewriting") if deadline is not None else None
 
         for combination in self._partitions(mcds, subgoals):
+            if check is not None:
+                check()
             statistics.combinations_considered += 1
             if (
                 self.max_candidates is not None

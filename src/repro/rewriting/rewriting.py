@@ -32,7 +32,12 @@ class Rewriting:
 
     __slots__ = ("query", "views", "expansion")
 
-    def __init__(self, query: ConjunctiveQuery, views: Sequence[View]) -> None:
+    def __init__(
+        self,
+        query: ConjunctiveQuery,
+        views: Sequence[View],
+        expansion: ConjunctiveQuery | None = None,
+    ) -> None:
         self.query = query
         self.views = tuple(views)
         index = views_by_name(self.views)
@@ -41,7 +46,7 @@ class Rewriting:
             raise RewritingError(
                 f"rewriting {query.name!r} uses unknown view predicates: {sorted(missing)}"
             )
-        self.expansion = expand_rewriting(query, index)
+        self.expansion = expand_rewriting(query, index) if expansion is None else expansion
 
     # -- introspection -------------------------------------------------------
     @property

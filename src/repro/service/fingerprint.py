@@ -26,16 +26,32 @@ individualization:
 
 :func:`fingerprint` hashes the canonical key into a compact hex string used
 as the cache key by :mod:`repro.service.plan_cache`.
+
+:func:`shape` also keys a query by its *shape*: each liftable constant
+becomes a variable bound to a hole of the constant's type, equal constants
+sharing one, so the key keeps their equality pattern but not their values;
+one plan then serves every such query once its constants are substituted
+(:meth:`~repro.core.engine.CitationEngine.instantiate_plan`).  Holes can
+tie where their values did not, so the lifted canonicalization gets a
+bounded number of individualizations, past which the query is keyed by
+value.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Mapping
+from collections.abc import Collection, Mapping
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Term, Variable
 
-__all__ = ["canonical_key", "fingerprint", "are_isomorphic"]
+__all__ = ["Shape", "canonical_key", "fingerprint", "shape", "are_isomorphic"]
+
+
+@dataclass(frozen=True, slots=True)
+class _Hole(Variable):
+    """The variable a lifted constant becomes; never equal to a query's own."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +82,7 @@ def _normalize(colors: dict[Variable, object]) -> dict[Variable, int]:
     return {variable: rank[color] for variable, color in colors.items()}
 
 
-def _initial_colors(query: ConjunctiveQuery) -> dict[Variable, int]:
+def _initial_colors(query: ConjunctiveQuery, holes: Mapping) -> dict[Variable, int]:
     head_positions: dict[Variable, list[int]] = {}
     for index, term in enumerate(query.head.terms):
         if isinstance(term, Variable):
@@ -91,6 +107,7 @@ def _initial_colors(query: ConjunctiveQuery) -> dict[Variable, int]:
             parameter_positions.get(variable, -1),
             tuple(sorted(equality_constants.get(variable, ()))),
             tuple(sorted(occurrences.get(variable, ()))),
+            type(holes[variable]).__name__ if variable in holes else "",
         )
     return _normalize(colors)
 
@@ -112,18 +129,23 @@ def _atom_signature(
 
 
 def _refine(query: ConjunctiveQuery, colors: dict[Variable, int]) -> dict[Variable, int]:
-    """Refine variable colors to a fixpoint (1-WL on the query hypergraph)."""
+    """Refine variable colors to a fixpoint (1-WL on the query hypergraph):
+    the first round that splits no color class.  (Its labels can differ
+    from the last round's: ranks sort by ``repr``, so 10 before 2.)"""
+    incidence: dict[Variable, list[Atom]] = {}
+    for atom in query.body:
+        for variable in dict.fromkeys(atom.variables()):
+            incidence.setdefault(variable, []).append(atom)
     while True:
         updated: dict[Variable, object] = {}
         for variable, color in colors.items():
             signatures = sorted(
                 _atom_signature(atom, variable, colors)
-                for atom in query.body
-                if variable in atom.variables()
+                for atom in incidence.get(variable, ())
             )
             updated[variable] = (color, tuple(signatures))
         normalized = _normalize(updated)
-        if normalized == colors:
+        if len(set(normalized.values())) == len(set(colors.values())):
             return colors
         colors = normalized
 
@@ -131,8 +153,9 @@ def _refine(query: ConjunctiveQuery, colors: dict[Variable, int]) -> dict[Variab
 # ---------------------------------------------------------------------------
 # Canonical encoding (with individualization for automorphism ties)
 # ---------------------------------------------------------------------------
-def _encode(query: ConjunctiveQuery, colors: Mapping[Variable, int]) -> tuple:
-    """Encode the query under a total variable order (all colors distinct)."""
+def _encode(query: ConjunctiveQuery, colors: Mapping[Variable, int], holes: Mapping) -> tuple:
+    """Encode the query under a total variable order (all colors distinct);
+    also return the holes' constants in that order."""
     ordered = sorted(colors, key=lambda variable: colors[variable])
     rank = {variable: index for index, variable in enumerate(ordered)}
     head = (
@@ -152,33 +175,58 @@ def _encode(query: ConjunctiveQuery, colors: Mapping[Variable, int]) -> tuple:
         )
     )
     parameters = tuple(rank[parameter] for parameter in query.parameters)
-    return ("cq1", head, body, equalities, parameters)
+    lifted = [variable for variable in ordered if variable in holes]
+    types = tuple((rank[hole], type(holes[hole]).__name__) for hole in lifted)
+    return ("cq1", head, body, equalities, parameters, types), tuple(map(holes.get, lifted))
 
 
-def _canonicalize(query: ConjunctiveQuery, colors: dict[Variable, int]) -> tuple:
+class _TooManyBranches(Exception):
+    """A canonical labelling needed more individualizations than allowed."""
+
+
+#: The individualizations :func:`shape` spends on a lifted query before it
+#: keys the query by value.  Holes can tie where their values did not, and
+#: k interchangeable point atoms ``R(1, X), ..., R(k, X)`` take about e·k!
+#: of them (9 for three, 40 for four) where their values take none.
+_LIFT_BRANCHES = 16
+
+
+def _canonicalize(
+    query: ConjunctiveQuery,
+    colors: dict[Variable, int],
+    holes: Mapping,
+    budget: list[int] | None = None,
+) -> tuple:
     classes: dict[int, list[Variable]] = {}
     for variable, color in colors.items():
         classes.setdefault(color, []).append(variable)
     ambiguous = {color: members for color, members in classes.items() if len(members) > 1}
     if not ambiguous:
-        return _encode(query, colors)
+        return _encode(query, colors, holes)
     # Individualize each member of the smallest-colored ambiguous class in
     # turn; the minimal resulting encoding is the canonical one.  The choice
     # of class (minimal color of the smallest class size) is itself
-    # isomorphism-invariant, so isomorphic queries branch identically.
+    # isomorphism-invariant, so isomorphic queries branch identically.  Ties
+    # between automorphic labelings break on the holes' constant tokens.
     target_color = min(
         ambiguous, key=lambda color: (len(ambiguous[color]), color)
     )
-    best: tuple | None = None
+    best: tuple[tuple, tuple] | None = None
+    best_rank: tuple = ()
     for chosen in ambiguous[target_color]:
+        if budget is not None:
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise _TooManyBranches
         branched: dict[Variable, object] = {
             variable: (color, 1 if variable == chosen else 0)
             for variable, color in colors.items()
         }
         refined = _refine(query, _normalize(branched))
-        encoding = _canonicalize(query, refined)
-        if best is None or encoding < best:
-            best = encoding
+        candidate = _canonicalize(query, refined, holes, budget)
+        rank = (candidate[0], tuple(map(_constant_token, candidate[1])))
+        if best is None or rank < best_rank:
+            best, best_rank = candidate, rank
     assert best is not None
     return best
 
@@ -194,14 +242,70 @@ def canonical_key(query: ConjunctiveQuery) -> tuple:
     Head predicate, head arity and term order, body structure, equality
     constants and λ-parameters all participate.
     """
-    colors = _refine(query, _initial_colors(query))
-    return _canonicalize(query, colors)
+    return _canonicalize(query, _refine(query, _initial_colors(query, {})), {})[0]
 
 
 def fingerprint(query: ConjunctiveQuery) -> str:
     """A compact structural hash of *query* (hex), used as plan-cache key."""
-    digest = hashlib.sha256(repr(canonical_key(query)).encode("utf-8"))
-    return digest.hexdigest()[:32]
+    return _digest(canonical_key(query))
+
+
+def _digest(key: object) -> str:
+    return hashlib.sha256(repr(key).encode("utf-8")).hexdigest()[:32]
+
+
+class Shape(NamedTuple):
+    """The by-value fingerprint, the plan key (the lifted key alone) and the
+    lifted constants in canonical order (see :func:`shape`)."""
+
+    fingerprint: str
+    plan_key: str
+    constants: tuple
+
+
+class _Lifted(ConjunctiveQuery):
+    """A query with holes for its lifted constants (a head-only hole is unsafe)."""
+
+    def _validate(self) -> None:
+        pass
+
+
+def shape(query: ConjunctiveQuery, fixed: Collection[object] = ()) -> Shape:
+    """The keys of *query* with each liftable constant lifted to a typed hole.
+
+    The rewriting search, containment and the join compare constants only
+    with ``==``.  So constants in relational atoms and in the head are
+    lifted, unless one equals a *fixed* value (a view definition's) or a
+    constant of the query's equality atoms; and none is when two of
+    different types are ``==``-equal (``1``, ``True``), nor when the lifted
+    query needs more than :data:`_LIFT_BRANCHES` individualizations.  A
+    query with nothing lifted is keyed by :func:`fingerprint` alone.
+    """
+    kept = {*fixed, *(equality.constant.value for equality in query.equalities)}
+    values = {_constant_token(term.value): term.value for atom in (query.head, *query.body)
+              for term in atom.terms if isinstance(term, Constant) and term.value not in kept}
+    if values and len(set(values.values())) == len(values):
+        holes = {token: _Hole(f"?{index}") for index, token in enumerate(values)}
+
+        def lift(atom: Atom) -> Atom:
+            return Atom(atom.predicate, tuple(
+                holes.get(_constant_token(term.value), term) if isinstance(term, Constant)
+                else term
+                for term in atom.terms
+            ))
+
+        lifted = _Lifted(lift(query.head), map(lift, query.body), query.equalities,
+                         query.parameters)
+        constant_of = {holes[token]: value for token, value in values.items()}
+        colors = _refine(lifted, _initial_colors(lifted, constant_of))
+        try:
+            key, constants = _canonicalize(lifted, colors, constant_of, [_LIFT_BRANCHES])
+        except _TooManyBranches:
+            pass
+        else:
+            return Shape(_digest((key, constants)), _digest(key), constants)
+    value = fingerprint(query)
+    return Shape(value, value, ())
 
 
 def are_isomorphic(left: ConjunctiveQuery, right: ConjunctiveQuery) -> bool:

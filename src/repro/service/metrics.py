@@ -137,6 +137,9 @@ class ServiceMetrics:
         # executing again (a re-stamped entry counts only as a hit).
         "result_cache_patches",
         "plan_cache_hits",
+        # Plans built from a shape's plan for other constants (a repeat of
+        # the request finds its instantiation cached).
+        "plan_instantiations",
         "plan_compilations",
         "executions",
         "deduplicated",

@@ -12,7 +12,8 @@ serving-layer machinery:
 * **plan caching** — requests are fingerprinted structurally (invariant
   under variable renaming, atom and disjunct reordering); a hit skips the
   backend's compile phase (the Bucket/MiniCon search for the CQ-family
-  backends) entirely;
+  backends) entirely.  Formal relational plans are keyed by shape, so a hit
+  on a plan compiled for other constants hands out an instantiation of it;
 * **result caching** — an exact structural repeat is answered from memory
   without any evaluation while the data holds still, and after a mutation
   whenever the backend can bring the cached result forward;
@@ -63,7 +64,7 @@ from repro.api.backend import BackendRegistry, CitationBackend
 from repro.api.backends.relational import RelationalBackend
 from repro.api.backends.union import UnionBackend
 from repro.api.envelope import CitationRequest, CitationResponse
-from repro.concurrency import default_worker_count
+from repro.concurrency import default_worker_count, shared_state
 from repro.core.engine import CitationEngine, CitationPlan, Mode
 from repro.errors import (
     CitationError,
@@ -90,6 +91,7 @@ from repro.service.plan_cache import GenerationalLRU, PlanCache
 __all__ = ["CitationService"]
 
 
+@shared_state("_flights", lock="_flights_lock")
 class CitationService:
     """Caching, batching, concurrent serving over pluggable citation backends."""
 
@@ -151,7 +153,9 @@ class CitationService:
         )
         if self.max_workers < 1:
             raise CitationError(f"max_workers must be >= 1, got {self.max_workers}")
-        self._compile_lock = threading.Lock()
+        # Single flight: plan-cache key -> [its compile lock, requests holding or awaiting it].
+        self._flights_lock = threading.Lock()
+        self._flights: dict[Hashable, list] = {}
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
         self._closed = False
@@ -784,27 +788,45 @@ class CitationService:
         parsed: Any,
         key: str,
     ) -> tuple[Any, bool]:
+        """The plan of *parsed* and whether it was a hit: compiled under the
+        backend's ``plan_key`` (single flight per key), or a cached plan of
+        that key made the request's own by ``instantiate`` and cached under
+        the request's fingerprint."""
         stamp = backend.plan_token(request)
-        cache_key = self._cache_key(backend, key, request)
-        plan = self.plan_cache.get(cache_key, stamp)
-        if plan is not None:
-            self.metrics.increment("plan_cache_hits")
-            self.metrics.increment_backend(backend.name, "plan_hits")
-            return plan, True
-        # Single-flight compilation: concurrent identical misses compile once.
-        with self._compile_lock:
+        own_key = self._cache_key(backend, key, request)
+        cache_key = self._cache_key(backend, backend.plan_key(parsed, request, key), request)
+        plan = self.plan_cache.get(own_key, stamp) if own_key != cache_key else None
+        if plan is None:
             plan = self.plan_cache.get(cache_key, stamp)
-            if plan is not None:
-                self.metrics.increment("plan_cache_hits")
-                self.metrics.increment_backend(backend.name, "plan_hits")
-                return plan, True
-            compile_started = time.perf_counter()
-            plan = backend.compile(parsed, request)
-            self.metrics.observe("compile", time.perf_counter() - compile_started)
-            self.metrics.increment("plan_compilations")
-            self.metrics.increment_backend(backend.name, "compilations")
-            self.plan_cache.put(cache_key, plan, stamp)
-        return plan, False
+            if plan is None:
+                with self._flights_lock:
+                    flight = self._flights.setdefault(cache_key, [threading.Lock(), 0])
+                    flight[1] += 1
+                try:
+                    with flight[0]:
+                        plan = self.plan_cache.get(cache_key, stamp)
+                        if plan is None:
+                            compile_started = time.perf_counter()
+                            plan = backend.compile(parsed, request)
+                            self.metrics.observe("compile", time.perf_counter() - compile_started)
+                            self.metrics.increment("plan_compilations")
+                            self.metrics.increment_backend(backend.name, "compilations")
+                            self.plan_cache.put(cache_key, plan, stamp)
+                            return plan, False
+                finally:
+                    with self._flights_lock:
+                        flight[1] -= 1
+                        if not flight[1]:
+                            del self._flights[cache_key]
+            instantiated = backend.instantiate(plan, parsed, request)
+            if instantiated is not plan:
+                self.metrics.increment("plan_instantiations")
+                self.metrics.increment_backend(backend.name, "instantiations")
+                self.plan_cache.put(own_key, instantiated, stamp)
+                plan = instantiated
+        self.metrics.increment("plan_cache_hits")
+        self.metrics.increment_backend(backend.name, "plan_hits")
+        return plan, True
 
     #: How long past the batch deadline to wait for a cancelled worker to
     #: come home with its real DeadlineExceeded response before synthesising

@@ -327,6 +327,7 @@ class TestRepoGate:
         from repro.relational.database import Database
         from repro.service.metrics import ServiceMetrics
         from repro.service.plan_cache import GenerationalLRU
+        from repro.service.service import CitationService
 
         assert declared_shared_state(CitationEngine) == {
             "_analysis_cache": "_analysis_lock",
@@ -345,4 +346,5 @@ class TestRepoGate:
             "_counters", "_histograms", "_gauge_sources",
         }
         assert set(declared_shared_state(GenerationalLRU)) == {"_entries", "_info"}
+        assert declared_shared_state(CitationService) == {"_flights": "_flights_lock"}
         assert "_by_query" in declared_shared_state(EvaluationMetrics)

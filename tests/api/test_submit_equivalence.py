@@ -214,16 +214,26 @@ class TestTemporalEquivalence:
             service.close()
 
     def test_eras_get_separate_cache_slots(self, temporal_engine):
+        # The era is a lifted constant: eras share one plan (one compile,
+        # then one instantiation), and each keeps its own result entry.
         service = CitationService(backends=[TemporalBackend(temporal_engine)])
-        old = service.submit(
-            CitationRequest(query=TEMPORAL_CQ, backend="temporal", as_of="2016")
-        ).unwrap()
-        new = service.submit(
-            CitationRequest(query=TEMPORAL_CQ, backend="temporal", as_of="2017")
-        ).unwrap()
+        requests = {
+            era: CitationRequest(query=TEMPORAL_CQ, backend="temporal", as_of=era)
+            for era in ("2016", "2017")
+        }
+        old = service.submit(requests["2016"]).unwrap()
+        new = service.submit(requests["2017"]).unwrap()
         assert old.result.rows != new.result.rows
-        assert service.metrics.counter("plan_compilations") == 2
+        assert service.metrics.counter("plan_compilations") == 1
+        assert service.metrics.counter("plan_instantiations") == 1
         assert service.metrics.counter("result_cache_hits") == 0
+        for era, result in (("2016", old), ("2017", new)):
+            cached = service.submit(requests[era])
+            assert cached.cached and cached.result is result
+            reference = temporal_engine.cite_as_of(TEMPORAL_CQ, era)
+            _same_cited_result(result, reference)
+            assert result.result.rows == reference.result.rows
+        assert service.metrics.counter("executions") == 2
         service.close()
 
     def test_warm_temporal_call_hits_plan_cache(self, temporal_engine):

@@ -162,6 +162,54 @@ class TestDeadlineStorm:
             conservation(service.stats()["counters"])
 
 
+#: Thirteen views over Family, seven of them copies of the first: a
+#: four-atom self-join of Family has ~17,000 MiniCon combinations over them,
+#: several seconds of rewriting search with analysis off (no core
+#: minimization collapses the self-join first).
+PATHOLOGICAL_VIEWS = [
+    "VA(F, N, D) :- Family(F, N, D)",
+    "VB(F, N) :- Family(F, N, D)",
+    "VC(F, D) :- Family(F, N, D)",
+    "VD(N, D) :- Family(F, N, D)",
+    "lambda F. VE(F, N, D) :- Family(F, N, D)",
+    "VF(F) :- Family(F, N, D)",
+] + [f"V{k}(F, N, D) :- Family(F, N, D)" for k in range(7)]
+SELF_JOIN = "Q(N0) :- " + ", ".join(f"Family(F, N{i}, D{i})" for i in range(4))
+
+
+class TestPathologicalCompile:
+    def test_slow_compile_times_out_while_other_shapes_compile(self, db):
+        from repro.core.citation_view import CitationView
+
+        engine = CitationEngine(
+            db, [CitationView(text) for text in PATHOLOGICAL_VIEWS], analysis="off"
+        )
+        with CitationService(engine) as service:
+            slow: dict = {}
+
+            def submit_slow() -> None:
+                started = time.monotonic()
+                slow["response"] = service.submit(CitationRequest(query=SELF_JOIN, timeout=0.3))
+                slow["elapsed"] = time.monotonic() - started
+                slow["done"] = time.monotonic()
+
+            worker = threading.Thread(target=submit_slow)
+            worker.start()
+            time.sleep(0.05)  # the slow request is in its rewriting search
+            other = service.submit(CitationRequest(query="Q(N) :- Family(F, N, D)"))
+            other_done = time.monotonic()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            # The search checks the deadline, and the other shape compiled
+            # under its own key while the slow one held its compile lock.
+            assert slow["response"].error_code == "DEADLINE_EXCEEDED"
+            assert slow["elapsed"] < 0.8
+            assert other.ok and other.row_count
+            assert other_done < slow["done"]
+            conservation(await_quiescence(service))
+            assert service.stats()["counters"]["plan_compilations"] == 1
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="fork backend is POSIX-only")
 class TestForkWorkerCrash:
     def test_killed_shard_child_degrades_to_serial_retry(self, db):

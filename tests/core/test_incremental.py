@@ -220,6 +220,29 @@ class TestWriters:
         assert maintainer.result.rows() == [("Adenosine",), ("Calcitonin",), ("Orexin",)]
         maintainer.check_consistency()
 
+    def test_invalidate_caches_does_not_recompile_a_formal_plan(
+        self, engine, paper_query, monkeypatch
+    ):
+        # A formal plan reads only the query and the views, so an epoch move
+        # re-executes the held plan; only economical plans compile again.
+        maintainer = IncrementalCitationMaintainer(engine, paper_query)
+        engine.invalidate_caches()
+        engine.database.insert("Family", (20, "Orexin", "O1"))
+        compiles = []
+        compile_plan = engine.compile_plan
+        monkeypatch.setattr(
+            engine, "compile_plan", lambda *args: compiles.append(args) or compile_plan(*args)
+        )
+        result = maintainer.result
+        assert compiles == []
+        fresh = CitationEngine(
+            engine.database, gtopdb.citation_views(), policy=CitationPolicy.union_everywhere()
+        ).cite(paper_query)
+        assert result.rows() == fresh.rows()
+        assert [(tc.row, str(tc.expression), tc.records) for tc in result.tuple_citations] == [
+            (tc.row, str(tc.expression), tc.records) for tc in fresh.tuple_citations
+        ]
+
     def test_construction_leaves_the_engine_caches_alone(self, engine, paper_query):
         with CitationService(engine) as service:
             request = CitationRequest(query=paper_query)

@@ -10,6 +10,7 @@ brute-force isomorphism oracle over small random query pairs.
 from __future__ import annotations
 
 import itertools
+import threading
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,7 @@ from repro.query.ast import (
     Variable,
 )
 from repro.query.parser import parse_query
-from repro.service.fingerprint import are_isomorphic, canonical_key, fingerprint
+from repro.service.fingerprint import are_isomorphic, canonical_key, fingerprint, shape
 
 _VARIABLES = ["X", "Y", "Z", "W", "V"]
 _PREDICATES = ["R", "S"]
@@ -209,3 +210,76 @@ class TestDistinctness:
             single.head, single.body + single.body, (), ()
         )
         assert fingerprint(single) != fingerprint(doubled)
+
+
+# ---------------------------------------------------------------------------
+# Shapes: lifted constants
+# ---------------------------------------------------------------------------
+class TestShape:
+    @given(random_queries(), random_queries(), st.sampled_from([(), (1,)]))
+    @settings(max_examples=150, deadline=None)
+    def test_value_key_matches_isomorphism_oracle(self, left, right, fixed):
+        same = shape(left, fixed).fingerprint == shape(right, fixed).fingerprint
+        assert same == _brute_force_isomorphic(left, right)
+
+    def test_constants_lift_with_their_equality_pattern(self):
+        equal = shape(parse_query("Q(N) :- Family(5, N, D), FamilyIntro(5, T)"))
+        also_equal = shape(parse_query("Q(M) :- FamilyIntro(7, X), Family(7, M, E)"))
+        distinct = shape(parse_query("Q(N) :- Family(5, N, D), FamilyIntro(6, T)"))
+        assert equal.plan_key == also_equal.plan_key != distinct.plan_key
+        assert equal.fingerprint != also_equal.fingerprint
+        assert (equal.constants, also_equal.constants) == ((5,), (7,))
+        text = shape(parse_query('Q(N) :- Family("5", N, D), FamilyIntro("5", T)'))
+        assert text.plan_key != equal.plan_key
+
+    def test_fixed_and_equality_constants_keep_their_value(self):
+        fixed = shape(parse_query("Q(N) :- Family(5, N, D)"), fixed=(5.0,))
+        assert fixed.constants == ()
+        assert fixed.plan_key != shape(parse_query("Q(N) :- Family(6, N, D)"), (5,)).plan_key
+        bound = shape(parse_query("Q(N) :- Family(F, N, D), Committee(5, P), F = 5"))
+        assert bound.constants == ()
+        head = shape(parse_query("Q(5, N) :- Family(F, N, D)"))
+        assert head.constants == (5,)
+
+    def test_automorphic_constants_get_one_order(self):
+        forward = shape(parse_query("Q(X) :- R(X, 5), R(X, 7)"))
+        backward = shape(parse_query("Q(Y) :- R(Y, 7), R(Y, 5)"))
+        other = shape(parse_query("Q(X) :- R(X, 9), R(X, 3)"))
+        assert forward == backward
+        assert forward.constants == (5, 7) and other.constants == (3, 9)
+        assert other.plan_key == forward.plan_key
+
+    def test_three_interchangeable_point_atoms_still_lift(self):
+        shuffled = shape(parse_query("Q(P) :- Committee(3, P), Committee(1, P), Committee(2, P)"))
+        other = shape(parse_query("Q(R) :- Committee(8, R), Committee(9, R), Committee(7, R)"))
+        assert shuffled.constants == (1, 2, 3) and other.constants == (7, 8, 9)
+        assert shuffled.plan_key == other.plan_key
+
+    def test_interchangeable_point_atoms_are_keyed_by_value_in_bounded_time(
+        self, paper_engine
+    ):
+        # Lifted, the nine holes tie where their values did not: 9! labelings
+        # of one plan key.  The lift gives up after a few branches instead.
+        text = "Q(P) :- " + ", ".join(f"Committee({i}, P)" for i in range(1, 10))
+        shapes: list = []
+        worker = threading.Thread(
+            target=lambda: shapes.append(paper_engine.shape(text)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=5)
+        assert shapes, "the shape of nine interchangeable point atoms took over 5 s"
+        assert shapes[0].constants == ()
+        assert shapes[0].plan_key == shapes[0].fingerprint == fingerprint(parse_query(text))
+
+    def test_refinement_stops_with_ten_or_more_colors(self):
+        # Five atoms and eleven variables: once there are ten colors their
+        # repr order and their numeric order part.
+        body = [f"Family(F, N{i}, D{i})" for i in range(5)]
+        queries = [parse_query(f"Q(N0) :- {', '.join(atoms)}") for atoms in (body, body[::-1])]
+        keys: list = []
+        worker = threading.Thread(
+            target=lambda: keys.extend(map(canonical_key, queries)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=10)
+        assert len(keys) == 2 and keys[0] == keys[1]

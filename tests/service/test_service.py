@@ -450,6 +450,67 @@ class TestCompiledProgramsThroughThePlanCache:
         assert service.stats()["engine"]["strategy"] == "auto"
 
 
+def _rows_and_records(result) -> list:
+    return [(tc.row, str(tc.expression), tc.records) for tc in result.tuple_citations]
+
+
+class TestPlanTemplates:
+    """Formal plans are keyed by shape: point queries that differ only in
+    their constants share one compile, and each gets its own instantiation."""
+
+    def test_plan_for_hands_out_the_plan_of_its_own_constants(self, engine, service):
+        first, first_hit = service.plan_for("Q(N) :- Family(5, N, D)")
+        second, second_hit = service.plan_for("Q(N) :- Family(7, N, D)")
+        assert not first_hit and second_hit
+        assert second.constants == (7,) and second.query == parse_query(
+            "Q(N) :- Family(7, N, D)"
+        )
+        fresh = engine.cite("Q(N) :- Family(7, N, D)")
+        assert _rows_and_records(engine.execute_plan(second)) == _rows_and_records(fresh)
+        assert engine.execute_plan(first).rows() != fresh.rows()
+        counters = service.stats()["counters"]
+        assert counters["plan_compilations"] == 1
+        assert counters["plan_instantiations"] == 1
+        # The template stays cached for its own constants, and the
+        # instantiation for its own.
+        again, again_hit = service.plan_for("Q(N) :- Family(5, N, D)")
+        assert again_hit and again is first
+        repeat, repeat_hit = service.plan_for("Q(M) :- Family(7, M, E)")
+        assert repeat_hit and repeat is second
+        assert service.stats()["counters"]["plan_instantiations"] == 1
+
+    def test_batch_of_constant_variants_is_not_deduplicated(self, engine, service):
+        texts = [
+            "Q(T, N) :- Target(T, 3, N, X), Family(3, F, D)",
+            "Q(T, N) :- Target(T, 4, N, X), Family(4, F, D)",
+        ]
+        responses = service.submit_batch([CitationRequest(query=text) for text in texts])
+        assert [response.ok for response in responses] == [True, True]
+        assert responses[0].fingerprint != responses[1].fingerprint
+        for text, response in zip(texts, responses):
+            assert not response.cached
+            assert _rows_and_records(response.result) == _rows_and_records(engine.cite(text))
+        counters = service.stats()["counters"]
+        assert counters["deduplicated"] == 0 and counters["executions"] == 2
+        assert counters["plan_compilations"] + counters["plan_instantiations"] == 2
+
+    def test_equal_constants_of_different_types_key_by_value(self, db):
+        # With analysis off the core keeps all three atoms, and the search,
+        # treating 1 and True as one constant, keeps one FamilyIntro atom:
+        # the plan is no template for a query whose two constants differ.
+        db.insert("Family", (99, "Family without intro", "d"))
+        engine = CitationEngine(db, gtopdb.citation_views(extended=True), analysis="off")
+        mixed = "Q(N) :- Family(1, N, D), FamilyIntro(1, X), FamilyIntro(True, Y)"
+        other = "Q(N) :- Family(99, N, D), FamilyIntro(99, X), FamilyIntro(True, Y)"
+        assert engine.shape(mixed).constants == ()
+        with CitationService(engine) as service:
+            assert cite(service, mixed).rows()
+            assert cite(service, other).rows() == engine.cite(other).rows() == []
+            counters = service.stats()["counters"]
+            assert counters["plan_compilations"] == 2
+            assert counters["plan_instantiations"] == 0
+
+
 class TestEvaluationMetricsExposure:
     def test_stats_expose_strategy_and_prelude_metrics(self, service):
         cite(service, QUERY)

@@ -245,3 +245,60 @@ class TestWorkerSizing:
             assert "sharding" in snapshot["evaluation"]
         finally:
             service.close()
+
+
+class GatedCompileBackend(SlowBackend):
+    """A plan-cached backend whose compiles block until released."""
+
+    name = "gated"
+
+    def __init__(self) -> None:
+        super().__init__(delay=0.0)
+        self.compiled: list[str] = []
+
+    def capabilities(self) -> BackendCapabilities:
+        return BackendCapabilities(
+            name="gated", supports_plan_cache=True, supports_result_cache=False
+        )
+
+    def compile(self, parsed, request):
+        self.compiled.append(parsed)
+        self.release.wait(5.0)
+        return parsed
+
+    def execute(self, plan, parsed, request):
+        return f"answer:{plan}"
+
+
+class TestSingleFlightCompile:
+    def test_one_compile_per_key_while_other_keys_compile(self):
+        service, _database = _service()
+        backend = GatedCompileBackend()
+        service.register_backend(backend)
+        responses = []
+        threads = [
+            threading.Thread(
+                target=lambda q=q: responses.append(
+                    service.submit(CitationRequest(query=q, backend="gated"))
+                )
+            )
+            for q in ("a", "a", "a", "b")
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            # "b" compiles while "a"'s compile holds its own key.
+            deadline = time.monotonic() + 2.0
+            while sorted(set(backend.compiled)) != ["a", "b"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert sorted(set(backend.compiled)) == ["a", "b"]
+        finally:
+            backend.release.set()
+            for thread in threads:
+                thread.join(5.0)
+            service.close()
+        assert sorted(backend.compiled) == ["a", "b"]
+        assert sorted(response.result for response in responses) == [
+            "answer:a", "answer:a", "answer:a", "answer:b"
+        ]
+        assert service.metrics.counter("plan_cache_hits") == 2
