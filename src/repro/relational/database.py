@@ -34,6 +34,10 @@ Change = tuple[str, tuple | None]
 #: far behind between two refreshes; 2**16 entries cost at most a few MB.
 _CHANGE_LOG_LIMIT = 65536
 
+#: A foreign-key probe: positions in the written row, the key, positions in
+#: the probed relation (see ``Database.__init__``).
+_Probe = tuple[tuple[int, ...], ForeignKey, tuple[int, ...]]
+
 
 @shared_state("_generation", "_changes", lock="_sync_lock")
 class Database:
@@ -55,7 +59,23 @@ class Database:
         self._relations: dict[str, Relation] = {
             rs.name: Relation(rs) for rs in schema
         }
-        self._indexes: dict[tuple[str, tuple[int, ...]], HashIndex] = {}
+        # By relation, then positions: a write or a drift touches one relation's.
+        self._indexes: dict[str, dict[tuple[int, ...], HashIndex]] = {
+            name: {} for name in self._relations
+        }
+        # Each relation's foreign-key probes, resolved to positions once (the
+        # schema is immutable).  Outgoing ``(columns, fk, referenced)``: an
+        # inserted row's values at ``columns`` must be held by some row of
+        # ``fk.target`` at ``referenced``.  Incoming ``(referenced, fk,
+        # columns)``: a deleted row's values at ``referenced`` must be held by
+        # no row of ``fk.source`` at ``columns``.
+        self._outgoing: dict[str, list[_Probe]] = {name: [] for name in self._relations}
+        self._incoming: dict[str, list[_Probe]] = {name: [] for name in self._relations}
+        for fk in schema.foreign_keys:
+            columns = tuple(map(schema.relation(fk.source).position, fk.columns))
+            referenced = tuple(map(schema.relation(fk.target).position, fk.ref_columns))
+            self._outgoing[fk.source].append((columns, fk, referenced))
+            self._incoming[fk.target].append((referenced, fk, columns))
         self._generation = 0
         # The change of each of the last generations, oldest first.
         self._changes: deque[Change] = deque(maxlen=_CHANGE_LOG_LIMIT)
@@ -112,8 +132,7 @@ class Database:
                     self._drop_indexes_for(name)
 
     def _drop_indexes_for(self, relation: str) -> None:
-        for key in [key for key in self._indexes if key[0] == relation]:
-            self._indexes.pop(key, None)
+        self._indexes[relation].clear()
 
     def _sync_relation(self, relation: str, target: Relation) -> None:
         """Fold unobserved out-of-band drift on one relation into the generation.
@@ -226,35 +245,25 @@ class Database:
         return changed
 
     # -- constraints ----------------------------------------------------------
-    def _referencing_keys(self, relation: str) -> list[ForeignKey]:
-        return [fk for fk in self.schema.foreign_keys if fk.target == relation]
-
-    def _outgoing_keys(self, relation: str) -> list[ForeignKey]:
-        return [fk for fk in self.schema.foreign_keys if fk.source == relation]
+    def _holds(self, relation: str, positions: tuple[int, ...], values: tuple) -> bool:
+        """Whether some row of *relation* holds *values* at *positions*: one
+        probe of the relation's hash index on those positions."""
+        return bool(self.index_on_positions(relation, positions).get(values))
 
     def _check_foreign_keys_on_insert(self, relation: str, row: tuple) -> None:
-        source_schema = self.relation_schema(relation)
-        for fk in self._outgoing_keys(relation):
-            values = tuple(row[source_schema.position(c)] for c in fk.columns)
+        for columns, fk, referenced in self._outgoing[relation]:
+            values = tuple([row[i] for i in columns])
             if any(v is None for v in values):
                 continue
-            target_schema = self.relation_schema(fk.target)
-            positions = tuple(target_schema.position(c) for c in fk.ref_columns)
-            target = self.relation(fk.target)
-            if not any(True for _ in target.rows_matching(dict(zip(positions, values)))):
+            if not self._holds(fk.target, referenced, values):
                 raise IntegrityError(
                     f"foreign key violation: {relation}{fk.columns}={values!r} "
                     f"has no match in {fk.target}{fk.ref_columns}"
                 )
 
     def _check_foreign_keys_on_delete(self, relation: str, row: tuple) -> None:
-        target_schema = self.relation_schema(relation)
-        for fk in self._referencing_keys(relation):
-            values = tuple(row[target_schema.position(c)] for c in fk.ref_columns)
-            source_schema = self.relation_schema(fk.source)
-            positions = tuple(source_schema.position(c) for c in fk.columns)
-            source = self.relation(fk.source)
-            if any(True for _ in source.rows_matching(dict(zip(positions, values)))):
+        for referenced, fk, columns in self._incoming[relation]:
+            if self._holds(fk.source, columns, tuple([row[i] for i in referenced])):
                 raise IntegrityError(
                     f"foreign key violation: cannot delete {row!r} from {relation}; "
                     f"still referenced by {fk.source}{fk.columns}"
@@ -263,21 +272,18 @@ class Database:
     def validate(self) -> list[str]:
         """Check all constraints over the full instance; return violation messages."""
         problems: list[str] = []
-        for fk in self.schema.foreign_keys:
-            source_schema = self.relation_schema(fk.source)
-            target_schema = self.relation_schema(fk.target)
-            src_positions = tuple(source_schema.position(c) for c in fk.columns)
-            tgt_positions = tuple(target_schema.position(c) for c in fk.ref_columns)
-            available = self.relation(fk.target).project_positions(tgt_positions)
-            for row in self.relation(fk.source):
-                values = tuple(row[i] for i in src_positions)
-                if any(v is None for v in values):
-                    continue
-                if values not in available:
-                    problems.append(
-                        f"{fk.source}{fk.columns}={values!r} missing from "
-                        f"{fk.target}{fk.ref_columns}"
-                    )
+        for source, probes in self._outgoing.items():
+            for columns, fk, referenced in probes:
+                available = self._relations[fk.target].project_positions(referenced)
+                for row in self._relations[source]:
+                    values = tuple(row[i] for i in columns)
+                    if any(v is None for v in values):
+                        continue
+                    if values not in available:
+                        problems.append(
+                            f"{fk.source}{fk.columns}={values!r} missing from "
+                            f"{fk.target}{fk.ref_columns}"
+                        )
         return problems
 
     # -- indexes ----------------------------------------------------------------
@@ -288,27 +294,30 @@ class Database:
         return self.index_on_positions(relation, positions)
 
     def index_on_positions(self, relation: str, positions: Iterable[int]) -> HashIndex:
-        """Return (building if necessary) a hash index on column *positions*."""
-        key = (relation, tuple(positions))
+        """Return (building if necessary) a hash index on column *positions*.
+
+        Out-of-band drift on *relation* is folded in first, which drops its
+        stale indexes, so the index returned holds the relation's rows.
+        """
+        target = self.relation(relation)
+        key = tuple(positions)
         # Build and store under the sync lock so a store never lands while a
-        # concurrent reader's drift fold iterates the index table.
+        # concurrent writer iterates the relation's indexes.
         with self._sync_lock:
-            self._sync_out_of_band()
-            index = self._indexes.get(key)
+            self._sync_relation(relation, target)
+            indexes = self._indexes[relation]
+            index = indexes.get(key)
             if index is None:
-                index = HashIndex(self.relation(relation), key[1])
-                self._indexes[key] = index
+                index = indexes[key] = HashIndex(target, key)
         return index
 
     def _update_indexes_on_insert(self, relation: str, row: tuple) -> None:
-        for (name, _positions), index in self._indexes.items():
-            if name == relation:
-                index.add(row)
+        for index in self._indexes[relation].values():
+            index.add(row)
 
     def _update_indexes_on_delete(self, relation: str, row: tuple) -> None:
-        for (name, _positions), index in self._indexes.items():
-            if name == relation:
-                index.remove(row)
+        for index in self._indexes[relation].values():
+            index.remove(row)
 
     # -- inspection ---------------------------------------------------------------
     def total_rows(self) -> int:

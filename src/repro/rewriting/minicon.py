@@ -41,8 +41,11 @@ class MCD:
 
     view: View
     covered: frozenset[int]
-    #: mapping from query terms to view terms (the homomorphism φ⁻¹ direction)
+    #: mapping from query variables to view terms (the homomorphism φ⁻¹ direction)
     query_to_view: dict[Term, Term] = field(default_factory=dict)
+    #: the view terms each query constant meets, in the order met; the
+    #: rewriting puts the constant at every one of them
+    constants: dict[Term, tuple[Term, ...]] = field(default_factory=dict)
 
     def conflicts_with(self, other: "MCD") -> bool:
         """Two MCDs conflict when their covered subgoal sets overlap."""
@@ -91,6 +94,7 @@ class MiniConRewriter:
                         mcd.covered == existing.covered
                         and mcd.view is existing.view
                         and mcd.query_to_view == existing.query_to_view
+                        and mcd.constants == existing.constants
                         for existing in mcds
                     ):
                         mcds.append(mcd)
@@ -108,7 +112,8 @@ class MiniConRewriter:
         view_subgoal: Atom,
     ) -> MCD | None:
         mapping: dict[Term, Term] = {}
-        if not self._extend_mapping(start_subgoal, view_subgoal, mapping):
+        constants: dict[Term, tuple[Term, ...]] = {}
+        if not self._extend_mapping(start_subgoal, view_subgoal, mapping, constants):
             return None
         covered = {start_index}
 
@@ -131,21 +136,25 @@ class MiniConRewriter:
                         continue
                     placed = False
                     for candidate in definition.body:
-                        trial = dict(mapping)
-                        if self._extend_mapping(subgoal, candidate, trial):
-                            mapping.clear()
-                            mapping.update(trial)
+                        trial, trial_constants = dict(mapping), dict(constants)
+                        if self._extend_mapping(subgoal, candidate, trial, trial_constants):
+                            mapping, constants = trial, trial_constants
                             covered.add(index)
                             placed = True
                             changed = True
                             break
                     if not placed:
                         return None
-        return MCD(view=view, covered=frozenset(covered), query_to_view=mapping)
+        return MCD(
+            view=view, covered=frozenset(covered), query_to_view=mapping, constants=constants
+        )
 
     @staticmethod
     def _extend_mapping(
-        query_subgoal: Atom, view_subgoal: Atom, mapping: dict[Term, Term]
+        query_subgoal: Atom,
+        view_subgoal: Atom,
+        mapping: dict[Term, Term],
+        constants: dict[Term, tuple[Term, ...]],
     ) -> bool:
         if (
             query_subgoal.predicate != view_subgoal.predicate
@@ -158,11 +167,12 @@ class MiniConRewriter:
                     if query_term != view_term:
                         return False
                     continue
-                # constant in the query must be checkable through the view head
-                existing = mapping.get(query_term)
-                if existing is not None and existing != view_term:
-                    return False
-                mapping[query_term] = view_term
+                # A constant in the query must be checkable through the view
+                # head at every view term it meets: `Family(F, "c", "c")` over
+                # `Family(FID, FName, Desc)` binds both FName and Desc to "c".
+                met = constants.get(query_term, ())
+                if view_term not in met:
+                    constants[query_term] = (*met, view_term)
                 continue
             existing = mapping.get(query_term)
             if existing is None:
@@ -234,9 +244,11 @@ class MiniConRewriter:
         for mcd in combination:
             definition = mcd.view.query.without_parameters()
             view_to_query: dict[Term, Term] = {}
-            for query_term, view_term in mcd.query_to_view.items():
-                if isinstance(view_term, Variable) and view_term not in view_to_query:
-                    view_to_query[view_term] = query_term
+            images = [(term, (image,)) for term, image in mcd.query_to_view.items()]
+            for query_term, view_terms in images + list(mcd.constants.items()):
+                for view_term in view_terms:
+                    if isinstance(view_term, Variable) and view_term not in view_to_query:
+                        view_to_query[view_term] = query_term
             terms: list[Term] = []
             for head_term in definition.head_terms:
                 if isinstance(head_term, Variable):

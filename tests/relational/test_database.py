@@ -279,3 +279,68 @@ class TestInspection:
 
     def test_repr_mentions_sizes(self, db):
         assert "Family=2" in repr(db)
+
+
+class TestForeignKeyProbes:
+    """Foreign-key checks probe the database's hash indexes, so a checked
+    write costs O(row): once a warm-up write in each direction has built
+    the indexes, no check scans or iterates a relation."""
+
+    def test_checked_writes_scan_no_relation(self, db, monkeypatch):
+        from repro.relational.relation import Relation
+
+        db.insert("Committee", (2, "Warm-up"))  # builds Family's probe index
+        with pytest.raises(IntegrityError):
+            db.delete("Family", (2, "Adenosine"))  # builds Committee's
+        scanned, iterated = [], []
+        rows_matching, iterate = Relation.rows_matching, Relation.__iter__
+
+        def spy_rows_matching(relation, bound):
+            scanned.append(relation.schema.name)
+            return rows_matching(relation, bound)
+
+        def spy_iter(relation):
+            iterated.append(relation.schema.name)
+            return iterate(relation)
+
+        monkeypatch.setattr(Relation, "rows_matching", spy_rows_matching)
+        monkeypatch.setattr(Relation, "__iter__", spy_iter)
+        for i in range(50):  # four checked writes each, two per direction
+            fid = 100 + i
+            db.insert("Family", (fid, f"F{i}"))
+            assert db.insert("Committee", (fid, "Curator"))  # outgoing, holds
+            with pytest.raises(IntegrityError):
+                db.insert("Committee", (900 + i, "Nobody"))  # outgoing, fails
+            with pytest.raises(IntegrityError):
+                db.delete("Family", (fid, f"F{i}"))  # incoming, referenced
+            db.delete("Committee", (fid, "Curator"))
+            assert db.delete("Family", (fid, f"F{i}"))  # incoming, free
+        assert scanned == [] and iterated == []
+
+    def test_checked_writes_racing_index_builds_lose_no_row(self, db):
+        # Probes build indexes lazily while other threads' writes update
+        # them; a row a probe's index missed would refuse a valid insert or
+        # let a referenced row go.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        def write(i):
+            fid, name = 100 + i, f"F{i}"
+            db.insert("Family", (fid, name))
+            db.insert("Committee", (fid, "Curator"))
+            with pytest.raises(IntegrityError):
+                db.delete("Family", (fid, name))
+            db.delete("Committee", (fid, "Curator"))
+            assert db.delete("Family", (fid, name))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(write, range(200), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for relation in ("Family", "Committee"):
+            index = db.index_on(relation, ["FID"])
+            indexed = [row for key in index.keys() for row in index.get(key)]
+            assert sorted(indexed) == sorted(db.relation(relation))

@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 import pytest
 
+from repro import CitationEngine
+from repro.core.engine import AtomCache
 from repro.errors import DeadlineExceeded, is_transient
+from repro.observability import RingBufferSink, Tracer, use_tracer
 from repro.resilience import Deadline, current_deadline, deadline_scope
 from repro.resilience.deadline import CHECK_STRIDE
+from repro.workloads import gtopdb
 
 
 class TestDeadline:
@@ -92,3 +97,64 @@ class TestDeadlineScope:
         with deadline_scope(ambient):
             with deadline_scope(None):
                 assert current_deadline() is ambient
+
+
+class TestCheckpointCounts:
+    """Checkpoints are counted, not timed: a clock read per scanned row costs
+    a few percent of a request, too little for a timing gate to see, so the
+    number of ``Deadline.check`` calls is bounded instead.
+
+    Q6 is executed once, cold, under a one-hour deadline and a tracer whose
+    ``join.step`` spans count the rows each evaluation scanned.  The join
+    reads the clock every ``CHECK_STRIDE`` rows and once per reduction
+    prelude pass; assembly every ``CHECK_STRIDE`` rows and after each row
+    that fetched a record.
+    """
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        return gtopdb.generate(families=80, targets_per_family=3, seed=17)
+
+    @pytest.mark.parametrize("strategy", ["program", "reduced"])
+    def test_checks_stay_within_their_strides(self, database, strategy, monkeypatch):
+        checks: Counter[str] = Counter()
+        fetched = 0
+        check, fetch = Deadline.check, AtomCache.__missing__
+
+        def counting_check(deadline, where=""):
+            checks[where] += 1
+            check(deadline, where)
+
+        def counting_fetch(cache, key):
+            nonlocal fetched
+            fetched += 1
+            return fetch(cache, key)
+
+        engine = CitationEngine(
+            database, gtopdb.citation_views(extended=True), strategy=strategy
+        )
+        plan = engine.compile_plan(gtopdb.example_queries()[5])  # Q6
+        monkeypatch.setattr(Deadline, "check", counting_check)
+        monkeypatch.setattr(AtomCache, "__missing__", counting_fetch)
+        sink = RingBufferSink()
+        with use_tracer(Tracer(sinks=[sink])), deadline_scope(Deadline.after(3600.0)):
+            result = engine.execute_plan(plan)
+
+        evaluations = sink.last().find_all("query.evaluate")
+        steps = [span.find_all("join.step") for span in evaluations]
+        scanned = sum(step.attributes["rows_scanned"] for spans in steps for step in spans)
+        main = max(sum(step.attributes["rows_scanned"] for step in spans) for spans in steps)
+        assert main >= 20 * CHECK_STRIDE
+        # A reduced evaluation's prelude checks once per pass: each step is
+        # prefiltered at most twice and filtered once by sideways
+        # information passing, and each join-tree edge is passed up and down.
+        passes = sum(
+            3 * len(spans) + 2 * (len(spans) - 1)
+            for span, spans in zip(evaluations, steps)
+            if span.attributes["executor"] == "reduced"
+        )
+        assert (passes > 0) == (strategy == "reduced")
+        assert checks["join"] <= scanned // CHECK_STRIDE + passes + 2
+        rows = len(result.tuple_citations)
+        assert fetched > 0
+        assert checks["assembly"] <= rows // CHECK_STRIDE + fetched + 1

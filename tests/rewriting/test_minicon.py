@@ -1,12 +1,16 @@
 """Tests for the MiniCon rewriting algorithm."""
 
 import pytest
+from strategies import brute_force
 
+from repro import CitationEngine
 from repro.query.parser import parse_query
 from repro.rewriting.bucket import BucketRewriter
 from repro.rewriting.minicon import MiniConRewriter
 from repro.rewriting.rewriting import is_equivalent_rewriting
 from repro.rewriting.view import View
+from repro.service.fingerprint import canonical_key
+from repro.workloads import gtopdb
 from repro.workloads.query_workload import chain_query, chain_views, star_query, star_views
 
 
@@ -125,3 +129,40 @@ class TestAgreementWithBucket:
             minicon.last_statistics.combinations_considered
             <= bucket.last_statistics.candidates_considered
         )
+
+
+class TestRepeatedConstant:
+    """A constant repeated within one atom binds every view term it meets:
+    ``Family(F, "Same", "Same")`` maps "Same" to both ``FName`` and ``Desc``
+    of ``V2(FID, FName, Desc) :- Family(FID, FName, Desc)``, and the
+    rewriting puts it at both head positions.  MiniCon used to keep one
+    view term per constant, so such a query had no rewriting."""
+
+    QUERIES = [
+        'Q(F) :- Family(F, "Same", "Same")',
+        'Q(T) :- Target(T, F, "TT", "TT")',
+    ]
+
+    @pytest.fixture(scope="class")
+    def database(self):
+        database = gtopdb.generate(families=20, targets_per_family=3, seed=17)
+        database.insert("Family", (999, "Same", "Same"))
+        database.insert("Target", (9999, 999, "TT", "TT"))
+        return database
+
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_minicon_finds_what_bucket_finds(self, text):
+        views = [cv.view for cv in gtopdb.citation_views(extended=True)]
+        query = parse_query(text)
+        minicon = MiniConRewriter(views).rewrite(query)
+        bucket = BucketRewriter(views).rewrite(query)
+        assert minicon
+        assert sorted(canonical_key(r.query) for r in minicon) == sorted(
+            canonical_key(r.query) for r in bucket
+        )
+
+    @pytest.mark.parametrize("text", QUERIES)
+    def test_cited_rows_equal_brute_force(self, database, text):
+        engine = CitationEngine(database, gtopdb.citation_views(extended=True))
+        result = engine.cite(text)
+        assert set(result.result.rows) == brute_force(parse_query(text), database) != set()
