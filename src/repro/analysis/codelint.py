@@ -1,7 +1,6 @@
 """AST-based concurrency lint over the repro source tree (codes ``C001``–``C004``).
 
-The serving layer fans requests out over a thread pool, and the ROADMAP's
-next items (sharding, the async tier) add more threads on top — so which
+The serving layer fans requests out over a thread pool — so which
 class fields are shared, and under which lock, must be *declared*, not
 tribal knowledge.  Classes declare their contract with
 :func:`repro.concurrency.shared_state`:

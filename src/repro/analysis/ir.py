@@ -1,4 +1,4 @@
-"""Dataflow verification of compiled join IR (codes ``I001``–``I008``).
+"""Dataflow verification of compiled join IR (codes ``I001``–``I007``).
 
 The query analyzer (:mod:`repro.analysis.query_rules`) checks what goes
 *into* the compiler; nothing so far checked what comes *out*.  A
@@ -24,11 +24,7 @@ themselves:
 * :func:`verify_citation_plan` — all of the above over everything compiled
   onto a :class:`~repro.core.engine.CitationPlan`, plus a check that each
   rewriting's program was compiled from that rewriting and that its
-  citation program reads that program's frames (I004);
-* :func:`verify_shard_partition` — sharded execution state: the partition of
-  a program's driving rows must be an exact multiset cover, with every row
-  routed to the shard its join-key hash dictates (I008), so the union of
-  per-shard runs provably equals the unsharded program.
+  citation program reads that program's frames (I004).
 
 Everything here is pure description — no relation data is read beyond
 identity/version stamps — so verification is cheap enough to run once per
@@ -63,7 +59,6 @@ __all__ = [
     "verify_reduced",
     "verify_prelude",
     "verify_citation_plan",
-    "verify_shard_partition",
 ]
 
 
@@ -74,7 +69,6 @@ __all__ = [
 @rule("I005", "ir", Severity.ERROR, "semi-join edges disagree with GYO ear-removal order")
 @rule("I006", "ir", Severity.ERROR, "a step reduction drifted from its program (dead or missing filters)")
 @rule("I007", "ir", Severity.ERROR, "a prelude snapshot disagrees with the steps it was built from")
-@rule("I008", "ir", Severity.ERROR, "a shard partition is not an exact, correctly-routed cover of the driving rows")
 def _ir_registration() -> None:  # pragma: no cover - registry stub
     raise NotImplementedError("I-codes are emitted by the verifier walk")
 
@@ -463,75 +457,6 @@ def verify_prelude(prelude: PreludeCache) -> AnalysisReport:
     snapshot = prelude._snapshot
     if snapshot is not None:
         report.extend(_verify_snapshot(snapshot, reduced, loc))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# I008: sharded execution state
-# ---------------------------------------------------------------------------
-def verify_shard_partition(
-    program: JoinProgram,
-    key_positions,
-    parts,
-    source_rows,
-) -> AnalysisReport:
-    """Verify a shard partition of *program*'s driving rows (I008).
-
-    ``parts`` is the list of per-shard row lists the parallel evaluator is
-    about to execute, ``source_rows`` the driving rows the partition was cut
-    from, and ``key_positions`` the join-key positions it hashed on.  The
-    union of per-shard runs equals the unsharded program iff the partition is
-    an exact multiset cover with every row in the shard its key hash selects
-    — exactly what this rule checks, so it composes with I001–I007 (which
-    vouch for the per-shard program itself, unchanged by sharding).
-    """
-    report = AnalysisReport()
-    loc = f"shard partition for {program.query.name!r}"
-    shard_count = len(parts)
-    if shard_count < 1:
-        report.add(diagnostic("I008", "partition has no shards", loc))
-        return report
-    driving = program.steps[0] if program.steps else None
-    width = (
-        len(driving.key_positions) + len(driving.writes) + len(driving.post_checks)
-        if driving is not None
-        else 0
-    )
-    for position in key_positions:
-        if not isinstance(position, int) or position < 0 or (width and position >= width):
-            report.add(diagnostic(
-                "I008",
-                f"shard key position {position!r} is outside the driving atom's arity",
-                loc,
-            ))
-            return report
-    expected = Counter(source_rows)
-    actual: Counter = Counter()
-    for index, part in enumerate(parts):
-        for row in part:
-            actual[row] += 1
-            key = tuple(row[p] for p in key_positions) if key_positions else row
-            if hash(key) % shard_count != index:
-                report.add(diagnostic(
-                    "I008",
-                    f"row {row!r} landed in shard {index}, not the shard its key hash selects",
-                    loc,
-                ))
-    if actual != expected:
-        missing = expected - actual
-        extra = actual - expected
-        if missing:
-            report.add(diagnostic(
-                "I008",
-                f"{sum(missing.values())} driving row(s) are missing from the partition",
-                loc,
-            ))
-        if extra:
-            report.add(diagnostic(
-                "I008",
-                f"{sum(extra.values())} row(s) in the partition are duplicated or foreign",
-                loc,
-            ))
     return report
 
 

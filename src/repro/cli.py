@@ -98,7 +98,6 @@ def _load_engine(args: argparse.Namespace) -> CitationEngine:
         policy=policy,
         on_no_rewriting="fallback",
         strategy=getattr(args, "strategy", "auto"),
-        workers=getattr(args, "workers", None),
     )
 
 
@@ -446,13 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
             "--strategy", choices=STRATEGY_CHOICES, default="auto",
             help="join execution strategy: auto prices the semi-join "
             "reduction with the statistics-driven cost model (and always "
-            "reuse a warm prelude), program/reduced force one executor, "
-            "parallel forces sharded evaluation across the worker pool",
+            "reuses a warm prelude), program/reduced force one executor",
         )
         sub.add_argument(
             "--workers", type=positive_int, default=None,
-            help="worker count for both the service request pool and "
-            "sharded parallel evaluation (default: bounded CPU-derived)",
+            help="size of the service request pool (default: bounded "
+            "CPU-derived)",
         )
 
     def add_observability_options(sub: argparse.ArgumentParser) -> None:

@@ -461,13 +461,9 @@ class CitationEngine:
         strategy: Strategy = "auto",
         analysis: AnalysisMode = "warn",
         verify_plans: VerifyMode | None = None,
-        workers: int | None = None,
     ) -> None:
         self.database = database
         self.strategy: Strategy = strategy
-        #: Shard count for parallel evaluation (None = CPU-derived default);
-        #: threaded into the persistent evaluator, see ``_execution_evaluator``.
-        self.workers = workers
         self.analysis: AnalysisMode = analysis
         if verify_plans is None:
             verify_plans = type(self).DEFAULT_VERIFY_PLANS
@@ -607,18 +603,15 @@ class CitationEngine:
         :attr:`~CitationPlan.data_dependent`.
 
         Besides the views, citation records and view indexes, this clears the
-        statistics catalog and the evaluator's shard-partition cache.  Warm
-        preludes on plans held elsewhere need no action: the views are
-        materialised anew, and a prelude refreshes whenever a relation's
-        identity or version moves.
+        statistics catalog.  Warm preludes on plans held elsewhere need no
+        action: the views are materialised anew, and a prelude refreshes
+        whenever a relation's identity or version moves.
         """
         with self._refresh_lock:
             self._drop_caches_locked()
             self._cache_generation = self.database.generation
         self._index_manager.invalidate()
         self._statistics.invalidate()
-        if self._evaluator is not None:
-            self._evaluator.invalidate_caches()
         self._cache_epoch += 1
 
     def refresh_stats(self) -> dict[str, int]:
@@ -1229,14 +1222,14 @@ class CitationEngine:
     def _execution_evaluator(self, views: bool = True) -> QueryEvaluator:
         """The engine's persistent evaluator, pointed at the current views.
 
-        Built once and reused so its shard-partition cache persists across
-        executions; compiled state lives on the plans.  The view relations
-        it resolves against are re-bound per call: within one database
-        generation they are the same objects, and after a mutation
-        the fresh materialisations replace them (the plans' prelude caches
-        notice via their identity stamps); ``views=False`` skips both, for a
-        query that names no view.  Mutations must not race in-flight
-        executions — the usual reader/writer discipline of the in-memory store.
+        Built once and reused; it caches nothing per query, since compiled
+        state lives on the plans.  The view relations it resolves against
+        are re-bound per call: within one database generation they are the
+        same objects, and after a mutation the fresh materialisations
+        replace them (the plans' prelude caches notice via their identity
+        stamps); ``views=False`` skips both, for a query that names no view.
+        Mutations must not race in-flight executions — the usual
+        reader/writer discipline of the in-memory store.
         """
         relations = self.view_relations() if views else None
         evaluator = self._evaluator
@@ -1249,8 +1242,6 @@ class CitationEngine:
                 statistics=self._statistics,
                 cost_model=self._cost_model,
                 metrics=self.evaluation_metrics,
-                workers=self.workers,
-                verify_partitions=self.verify_plans == "strict",
             )
             self._evaluator = evaluator
         else:

@@ -134,7 +134,7 @@ class IncrementalCitationMaintainer:
             return self._result
         self._token = (changes[0], token[1])
         # Delta and per-row queries probe a few rows: the plain program over
-        # the engine's view indexes, with no cost model and no shards.
+        # the engine's view indexes, with no cost model.
         evaluator = QueryEvaluator(
             self.engine.database,
             extra_relations=relations,

@@ -124,8 +124,8 @@ class OntologyError(ReproError):
 class TransientError(ReproError):
     """Marker base for failures that may succeed if the caller retries.
 
-    Subclasses describe conditions of the *system* (a crashed worker, a full
-    queue) rather than of the *request*; a :class:`RetryPolicy
+    Subclasses describe conditions of the *system* (a full admission queue)
+    rather than of the *request*; a :class:`RetryPolicy
     <repro.resilience.retry.RetryPolicy>` retries these and nothing else.
     """
 
@@ -133,8 +133,8 @@ class TransientError(ReproError):
 class DeadlineExceeded(ReproError, TimeoutError):
     """A request ran past its deadline and was cooperatively cancelled.
 
-    Raised from a cancellation checkpoint (join loop, prelude pass, shard
-    worker, cache wait) the moment the propagated
+    Raised from a cancellation checkpoint (join loop, prelude pass, cache
+    wait) the moment the propagated
     :class:`~repro.resilience.deadline.Deadline` expires.  ``where`` names the
     checkpoint that fired, so traces show how deep the request got.  Also a
     :class:`TimeoutError` so existing ``except TimeoutError`` callers treat
@@ -151,7 +151,7 @@ class DeadlineExceeded(ReproError, TimeoutError):
         self.where = where
         self.remaining = remaining
 
-    def __reduce__(self):  # crosses the fork-shard pickle pipe intact
+    def __reduce__(self):  # a pickled copy keeps ``where`` and ``remaining``
         return (type(self), (self.where, self.remaining))
 
 
@@ -167,27 +167,8 @@ class Overloaded(TransientError):
         super().__init__(message)
         self.retry_after = retry_after
 
-    def __reduce__(self):  # crosses the fork-shard pickle pipe intact
+    def __reduce__(self):  # a pickled copy keeps ``retry_after``
         return (type(self), (self.args[0], self.retry_after))
-
-
-class WorkerCrashError(TransientError):
-    """A shard worker process died before reporting a result.
-
-    Reported by :func:`repro.concurrency.fork_map_outcomes` when a forked
-    child exits without writing its result pickle (killed, OOM, ``os._exit``
-    in a fault injection).  Transient by definition — the input shard is
-    intact and re-running it in-process succeeds — which is exactly the
-    contract the evaluator's serial-retry degradation path relies on.
-    """
-
-    def __init__(self, pid: int, status: int) -> None:
-        super().__init__(f"shard worker {pid} died without a result (status {status})")
-        self.pid = pid
-        self.status = status
-
-    def __reduce__(self):  # crosses the fork-shard pickle pipe intact
-        return (type(self), (self.pid, self.status))
 
 
 def is_transient(error: BaseException) -> bool:
@@ -209,7 +190,6 @@ def is_transient(error: BaseException) -> bool:
 _ERROR_CODES: tuple[tuple[type[BaseException], str], ...] = (
     (DeadlineExceeded, "DEADLINE_EXCEEDED"),
     (Overloaded, "OVERLOADED"),
-    (WorkerCrashError, "WORKER_CRASHED"),
     (ParseError, "PARSE_ERROR"),
     (PlanVerificationError, "PLAN_VERIFICATION_FAILED"),
     (StaticAnalysisError, "STATIC_ANALYSIS_FAILED"),

@@ -90,8 +90,6 @@ __all__ = [
     "reduce_program",
     "join_forest",
     "is_acyclic",
-    "shard_key_positions",
-    "partition_driving_rows",
 ]
 
 
@@ -233,9 +231,8 @@ class JoinProgram:
         :meth:`ReducedProgram.reduce_relations`).
 
         Every index is resolved here, so running the plan touches neither
-        the index manager nor the relations and takes no lock: the sharded
-        driver prepares one plan and each forked shard reads it
-        copy-on-write.  With a *profile*, records the per-step input sizes.
+        the index manager nor the relations.  With a *profile*, records the
+        per-step input sizes.
         """
         if profile is not None:
             profile.record_inputs(self.steps, relations, candidates)
@@ -261,25 +258,9 @@ class JoinProgram:
                 plan.append((step, "map", buckets, key_pairs))
         return plan
 
-    def driving_rows_from_plan(self, plan: Sequence[tuple]) -> list[tuple]:
-        """The rows the depth-0 step of a prepared *plan* iterates.
-
-        The driving step's probe key reads only seed-filled slots, so its
-        rows — the whole source, or one bucket of it — are a fixed list the
-        sharded driver partitions and hands back to :meth:`run_plan` as
-        *driving_rows*.
-        """
-        _step, kind, source, key_pairs = plan[0]
-        if kind == "all":
-            return list(source)
-        seed = dict(self.seed)
-        key = tuple(value if slot is None else seed[slot] for slot, value in key_pairs)
-        return list(source.get(key, ()))
-
     def run_plan(
         self,
         plan: Sequence[tuple],
-        driving_rows: Sequence[tuple] | None = None,
         cancel: Callable[[], None] | None = None,
         profile: JoinProfile | None = None,
     ) -> Iterator[tuple]:
@@ -289,13 +270,6 @@ class JoinProgram:
         This is the join loop of both executors: the plan comes from
         :meth:`prepared_plan`, or from :meth:`ReducedProgram.prepared_plan`
         over the reduction prelude's surviving rows.
-
-        With *driving_rows*, the depth-0 step iterates exactly the supplied
-        rows instead of its own source: the sharded-execution seam.  The
-        caller is responsible for the rows being a subset of what the step
-        would have iterated (see :meth:`driving_rows_from_plan`); every other
-        check (writes, post-checks, deeper probes) still applies, so a
-        partition of the driving rows yields a partition of the frames.
 
         With *cancel* (a zero-arg callable that reads the clock, typically
         ``partial(deadline.check, "join")``), every
@@ -324,9 +298,7 @@ class JoinProgram:
                 yield tuple(frame)
                 return
             step, kind, source, key_pairs = plan[depth]
-            if depth == 0 and driving_rows is not None:
-                rows = driving_rows
-            elif kind == "all":
+            if kind == "all":
                 rows = source
             else:
                 key = tuple(
@@ -930,61 +902,6 @@ def reduce_program(program: JoinProgram) -> ReducedProgram:
         reductions=reductions,
         subtrees=subtrees,
     )
-
-
-# ---------------------------------------------------------------------------
-# Shard planning for parallel execution
-# ---------------------------------------------------------------------------
-def shard_key_positions(program: JoinProgram) -> tuple[int, ...]:
-    """The driving-step positions whose values pick a row's shard.
-
-    Sharding partitions the depth-0 row source by **join-key hash**: the
-    positions chosen are the driving step's writes whose slots some later
-    step's probe key consumes — rows agreeing on them probe the same
-    downstream buckets, so a shard keeps key locality.  When no later step
-    probes a driving write (e.g. a pure cartesian driver), every write
-    position is used; an empty tuple means "hash the whole row" (degenerate
-    driving steps with no writes at all).
-    """
-    steps = program.steps
-    consumed = {
-        slot
-        for later in steps[1:]
-        for slot in later.key_slots
-        if slot is not None
-    }
-    driving = steps[0]
-    positions = tuple(p for p, slot in driving.writes if slot in consumed)
-    if not positions:
-        positions = tuple(p for p, _slot in driving.writes)
-    return positions
-
-
-def partition_driving_rows(
-    rows: Sequence[tuple],
-    key_positions: tuple[int, ...],
-    shard_count: int,
-) -> list[list[tuple]]:
-    """Split *rows* into *shard_count* disjoint lists by join-key hash.
-
-    Every row lands in exactly one part (``hash(key) % shard_count``), so the
-    union of the per-part frame sets of a join program equals the unsharded
-    frame set exactly — each frame descends from exactly one driving row.
-    With empty *key_positions* the whole row is the key.  The partition is a
-    pure function of the rows, so it can be cached alongside prelude state
-    and is checkable after the fact (rule I008,
-    :func:`repro.analysis.ir.verify_shard_partition`).
-    """
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    parts: list[list[tuple]] = [[] for _ in range(shard_count)]
-    if key_positions:
-        for row in rows:
-            parts[hash(tuple(row[p] for p in key_positions)) % shard_count].append(row)
-    else:
-        for row in rows:
-            parts[hash(row) % shard_count].append(row)
-    return parts
 
 
 # ---------------------------------------------------------------------------

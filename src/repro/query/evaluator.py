@@ -39,24 +39,10 @@ The evaluator has a **strategy knob** for how a program is executed:
 * ``"auto"`` (the default) — for α-acyclic multi-atom queries, ask the
   statistics-driven :class:`~repro.query.stats.CostModel` whether the
   prelude's expected dangling-tuple savings beat its linear passes; run
-  whatever it picks;
-* ``"parallel"`` — resolve the executor like ``"auto"``, then force
-  **sharded execution**: the driving step's resolved row source is
-  partitioned by join-key hash into one slice per worker
-  (:func:`~repro.query.compiler.partition_driving_rows`), the join loop runs
-  the same prepared plan once per shard with the ``driving_rows`` override,
-  and the per-shard frame sets are merged (exact — each frame descends from
-  exactly one driving row).  The plan — semi-join prelude and probe indexes
-  included — is prepared **once** in the calling thread and read by every
-  shard copy-on-write.
+  whatever it picks.
 
-Under ``"auto"`` the evaluator also *considers* sharding after resolving the
-executor: :meth:`~repro.query.stats.CostModel.parallel_estimate` prices the
-divided join work against per-worker setup, the partition pass and the
-frames the shards ship back.  Workers default to a bounded CPU-derived count
-(:func:`repro.concurrency.default_worker_count`).  Each shard runs in a
-forked child, which the GIL cannot serialise and which takes no lock; where
-``os.fork`` is missing every evaluation runs serial (reason ``"no_fork"``).
+Every evaluation runs the one join loop
+(:meth:`~repro.query.compiler.JoinProgram.run_plan`) in the calling thread.
 
 Under ``"auto"`` a query whose handed-in prelude is warm for the current
 relations always runs reduced — the prelude costs nothing, so the cost
@@ -70,19 +56,15 @@ suites (``tests/property/test_strategy_equivalence.py`` and
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
 from functools import partial
 from operator import itemgetter
 from typing import Literal, TypeVar
 
-from repro.concurrency import default_worker_count, fork_map_outcomes, shared_state
-from repro.errors import QueryError, UnknownRelationError, WorkerCrashError
+from repro.errors import QueryError, UnknownRelationError
 from repro.observability import NULL_SPAN, current_fingerprint, get_tracer
-from repro.resilience import faults
-from repro.resilience.deadline import Deadline, current_deadline
+from repro.resilience.deadline import current_deadline
 from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
 from repro.query.compiler import (
     JoinProfile,
@@ -90,17 +72,9 @@ from repro.query.compiler import (
     PreludeCache,
     ReducedProgram,
     compile_query,
-    partition_driving_rows,
     reduce_program,
-    shard_key_positions,
 )
-from repro.query.stats import (
-    CostEstimate,
-    CostModel,
-    EvaluationMetrics,
-    ParallelEstimate,
-    StatisticsCatalog,
-)
+from repro.query.stats import CostEstimate, CostModel, EvaluationMetrics, StatisticsCatalog
 from repro.relational.database import Database
 from repro.relational.index import IndexManager
 from repro.relational.relation import Relation
@@ -110,16 +84,11 @@ Binding = dict[Variable, object]
 
 _Out = TypeVar("_Out", bound=Sized)
 
-Strategy = Literal["auto", "program", "reduced", "parallel"]
+Strategy = Literal["auto", "program", "reduced"]
 
-STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced", "parallel")
-
-#: Soft cap on cached shard partitions; beyond it the oldest are evicted
-#: FIFO and simply recompute on next use.
-_SHARD_PARTS_LIMIT = 512
+STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced")
 
 
-@shared_state("_shard_parts", lock="_cache_lock")
 class QueryEvaluator:
     """Evaluates conjunctive queries against a :class:`Database`.
 
@@ -144,15 +113,11 @@ class QueryEvaluator:
         statistics: StatisticsCatalog | None = None,
         cost_model: CostModel | None = None,
         metrics: EvaluationMetrics | None = None,
-        workers: int | None = None,
-        verify_partitions: bool = False,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(
                 f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
             )
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.database = database
         self.extra_relations = dict(extra_relations or {})
         self.strategy: Strategy = strategy
@@ -165,25 +130,6 @@ class QueryEvaluator:
         )
         self.cost_model = cost_model if cost_model is not None else CostModel(self.statistics)
         self.metrics = metrics
-        #: Shard count of a sharded evaluation.  Defaults to the same
-        #: bounded CPU-derived count the service request pool uses, so forked
-        #: shards and request threads scale together.
-        self.workers = workers if workers is not None else default_worker_count()
-        #: When set, every freshly computed shard partition is checked against
-        #: the I008 rule (exact multiset cover, hash-correct routing) and a
-        #: violation raises :class:`~repro.errors.PlanVerificationError` — the
-        #: runtime leg of ``verify_plans="strict"`` for sharded execution.
-        self.verify_partitions = verify_partitions
-        # The engine shares one evaluator across the service's worker
-        # threads, so the partition cache is guarded: its FIFO eviction
-        # (iterate + pop) races destructively without the lock.
-        self._cache_lock = threading.Lock()
-        # query -> (row source, version, key positions, shard count, parts):
-        # the cached hash-partition of the driving rows, stamped by the
-        # prepared plan's depth-0 row source and the driving relation's
-        # version, so warm sharded traffic skips the per-row partition pass
-        # entirely.
-        self._shard_parts: dict[ConjunctiveQuery, tuple] = {}
 
     # -- relation resolution ------------------------------------------------
     def _relation_for(self, predicate: str) -> Relation:
@@ -229,18 +175,6 @@ class QueryEvaluator:
         """A new, empty :class:`PreludeCache` over *query*'s reduction
         *reduced*, reporting hits and misses to :attr:`metrics`."""
         return PreludeCache(reduced, metrics=self.metrics)
-
-    # -- cache control -------------------------------------------------------
-    def invalidate_caches(self) -> None:
-        """Drop cached shard partitions and statistics.
-
-        This exists for forced invalidation
-        (:meth:`~repro.core.engine.CitationEngine.invalidate_caches`) and for
-        benchmarks that want a guaranteed cold run.
-        """
-        with self._cache_lock:
-            self._shard_parts.clear()
-        self.statistics.invalidate()
 
     # -- strategy selection --------------------------------------------------
     def select_strategy(
@@ -295,8 +229,6 @@ class QueryEvaluator:
             reduced = reduce_program(program)
         if strategy == "reduced":
             return self._picked(reduced, "forced", record)
-        # "auto", or "parallel", which forces *sharding* (see
-        # _shard_decision), not a particular executor.
         if not reduced.acyclic:
             return self._picked(program, "cyclic", record)
         # Warm state makes the prelude free: always run reduced on a hit.
@@ -320,254 +252,6 @@ class QueryEvaluator:
             kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
             self.metrics.record_pick(kind, reason)
         return executor, reason, estimate
-
-    # -- shard decision --------------------------------------------------------
-    def _shard_decision(
-        self,
-        relations: Mapping[str, Relation],
-        program: JoinProgram,
-        reduced: ReducedProgram | None,
-        executor: JoinProgram | ReducedProgram,
-        strategy: Strategy | None,
-        reason: str,
-        estimate: CostEstimate | None,
-    ) -> tuple[int, str, ParallelEstimate | None]:
-        """Decide how many shards this evaluation runs on (1 = serial).
-
-        Runs *after* executor resolution: ``"program"``/``"reduced"`` stay
-        serial (they are the differential baselines the property suite
-        compares sharded runs against), every strategy stays serial where
-        ``os.fork`` is missing, ``"parallel"`` forces one shard per worker,
-        and ``"auto"`` asks :meth:`CostModel.parallel_estimate` whether
-        dividing the serial cost across workers beats the shard setup,
-        partition and frame-shipping overhead — below that crossover
-        ``auto`` keeps picking serial.  *reduced* is the reduction the
-        caller handed in, if any.
-        """
-        strategy = strategy or self.strategy
-        if self.workers < 2:
-            return self._shards_picked(1, "no_workers", None)
-        if len(program.steps) < 2:
-            # A single-atom program is one scan: sharding it ships every row
-            # through a worker boundary for zero join work saved.
-            return self._shards_picked(1, "single_atom", None)
-        if strategy in ("program", "reduced"):
-            return self._shards_picked(1, "forced_serial", None)
-        if not hasattr(os, "fork"):
-            return self._shards_picked(1, "no_fork", None)
-        if strategy == "parallel":
-            return self._shards_picked(self.workers, "forced", None)
-        if estimate is None:
-            # The executor resolver skipped the serial estimate (warm prelude,
-            # cyclic); price it now with the reduction it resolved against —
-            # statistics are version-cached, so this costs a few catalog
-            # lookups.
-            if isinstance(executor, ReducedProgram):
-                reduced = executor
-            elif reduced is None:
-                reduced = reduce_program(program)
-            estimate = self.cost_model.estimate(reduced, relations)
-        if isinstance(executor, ReducedProgram):
-            serial_cost = estimate.reduced_cost
-            if reason == "warm_prelude":
-                # A warm prelude is free; only the join itself divides.
-                serial_cost = max(0.0, serial_cost - estimate.prelude_cost)
-        else:
-            serial_cost = estimate.program_cost
-        driving = len(relations[program.steps[0].predicate])
-        parallel = self.cost_model.parallel_estimate(
-            serial_cost, driving, self.workers, estimate.frames
-        )
-        shards = self.workers if parallel.prefers_parallel else 1
-        return self._shards_picked(shards, "cost_model", parallel)
-
-    def _shards_picked(
-        self,
-        shards: int,
-        reason: str,
-        estimate: ParallelEstimate | None,
-    ) -> tuple[int, str, ParallelEstimate | None]:
-        if self.metrics is not None:
-            self.metrics.record_shards(shards, reason)
-        return shards, reason, estimate
-
-    # -- sharded execution -----------------------------------------------------
-    def _partition_for(
-        self,
-        query: ConjunctiveQuery,
-        program: JoinProgram,
-        plan: list[tuple],
-        version: int,
-        key_positions: tuple[int, ...],
-        shards: int,
-    ) -> list[list[tuple]]:
-        """The cached hash-partition of *plan*'s driving rows (recomputed on drift).
-
-        A partition is stamped by the plan's depth-0 row source (the driving
-        relation, its shared index, or the prelude's surviving rows, which a
-        warm prelude hands back unchanged) and the driving relation's
-        *version*.  On a stamp hit the per-row partition pass is skipped
-        entirely — the warm sharded path then costs only the fan-out itself.
-        Under :attr:`verify_partitions` every fresh partition must pass the
-        I008 verifier before it is cached or run.
-        """
-        source = plan[0][2]
-        with self._cache_lock:
-            entry = self._shard_parts.get(query)
-        if entry is not None:
-            held_source, held_version, held_positions, held_shards, parts = entry
-            if (
-                held_source is source
-                and held_version == version
-                and held_positions == key_positions
-                and held_shards == shards
-            ):
-                return parts
-        rows = program.driving_rows_from_plan(plan)
-        parts = partition_driving_rows(rows, key_positions, shards)
-        if self.verify_partitions:
-            # Lazy import: repro.analysis pulls in rule modules that import
-            # the query layer, so a module-level import here would cycle.
-            from repro.analysis.ir import verify_shard_partition
-            from repro.errors import PlanVerificationError
-
-            report = verify_shard_partition(program, key_positions, parts, rows)
-            if report.has_errors:
-                raise PlanVerificationError(
-                    f"shard partition for {query.name!r} failed verification: "
-                    + "; ".join(str(d) for d in report.errors),
-                    report.errors,
-                )
-        with self._cache_lock:
-            self._shard_parts[query] = (source, version, key_positions, shards, parts)
-            while len(self._shard_parts) > _SHARD_PARTS_LIMIT:
-                self._shard_parts.pop(next(iter(self._shard_parts)))
-        return parts
-
-    def _run_sharded(
-        self,
-        executor: JoinProgram | ReducedProgram,
-        relations: Mapping[str, Relation],
-        query: ConjunctiveQuery,
-        prelude: PreludeCache | None,
-        shards: int,
-        profile: JoinProfile | None = None,
-        span=NULL_SPAN,
-        deadline: Deadline | None = None,
-    ) -> list[tuple]:
-        """Run one evaluation sharded; return the merged frame list.
-
-        The calling thread prepares *executor*'s plan before forking — a
-        reduced executor's prelude runs (or is served from *prelude*), and
-        every probe index is resolved — so each child runs the one join loop
-        over it copy-on-write with its slice of the driving rows and takes no
-        lock.  Per-shard timings and row counts land on *span* as ``shard``
-        children; per-shard profiles are merged into *profile* so the span's
-        per-step counters equal the serial run's.
-
-        With a *deadline*, the prelude and every shard poll it at their
-        cancellation checkpoints, and the parent waits for the children only
-        until it expires.  A shard child that **crashes** (rather than
-        raises) is retried serially in-process on its intact row slice —
-        degradation, counted in :attr:`metrics` and on *span*, instead of a
-        failed evaluation.
-        """
-        parent_cancel = partial(deadline.check, "prelude") if deadline is not None else None
-        if isinstance(executor, ReducedProgram):
-            program = executor.program
-            plan = executor.prepared_plan(
-                relations, self.index_manager, prelude, profile, parent_cancel
-            )
-            if plan is None:  # prelude proved emptiness; nothing to fan out
-                return []
-        else:
-            program = executor
-            plan = program.prepared_plan(relations, self.index_manager, profile)
-        key_positions = shard_key_positions(program)
-        version = relations[program.steps[0].predicate].version
-        parts = self._partition_for(query, program, plan, version, key_positions, shards)
-
-        profiled = profile is not None
-
-        def run_shard(task: tuple[int, list[tuple]]):
-            shard_index, part = task
-            faults.fire("shard.execute", key=shard_index)
-            cancel = partial(deadline.check, "shard") if deadline is not None else None
-            started = time.perf_counter()
-            shard_profile = JoinProfile(len(program.steps)) if profiled else None
-            frames = list(program.run_plan(plan, part, cancel, shard_profile))
-            return frames, time.perf_counter() - started, shard_profile
-
-        tasks = [(index, part) for index, part in enumerate(parts) if part]
-        if not tasks:
-            return []
-        retried_serially = 0
-        if len(tasks) == 1:
-            outcomes = [run_shard(tasks[0])]
-        else:
-
-            def run_shard_forked(task: tuple[int, list[tuple]]):
-                # Runs in the forked child: the fault registry was inherited
-                # copy-on-write, so a "fork.child" spec armed in the parent
-                # (e.g. os._exit) trips here and kills this child only.
-                faults.fire("fork.child", key=task[0])
-                return run_shard(task)
-
-            outcomes = []
-            for task, (value, error) in zip(
-                tasks, fork_map_outcomes(run_shard_forked, tasks, deadline)
-            ):
-                if error is None:
-                    outcomes.append(value)
-                    continue
-                if not isinstance(error, WorkerCrashError):
-                    # A real exception from the child (DeadlineExceeded,
-                    # QueryError, ...) is the evaluation's answer — re-raise.
-                    raise error
-                # The child died without reporting; its row slice is intact
-                # in this process, so degrade: re-run the shard serially.
-                retried_serially += 1
-                if profiled:
-                    span.child(
-                        "shard.retry", index=task[0], pid=error.pid,
-                        status=error.status,
-                    )
-                outcomes.append(run_shard(task))
-            if retried_serially and self.metrics is not None:
-                self.metrics.record_degraded_retry(retried_serially)
-
-        frames: list[tuple] = []
-        for (shard_index, part), (shard_frames, elapsed, shard_profile) in zip(
-            tasks, outcomes
-        ):
-            frames.extend(shard_frames)
-            if profiled:
-                span.child(
-                    "shard",
-                    index=shard_index,
-                    rows=len(part),
-                    frames=len(shard_frames),
-                    elapsed_ms=round(elapsed * 1000.0, 3),
-                )
-                self._merge_shard_profile(profile, shard_profile)
-        if profiled:
-            span.set_attribute("shards", len(tasks))
-            if retried_serially:
-                span.set_attribute("degraded_retries", retried_serially)
-        return frames
-
-    @staticmethod
-    def _merge_shard_profile(profile: JoinProfile, shard_profile: JoinProfile) -> None:
-        """Fold one shard's join counters into the evaluation's profile.
-
-        Scanned rows, surviving frames and results are additive across the
-        disjoint shards; the per-step input sizes were recorded once, when
-        the plan was prepared.
-        """
-        for position in range(profile.step_count):
-            profile.rows_scanned[position] += shard_profile.rows_scanned[position]
-            profile.frames_out[position] += shard_profile.frames_out[position]
-        profile.results += shard_profile.results
 
     # -- core join ------------------------------------------------------------
     def _frames_for(
@@ -634,15 +318,6 @@ class QueryEvaluator:
             else executor.steps
         )
         return span, JoinProfile(len(steps))
-
-    @staticmethod
-    def _annotate_shard_decision(
-        span, shard_reason: str, parallel: ParallelEstimate | None
-    ) -> None:
-        """Record why this evaluation sharded (or stayed serial) on its span."""
-        span.set_attribute("shard_decision", shard_reason)
-        if parallel is not None:
-            span.set_attribute("parallel_estimate", parallel.as_dict())
 
     @staticmethod
     def _annotate_span(
@@ -758,9 +433,8 @@ class QueryEvaluator:
         prelude: PreludeCache | None,
         collect: Callable[[JoinProgram, Iterable[tuple]], _Out],
     ) -> _Out:
-        """One traced, metered evaluation of *query*: resolve the executor
-        and the shard count, run the join, and return ``collect(program,
-        frames)``."""
+        """One traced, metered evaluation of *query*: resolve the executor,
+        run the join, and return ``collect(program, frames)``."""
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("evaluate.start")
@@ -769,28 +443,17 @@ class QueryEvaluator:
         executor, reason, estimate = self._executor(
             relations, program, reduced, strategy, prelude
         )
-        shards, shard_reason, parallel = self._shard_decision(
-            relations, program, reduced, executor, strategy, reason, estimate
-        )
         kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
         span, profile = self._evaluation_span(
             query, executor, kind, reason, strategy, estimate
         )
         timed = self.metrics is not None or profile is not None
         with span:
-            if profile is not None:
-                self._annotate_shard_decision(span, shard_reason, parallel)
             started = time.perf_counter() if timed else 0.0
-            if shards > 1:
-                frames: Iterator[tuple] | list[tuple] = self._run_sharded(
-                    executor, relations, query, prelude, shards,
-                    profile=profile, span=span, deadline=deadline,
-                )
-            else:
-                cancel = partial(deadline.check, "join") if deadline is not None else None
-                frames = self._frames_for(
-                    executor, relations, prelude, profile=profile, cancel=cancel
-                )
+            cancel = partial(deadline.check, "join") if deadline is not None else None
+            frames = self._frames_for(
+                executor, relations, prelude, profile=profile, cancel=cancel
+            )
             out = collect(program, frames)
             elapsed = time.perf_counter() - started if timed else 0.0
             if profile is not None:

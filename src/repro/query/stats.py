@@ -60,7 +60,6 @@ __all__ = [
     "CostEstimate",
     "CostModel",
     "EvaluationMetrics",
-    "ParallelEstimate",
 ]
 
 
@@ -278,40 +277,6 @@ class CostEstimate:
         }
 
 
-@dataclass(frozen=True)
-class ParallelEstimate:
-    """The cost model's verdict for sharding one evaluation across workers.
-
-    ``serial_cost`` is whatever the executor would cost on one thread (the
-    winning side of the :class:`CostEstimate`); ``parallel_cost`` divides the
-    join work across *workers* and adds the sharding overheads — per-worker
-    setup (fork, reap), the per-driving-row partition pass and the
-    shipping of every result *frame* from its child back to the parent.
-    On small inputs the setup dominates, on large ones the shipping, and
-    ``auto`` keeps picking serial wherever they outweigh the divided work.
-    """
-
-    serial_cost: float
-    parallel_cost: float
-    workers: int
-    driving_rows: int
-    frames: float
-
-    @property
-    def prefers_parallel(self) -> bool:
-        return self.parallel_cost < self.serial_cost
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "strategy": "parallel" if self.prefers_parallel else "serial",
-            "serial_cost": round(self.serial_cost, 2),
-            "parallel_cost": round(self.parallel_cost, 2),
-            "workers": self.workers,
-            "driving_rows": self.driving_rows,
-            "frames": round(self.frames, 2),
-        }
-
-
 class CostModel:
     """Estimates whether a semi-join prelude beats the plain join program.
 
@@ -339,18 +304,6 @@ class CostModel:
     PRELUDE_PASS_COST = 2.0
     #: Work per *surviving* row for the ephemeral per-step bucket build.
     BUCKET_BUILD_COST = 1.0
-    #: Shard pricing, from 2-worker fork runs against serial on a 2-vCPU VM
-    #: (CPython 3.11): Q6's join at 300/1,000/3,000 families and E22's scan
-    #: joins at 40-1,500 families.  A unit took 2.9-4.0 us of serial join;
-    #: every fork run was 6-29 ms slower.  Per forked child (fork, reap):
-    #: ~1,000 units, from the runs with few frames.
-    SHARD_SETUP_COST = 1000.0
-    #: Per driving row, for the hash-partition pass: cold runs measured
-    #: within noise of warm ones at 300-3,000 rows; this is that bound.
-    SHARD_ROW_COST = 0.1
-    #: Per result frame a child pickles back (median ~1 unit).  Without it,
-    #: the setup alone would have had to grow from ~900 to ~9,400 with size.
-    SHARD_FRAME_COST = 1.0
 
     def __init__(self, statistics: StatisticsCatalog) -> None:
         self.statistics = statistics
@@ -409,34 +362,6 @@ class CostModel:
             frames=frames,
         )
 
-    def parallel_estimate(
-        self, serial_cost: float, driving_rows: int, workers: int, frames: float
-    ) -> ParallelEstimate:
-        """Price sharding an evaluation of *serial_cost* across *workers*.
-
-        The join work divides near-linearly (each shard runs the identical
-        program over a disjoint slice of the driving rows); the overheads do
-        not: partitioning touches every driving row once, every worker costs
-        a fixed setup, and each of the *frames* the evaluation yields
-        (:attr:`CostEstimate.frames`) is pickled in a child and unpickled in
-        the parent.  Comparison against *serial_cost* is what
-        ``strategy="auto"`` uses for the parallel-vs-serial crossover.
-        """
-        workers = max(1, workers)
-        parallel_cost = (
-            serial_cost / workers
-            + self.SHARD_SETUP_COST * workers
-            + driving_rows * self.SHARD_ROW_COST
-            + frames * self.SHARD_FRAME_COST
-        )
-        return ParallelEstimate(
-            serial_cost=serial_cost,
-            parallel_cost=parallel_cost,
-            workers=workers,
-            driving_rows=driving_rows,
-            frames=frames,
-        )
-
     def _join_cost(
         self,
         reduced: "ReducedProgram",
@@ -465,7 +390,7 @@ class CostModel:
 
 @shared_state(
     "_picks", "_reasons", "_estimates", "_estimated_cost",
-    "_actuals", "_prelude", "_by_query", "_sharding",
+    "_actuals", "_prelude", "_by_query",
     lock="_lock",
 )
 class EvaluationMetrics:
@@ -517,13 +442,6 @@ class EvaluationMetrics:
         #                 "estimates": int,
         #                 "estimated_cost": {"program": total, "reduced": total}}
         self._by_query: dict[str, dict] = {}
-        self._sharding = {
-            "parallel": 0,       # evaluations that ran sharded
-            "serial": 0,         # evaluations the shard resolver kept serial
-            "shards_executed": 0,
-            "degraded_retries": 0,  # crashed fork shards re-run serially
-            "reasons": {},       # shard-decision reason -> count
-        }
 
     # -- recording -----------------------------------------------------------
     def record_pick(self, kind: str, reason: str) -> None:
@@ -545,28 +463,6 @@ class EvaluationMetrics:
             bucket = self._actuals.setdefault(kind, [0, 0.0])
             bucket[0] += 1
             bucket[1] += seconds
-
-    def record_shards(self, shards: int, reason: str) -> None:
-        """Count one shard decision: *shards* workers used (1 = serial)."""
-        with self._lock:
-            if shards > 1:
-                self._sharding["parallel"] += 1
-                self._sharding["shards_executed"] += shards
-            else:
-                self._sharding["serial"] += 1
-            reasons = self._sharding["reasons"]
-            reasons[reason] = reasons.get(reason, 0) + 1
-
-    def record_degraded_retry(self, shards: int = 1) -> None:
-        """Count *shards* crashed shard workers re-run serially in-process.
-
-        The graceful-degradation path: a dead fork child's slice of the
-        driving rows is intact in the parent, so the evaluation completes —
-        slower — instead of failing.  A nonzero counter under the fork
-        backend is the signal to look at worker health.
-        """
-        with self._lock:
-            self._sharding["degraded_retries"] += shards
 
     def record_prelude(
         self, hit: bool, steps_recomputed: int = 0, steps_reused: int = 0
@@ -657,10 +553,6 @@ class EvaluationMetrics:
             estimated = dict(self._estimated_cost)
             actuals = {k: list(v) for k, v in self._actuals.items()}
             prelude = dict(self._prelude)
-            sharding = {
-                **{k: v for k, v in self._sharding.items() if k != "reasons"},
-                "reasons": dict(sorted(self._sharding["reasons"].items())),
-            }
             tracked_queries = len(self._by_query)
         lookups = prelude["hits"] + prelude["misses"]
         prelude["hit_rate"] = round(prelude["hits"] / lookups, 4) if lookups else 0.0
@@ -687,7 +579,8 @@ class EvaluationMetrics:
                 "tracked_queries": tracked_queries,
             },
             "prelude_cache": prelude,
-            "sharding": sharding,
+            # Read by perfbench/run.py::counters; every evaluation is serial.
+            "sharding": {"parallel": 0, "serial": sum(picks.values())},
         }
 
     def reset(self) -> None:

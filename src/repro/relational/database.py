@@ -214,7 +214,7 @@ class Database:
             self._check_foreign_keys_on_insert(relation, row)
         with self._sync_lock:
             self._sync_relation(relation, target)
-            changed = target.insert(row)
+            changed = target._insert_valid(row)
             if changed:
                 self._relation_versions[relation] = target.version
                 self._update_indexes_on_insert(relation, row)

@@ -69,6 +69,12 @@ class Relation:
             row = self.schema.row_from_mapping(row)
         else:
             row = self.schema.validate_row(row)
+        return self._insert_valid(row)
+
+    def _insert_valid(self, row: tuple) -> bool:
+        """The second half of :meth:`insert`, for a *row* its caller has
+        already validated against :attr:`schema`, under the same contract as
+        :meth:`of_valid_rows`."""
         if row in self._rows:
             return False
         if self._key_index is not None:

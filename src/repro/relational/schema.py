@@ -89,7 +89,7 @@ class RelationSchema:
     database and the many versions produced by :mod:`repro.versioning`.
     """
 
-    __slots__ = ("name", "attributes", "key", "_positions")
+    __slots__ = ("name", "attributes", "key", "_positions", "_key_positions")
 
     def __init__(
         self,
@@ -121,6 +121,11 @@ class RelationSchema:
         else:
             key_tuple = None
         object.__setattr__(self, "key", key_tuple)
+        object.__setattr__(
+            self,
+            "_key_positions",
+            None if key_tuple is None else tuple(positions[c] for c in key_tuple),
+        )
 
     def __setattr__(self, *_args: object) -> None:  # pragma: no cover - immutability guard
         raise AttributeError("RelationSchema is immutable")
@@ -155,9 +160,7 @@ class RelationSchema:
 
     def key_positions(self) -> tuple[int, ...] | None:
         """Positions of the key columns, or ``None`` when no key is declared."""
-        if self.key is None:
-            return None
-        return tuple(self._positions[c] for c in self.key)
+        return self._key_positions
 
     # -- validation ------------------------------------------------------
     def validate_row(self, row: tuple) -> tuple:
@@ -187,7 +190,7 @@ class RelationSchema:
 
     def key_of(self, row: tuple) -> tuple | None:
         """Project *row* onto the key columns (``None`` when keyless)."""
-        positions = self.key_positions()
+        positions = self._key_positions
         if positions is None:
             return None
         return tuple(row[i] for i in positions)

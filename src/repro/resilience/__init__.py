@@ -1,7 +1,7 @@
 """Resilience substrate: deadlines, admission control, retries, fault injection.
 
 Four small, separately usable pieces that together let the serving stack
-survive overload, slow queries, and dying workers:
+survive overload, slow queries, and failing backends:
 
 - :mod:`~repro.resilience.deadline` — a contextvar-propagated
   :class:`~repro.resilience.deadline.Deadline` with cooperative cancellation

@@ -11,9 +11,8 @@ deadline passes, the checkpoint raises
 finishing in the background (the pre-resilience ``submit_batch`` failure
 mode: the future timed out but the worker kept burning CPU to completion).
 
-The clock is ``time.monotonic()``: absolute deadlines survive ``os.fork``
-(the shard backend) because parent and children share the monotonic epoch,
-and wall-clock adjustments cannot extend or shorten a request's budget.
+The clock is ``time.monotonic()``, so wall-clock adjustments cannot extend
+or shorten a request's budget.
 
 Checkpoint cost matters — the innermost join loops run per *row*.
 :meth:`Deadline.checker` returns a closure that only consults the clock
@@ -50,8 +49,8 @@ _CURRENT_DEADLINE: ContextVar["Deadline | None"] = ContextVar(
 class Deadline:
     """An absolute monotonic-clock expiry shared by one request's whole tree.
 
-    Immutable after construction; safe to read from any thread or forked
-    child without a lock.
+    Immutable after construction; safe to read from any thread without a
+    lock.
     """
 
     __slots__ = ("expires_at",)
@@ -75,7 +74,7 @@ class Deadline:
     def check(self, where: str = "") -> None:
         """Raise :class:`~repro.errors.DeadlineExceeded` if expired.
 
-        *where* names the checkpoint (``"join-loop"``, ``"shard"``, ...) and
+        *where* names the checkpoint (``"join"``, ``"prelude"``, ...) and
         lands in the exception and therefore in traces and the slow-query
         log, so operators can see how far cancelled requests got.
         """
@@ -86,8 +85,8 @@ class Deadline:
         """A rate-limited checkpoint closure for per-row call sites.
 
         The closure reads the clock only every *stride* calls; in between it
-        costs one integer increment.  Each call site (each shard, each
-        prelude pass) builds its own checker, so the counter needs no lock.
+        costs one integer increment.  Each call site (each prelude pass)
+        builds its own checker, so the counter needs no lock.
         """
         expires_at = self.expires_at
         monotonic = time.monotonic

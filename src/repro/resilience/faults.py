@@ -1,38 +1,28 @@
 """Deterministic, seed-driven fault injection for the chaos suite.
 
-Production code calls :func:`fire` at **named injection points** — the five
-places where the serving stack crosses a concurrency or process boundary and
-failures actually happen:
+Production code calls :func:`fire` at **named injection points** — the three
+places where the serving stack crosses a concurrency boundary or starts
+costly work, and where failures actually happen:
 
 ================================= ==============================================
 point                             fired from
 ================================= ==============================================
 ``service.pool_submit``           batch worker-pool submission
 ``backend.execute``               just before the backend executes a request
-``shard.execute``                 inside each shard worker, before its frames run
-``fork.child``                    inside a forked shard child (key = shard index)
 ``prelude.build``                 before a semi-join prelude refresh
 ================================= ==============================================
 
 With no faults armed, :func:`fire` is a truthiness test on an empty dict —
 cheap enough to leave compiled in.  Tests arm faults through
 :func:`inject`/:func:`plan`: a :class:`FaultSpec` names its point and what
-happens on a hit (raise a typed error, stall, or ``os._exit`` — the latter
-only useful at ``fork.child``, where it simulates a worker crash the parent
-must survive).  ``after``/``times`` select *which* hits fire and
-``probability`` draws from a ``random.Random(seed)``, so a chaos run is a
-pure function of its seed — every failure it finds replays exactly.
-
-Forked children inherit the armed registry copy-on-write, which is exactly
-what ``fork.child`` needs: the parent arms the fault, the child trips it.
-Per-spec hit counters are process-local, so specs targeting a single forked
-child should select by ``key`` (the shard index), not by hit count.  A child
-gets a fresh registry lock: another thread may hold the parent's at the fork.
+happens on a hit (raise a typed error or stall).  ``after``/``times``
+select *which* hits fire and ``probability`` draws from a
+``random.Random(seed)``, so a chaos run is a pure function of its seed —
+every failure it finds replays exactly.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections.abc import Iterator
@@ -48,8 +38,6 @@ __all__ = ["FaultSpec", "FaultRegistry", "fire", "inject", "clear", "plan", "reg
 POINTS = (
     "service.pool_submit",
     "backend.execute",
-    "shard.execute",
-    "fork.child",
     "prelude.build",
 )
 
@@ -61,9 +49,8 @@ class FaultSpec:
     Exactly one effect should be set: *error* (an exception instance or
     zero-arg factory) is raised at the injection point, *stall* sleeps that
     many seconds (simulating a hung dependency — checkpoints downstream still
-    poll the deadline), *exit_status* calls ``os._exit`` (only meaningful at
-    ``fork.child``).  *key*, when set, restricts the fault to hits fired
-    with a matching key (e.g. one specific shard).  *after* skips that many
+    poll the deadline).  *key*, when set, restricts the fault to hits fired
+    with a matching key (e.g. one specific backend).  *after* skips that many
     matching hits first; *times* bounds how often the fault fires
     (``None`` = unlimited); *probability* gates each firing on the
     registry's seeded RNG.
@@ -72,7 +59,6 @@ class FaultSpec:
     point: str
     error: BaseException | type[BaseException] | None = None
     stall: float = 0.0
-    exit_status: int | None = None
     key: object | None = None
     after: int = 0
     times: int | None = None
@@ -88,7 +74,7 @@ class FaultRegistry:
 
     One process-wide instance lives in this module; tests reach it through
     the module-level helpers.  Spec bookkeeping mutates under ``_lock``; the
-    effects themselves (raise / sleep / exit) run outside it so a stalling
+    effects themselves (raise / sleep) run outside it so a stalling
     fault cannot serialize unrelated injection points.
     """
 
@@ -112,9 +98,6 @@ class FaultRegistry:
         """Disarm everything and reseed, returning to the idle fast path."""
         with self._lock:
             self._specs = {}
-
-    def _after_fork_in_child(self) -> None:
-        self._lock = threading.Lock()
 
     def reseed(self, seed: int) -> None:
         """Restart the probability RNG from *seed* (for replaying a run)."""
@@ -164,8 +147,6 @@ class FaultRegistry:
         if effect.error is not None:
             error = effect.error() if isinstance(effect.error, type) else effect.error
             raise error
-        if effect.exit_status is not None:
-            os._exit(effect.exit_status)
 
 
 class _SeededRandom:
@@ -190,8 +171,6 @@ class _SeededRandom:
 
 #: Process-wide registry; chaos tests arm it, production code fires it.
 _REGISTRY = FaultRegistry()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_REGISTRY._after_fork_in_child)
 
 
 def registry() -> FaultRegistry:

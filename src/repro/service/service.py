@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import os
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -145,9 +144,7 @@ class CitationService:
         self.default_timeout = default_timeout
         if self.admission is not None:
             self.metrics.register_gauge_source("admission", self.admission.snapshot)
-        # CPU-derived bounded default, shared with the evaluator's shard
-        # count (repro.concurrency.default_worker_count) so request threads
-        # and forked shards scale together.
+        # CPU-derived bounded default (repro.concurrency.default_worker_count).
         self.max_workers = (
             max_workers if max_workers is not None else default_worker_count()
         )
@@ -409,10 +406,9 @@ class CitationService:
                 "strategy": self.engine.strategy,
                 "analysis": self.engine.analysis,
                 "citation_views": len(self.engine.citation_views),
-                "workers": self.engine.workers
-                if self.engine.workers is not None
-                else default_worker_count(),
-                "parallel_backend": "fork" if hasattr(os, "fork") else "serial",
+                # Read by perfbench/run.py::settings; every join runs serially.
+                "workers": 1,
+                "parallel_backend": "serial",
                 "refresh": self.engine.refresh_stats(),
             }
         if self.startup_lint_report is not None:

@@ -341,7 +341,7 @@ class TestRepoGate:
             "_generation": "_sync_lock",
             "_changes": "_sync_lock",
         }
-        assert declared_shared_state(QueryEvaluator) == {"_shard_parts": "_cache_lock"}
+        assert declared_shared_state(QueryEvaluator) == {}
         assert set(declared_shared_state(ServiceMetrics)) == {
             "_counters", "_histograms", "_gauge_sources",
         }

@@ -217,7 +217,6 @@ class TestEngineKnob:
             return dataclasses.replace(program, steps=(*program.steps[:-1], bad))
 
         evaluator.compile = corrupting_compile
-        evaluator.invalidate_caches()
         with pytest.raises(PlanVerificationError) as excinfo:
             engine.compile_plan(paper_query)
         assert excinfo.value.diagnostics
@@ -239,7 +238,6 @@ class TestEngineKnob:
             return dataclasses.replace(program, steps=(*program.steps[:-1], bad))
 
         evaluator.compile = corrupting_compile
-        evaluator.invalidate_caches()
         plan = engine.compile_plan(paper_query)
         assert plan is not None
         stats = engine.analysis_stats()

@@ -16,7 +16,6 @@ replays byte-identically.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 
@@ -208,90 +207,6 @@ class TestPathologicalCompile:
             assert other_done < slow["done"]
             conservation(await_quiescence(service))
             assert service.stats()["counters"]["plan_compilations"] == 1
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="fork backend is POSIX-only")
-class TestForkWorkerCrash:
-    def test_killed_shard_child_degrades_to_serial_retry(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2
-        )
-        expected = frozenset(engine.cite(QUERIES[0]).result.rows)
-        engine.invalidate_caches()
-        with fault_plan(FaultSpec("fork.child", key=0, exit_status=42)):
-            result = engine.cite(QUERIES[0])
-        # Byte-identical answers despite shard 0's worker dying mid-flight.
-        assert frozenset(result.result.rows) == expected
-        sharding = engine.evaluation_metrics.snapshot()["sharding"]
-        assert sharding["degraded_retries"] >= 1
-
-    def test_every_child_killed_still_answers(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2
-        )
-        expected = frozenset(engine.cite(QUERIES[2]).result.rows)
-        engine.invalidate_caches()
-        with fault_plan(FaultSpec("fork.child", exit_status=9)):
-            result = engine.cite(QUERIES[2])
-        assert frozenset(result.result.rows) == expected
-        sharding = engine.evaluation_metrics.snapshot()["sharding"]
-        assert sharding["degraded_retries"] >= 2
-
-    def test_crash_through_the_service_conserves_metrics(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2
-        )
-        with CitationService(engine) as service:
-            baseline = service.submit(CitationRequest(query=QUERIES[0]))
-            assert baseline.ok
-            with fault_plan(FaultSpec("fork.child", key=1, exit_status=42)):
-                degraded = service.submit(
-                    CitationRequest(
-                        query=QUERIES[0], metadata={"no_result_cache": True}
-                    )
-                )
-            assert degraded.ok
-            assert degraded.row_count == baseline.row_count
-            counters = service.stats()["counters"]
-            conservation(counters)
-            assert counters["errors"] == 0
-
-
-    def test_stalled_child_is_killed_at_the_deadline(self, db, monkeypatch):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(), strategy="parallel", workers=2
-        )
-        forked = []
-        real_fork = os.fork
-
-        def recording_fork():
-            pid = real_fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        with CitationService(engine) as service:
-            service.submit(CitationRequest(query=QUERIES[0])).unwrap()
-            monkeypatch.setattr(os, "fork", recording_fork)
-            # Shard 0's child stalls before its first checkpoint, so only the
-            # parent can enforce the deadline.
-            with fault_plan(FaultSpec("fork.child", stall=3.0, key=0)):
-                started = time.perf_counter()
-                response = service.submit(
-                    CitationRequest(
-                        query=QUERIES[0],
-                        timeout=0.3,
-                        metadata={"no_result_cache": True},
-                    )
-                )
-                elapsed = time.perf_counter() - started
-            assert response.error_code == "DEADLINE_EXCEEDED"
-            assert elapsed < 0.3 + 0.5
-            conservation(service.stats()["counters"])
-        assert forked
-        for pid in forked:  # reaped: no child process is left
-            with pytest.raises(ProcessLookupError):
-                os.kill(pid, 0)
 
 
 class TestAdmissionShedding:

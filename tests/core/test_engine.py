@@ -298,23 +298,17 @@ class TestNoRewriting:
         assert result.citation.record_count() == 1
 
     def test_fallback_evaluates_on_the_engine_evaluator(self):
-        """The engine's workers and metrics govern a fallback query too: one
-        worker keeps a forced-parallel join serial, and the evaluation is
-        recorded in the engine's metrics."""
+        """The engine's metrics govern a fallback query too: its one
+        evaluation is recorded in the engine's metrics."""
         database = gtopdb.generate(families=20, targets_per_family=2, seed=3)
         engine = CitationEngine(
-            database,
-            gtopdb.citation_views(),
-            on_no_rewriting="fallback",
-            strategy="parallel",
-            workers=1,
+            database, gtopdb.citation_views(), on_no_rewriting="fallback"
         )
         text = "Q(TName, FName) :- Target(TID, FID, TName, TT), Family(FID, FName, D)"
         result = engine.cite(text)
         assert result.used_fallback
         assert result.result.rows == evaluate(parse_query(text), database).rows
         snapshot = engine.evaluation_metrics.snapshot()
-        assert snapshot["sharding"]["reasons"] == {"no_workers": 1}
         assert sum(snapshot["picks"].values()) == 1
 
     def test_cached_fallback_over_a_view_follows_its_base_relation(self):
@@ -532,6 +526,43 @@ class TestReducedProgramsOnPlans:
         assert by_row == baseline_by_row
 
 
+class TestExecutorsCiteAlike:
+    def test_program_and_reduced_engines_cite_alike(self):
+        """No row's ``+`` order, expression or records may depend on the
+        executor or on the order it yields a row's frames in.  The two
+        executors yield one order on this instance, so the reduced engine's
+        frames are handed to assembly reversed."""
+        database = gtopdb.generate(
+            families=24, targets_per_family=3, duplicate_name_fraction=0.5, seed=11
+        )
+        program = CitationEngine(
+            database, gtopdb.citation_views(extended=True), strategy="program"
+        )
+        reduced = CitationEngine(
+            database, gtopdb.citation_views(extended=True), strategy="reduced"
+        )
+        evaluator = reduced._execution_evaluator()
+        frames_by_row = evaluator.frames_by_row
+
+        def reversed_frames(query, strategy=None, prelude=None):
+            grouped = frames_by_row(query, strategy, prelude)
+            return {row: frames[::-1] for row, frames in grouped.items()}
+
+        evaluator.frames_by_row = reversed_frames
+        queries = {q.name: q for q in gtopdb.example_queries()}
+        for name in ("Q", "Q5", "Q6"):  # the paper query, Q5, Q6
+            left = program.cite(queries[name])
+            right = reduced.cite(queries[name])
+            assert [(t.row, str(t.expression), t.records) for t in right.tuple_citations] == [
+                (t.row, str(t.expression), t.records) for t in left.tuple_citations
+            ], name
+            assert str(left.citation.to_text()) == str(right.citation.to_text())
+            if name == "Q":  # rows cited through several V1 records: + order
+                assert any(" + " in str(t.expression) for t in left.tuple_citations)
+        assert program.evaluation_metrics.snapshot()["picks"]["reduced"] == 0
+        assert reduced.evaluation_metrics.snapshot()["picks"]["program"] == 0
+
+
 class TestPreludesOnPlans:
     """Warm-prelude state rides compiled plans through the serving layer.
 
@@ -587,17 +618,18 @@ class TestPreludesOnPlans:
 
 
 class TestInvalidationClearsWarmState:
-    """Regression: invalidate_caches() must retire every evaluator cache."""
+    """Regression: invalidate_caches() must retire the evaluator's warm state."""
 
     def test_invalidate_clears_the_evaluator_caches(
         self, paper_db, paper_views, paper_query
     ):
-        engine = CitationEngine(paper_db, paper_views, strategy="parallel", workers=2)
+        """The evaluator's only cache is the engine's statistics catalog."""
+        engine = CitationEngine(paper_db, paper_views)
         engine.cite(paper_query)
-        evaluator = engine._evaluator
-        assert evaluator is not None and evaluator._shard_parts
+        assert engine._evaluator is not None
+        assert engine._evaluator.statistics is engine._statistics
+        assert len(engine._statistics) > 0
         engine.invalidate_caches()
-        assert evaluator._shard_parts == {}
         assert len(engine._statistics) == 0
 
     def test_results_stay_exact_across_invalidation_and_drift(

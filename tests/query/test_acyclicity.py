@@ -11,7 +11,7 @@ import pytest
 from strategies import brute_force
 
 from repro.query.compiler import is_acyclic, join_forest
-from repro.query.evaluator import QueryEvaluator
+from repro.query.evaluator import STRATEGIES, QueryEvaluator
 from repro.query.parser import parse_query
 from repro.query.stats import EvaluationMetrics
 from repro.relational.database import Database
@@ -150,10 +150,12 @@ class TestAutoSelection:
         )
 
     def test_unknown_strategy_is_rejected(self, db):
-        with pytest.raises(ValueError):
-            QueryEvaluator(db, strategy="yannakakis")
-        with pytest.raises(ValueError):
-            QueryEvaluator(db).evaluate(PATH, strategy="yannakakis")
+        assert STRATEGIES == ("auto", "program", "reduced")
+        for strategy in ("yannakakis", "parallel"):
+            with pytest.raises(ValueError):
+                QueryEvaluator(db, strategy=strategy)
+            with pytest.raises(ValueError):
+                QueryEvaluator(db).evaluate(PATH, strategy=strategy)
 
 
 class TestCorrectnessOfFallbacks:

@@ -1,10 +1,7 @@
 """Pinned per-step join counters (``JoinProfile``) on the paper instance.
 
-One query, four runs: the plain program, the reduced program behind a cold
-and then a warm prelude cache, and a forced-parallel run on two workers
-(the cost model runs the plain program there; FID hashes the two Calcitonin
-families into different shards, whose counters add up to the serial run's).
-Each counter below was checked by hand against the paper instance:
+One query, three runs: the plain program, and the reduced program behind a
+cold and then a warm prelude cache.  Each counter below was checked by hand against the paper instance:
 
 * ``Family`` holds (11, Calcitonin, C1), (12, Calcitonin, C2),
   (13, Adenosine, A1); ``FamilyIntro`` holds (11, 1st), (12, 2nd),
@@ -22,7 +19,6 @@ A step's ``frames_out`` is the number of entries into the next depth, and
 ``results`` the number of entries past the last one.
 """
 
-import os
 
 import pytest
 
@@ -103,12 +99,3 @@ class TestPinnedJoinProfile:
             assert span.attributes["executor"] == "reduced"
             assert span.attributes["prelude"] == outcome
             assert _counters(span) == REDUCED, outcome
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="shards fork on POSIX only")
-    def test_parallel_on_two_workers_sums_the_shards(self, db, query):
-        evaluator = QueryEvaluator(db, strategy="parallel", workers=2)
-        span = _traced(lambda: evaluator.evaluate_with_bindings(query))
-        assert span.attributes["shard_decision"] == "forced"
-        assert span.attributes["shards"] == 2
-        assert span.attributes["executor"] == "program"
-        assert _counters(span) == PLAIN

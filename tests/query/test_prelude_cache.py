@@ -219,6 +219,6 @@ class TestCacheScoping:
     def test_invalidate_caches_drops_everything(self, db):
         evaluator = QueryEvaluator(db, strategy="reduced")
         evaluator.evaluate(PATH)
-        evaluator.invalidate_caches()
+        evaluator.statistics.invalidate()
         assert len(evaluator.statistics) == 0
         assert evaluator.evaluate(PATH).rows == brute_force(PATH, db)

@@ -1,6 +1,6 @@
 """Race-stress harness: concurrent serving under live writes (``-m race``).
 
-Three suites.  :class:`TestServiceUnderChurn` drives ``submit_batch`` from
+Two suites.  :class:`TestServiceUnderChurn` drives ``submit_batch`` from
 many threads while a writer thread inserts and deletes rows — bumping the
 database generation, so that cached results are brought forward through the
 change log concurrently, mid-flight — and then audits the aftermath: no lost
@@ -13,15 +13,7 @@ every record object).
 engine/evaluator cache locks: a tiny analysis-cache cap plus many distinct
 query shapes force concurrent FIFO eviction, which without
 ``_analysis_lock`` raced destructively (``RuntimeError: dictionary changed
-size during iteration``, lost stats updates), and sharded evaluation races
-the evaluator's ``_cache_lock``-guarded partition cache.
-:class:`TestShardedEvaluationUnderChurn` repeats the service stampede with
-``strategy="parallel"`` so every execution forks its shards from the
-service's threads *while* the writer churns (a child must take no lock the
-writer may hold at the fork): cached shard partitions must repartition on
-version bumps (never serve stale slices), the I008 partition verifier runs
-on every fresh partition (strict mode), and the merged answers and metric
-conservation must be byte-identical to the serial harness's guarantees.
+size during iteration``, lost stats updates).
 
 CI runs this module as its own step (``pytest -m race``); the tier-1 run
 deselects it.
@@ -36,7 +28,6 @@ import pytest
 
 import repro.core.engine as engine_module
 from repro import CitationEngine, CitationRequest, parse_query
-from repro.query.evaluator import QueryEvaluator
 from repro.service.service import CitationService
 from repro.workloads import gtopdb
 
@@ -175,102 +166,6 @@ def cited_records(result) -> dict:
     }
 
 
-class TestShardedEvaluationUnderChurn:
-    """The service stampede again, with every execution sharded in parallel.
-
-    ``strategy="parallel"`` forces the shard path regardless of the cost
-    model, ``verify_plans="strict"`` (the suite default) turns on the I008
-    partition verifier, and the churn writer invalidates cached partitions
-    mid-flight.  The audit demands the *same* exact conservation the serial
-    harness gets, plus evidence the shard path actually ran."""
-
-    def test_sharded_cite_many_with_writer_churn(self, database):
-        engine = CitationEngine(
-            database,
-            gtopdb.citation_views(),
-            strategy="parallel",
-            workers=2,
-        )
-        with CitationService(engine, max_workers=THREADS) as service:
-            expected = {
-                query: frozenset(engine.cite(query).result.rows) for query in QUERIES
-            }
-            stop = threading.Event()
-            writer_ops = 0
-
-            def churn():
-                nonlocal writer_ops
-                row_id = 300_000
-                while not stop.is_set():
-                    database.insert("Ligand", (row_id, f"L{row_id}", "synthetic"))
-                    writer_ops += 1
-                    if row_id % 3 == 0:
-                        database.delete("Ligand", (row_id, f"L{row_id}", "synthetic"))
-                        writer_ops += 1
-                    row_id += 1
-
-            writer = threading.Thread(target=churn)
-            writer.start()
-            try:
-                batches = []
-                with ThreadPoolExecutor(max_workers=THREADS) as pool:
-                    futures = [
-                        pool.submit(
-                            service.submit_batch,
-                            [CitationRequest(query=query) for query in QUERIES],
-                        )
-                        for _ in range(THREADS * BATCHES_PER_THREAD)
-                    ]
-                    for future in futures:
-                        batches.append(future.result(timeout=120))
-            finally:
-                stop.set()
-                writer.join(timeout=30)
-            assert not writer.is_alive()
-            assert writer_ops > 0
-
-            # 1. Sharded answers are exact under churn.
-            assert len(batches) == THREADS * BATCHES_PER_THREAD
-            for responses in batches:
-                assert len(responses) == len(QUERIES)
-                for query, response in zip(QUERIES, responses):
-                    assert response.error is None, repr(response.error)
-                    assert frozenset(response.result.result.rows) == expected[query]
-
-            # 2. Exact metric conservation — identical to the serial audit.
-            counters = service.metrics.stats()["counters"]
-            total = THREADS * BATCHES_PER_THREAD * len(QUERIES)
-            assert counters["requests"] == total
-            assert counters["errors"] == 0
-            assert counters["timeouts"] == 0
-            assert (
-                counters["executions"]
-                + counters["result_cache_hits"]
-                + counters["deduplicated"]
-                == total
-            )
-            assert counters["mutations_observed"] == writer_ops
-
-            # 3. The shard path really ran, and sharded executions conserve
-            # exactly: every execution was either parallel or serial, no
-            # double counting, and parallel runs fanned out into shards.
-            sharding = service.stats()["evaluation"]["sharding"]
-            assert sharding["parallel"] > 0
-            assert sharding["parallel"] + sharding["serial"] == sum(
-                sharding["reasons"].values()
-            )
-            assert sharding["shards_executed"] >= 2 * sharding["parallel"]
-
-            # 4. Every plan still verifies clean — the strict-mode partition
-            # verifier (I008) already ran on every fresh partition above.
-            for query in QUERIES:
-                plan = engine.compile_plan(parse_query(query))
-                engine.execute_plan(plan)
-                report = engine.verify_plan(plan)
-                assert not list(report), report.to_text()
-            assert engine.analysis_stats()["verify_violations"] == 0
-
-
 class TestEngineCacheRaces:
     """Regression: the engine/evaluator cache locks under forced eviction."""
 
@@ -308,47 +203,3 @@ class TestEngineCacheRaces:
         # The analysis cache honoured its (patched) cap under concurrency.
         assert len(engine._analysis_cache) <= 4
         assert engine.analysis_stats()["verify_violations"] == 0
-
-    def test_concurrent_sharded_evaluator_under_drift(self, database):
-        """Sharded evaluation races its own partition cache: many threads
-        evaluate through one parallel evaluator while another thread bumps
-        relation versions.  Verification is on, so any stale or misrouted
-        partition raises instead of silently dropping rows."""
-        evaluator = QueryEvaluator(
-            database,
-            strategy="parallel",
-            workers=2,
-            verify_partitions=True,
-        )
-        queries = [parse_query(text) for text in QUERIES]
-        expected = {
-            query: frozenset(evaluator.evaluate(query).rows) for query in queries
-        }
-        stop = threading.Event()
-
-        def churn():
-            row_id = 500_000
-            while not stop.is_set():
-                database.insert("Ligand", (row_id, f"L{row_id}", "synthetic"))
-                database.delete("Ligand", (row_id, f"L{row_id}", "synthetic"))
-                row_id += 1
-
-        writer = threading.Thread(target=churn)
-        writer.start()
-        try:
-            def hammer() -> int:
-                count = 0
-                for _ in range(BATCHES_PER_THREAD):
-                    for query in queries:
-                        rows = frozenset(evaluator.evaluate(query).rows)
-                        assert rows == expected[query]
-                        count += 1
-                return count
-
-            with ThreadPoolExecutor(max_workers=THREADS) as pool:
-                futures = [pool.submit(hammer) for _ in range(THREADS)]
-                counts = [future.result(timeout=120) for future in futures]
-        finally:
-            stop.set()
-            writer.join(timeout=30)
-        assert counts == [BATCHES_PER_THREAD * len(queries)] * THREADS

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import IntegrityError, UnknownRelationError
+from repro.errors import ArityError, IntegrityError, SchemaError, UnknownRelationError
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, ForeignKey, RelationSchema
 
@@ -61,6 +61,29 @@ class TestUpdates:
     def test_insert_many(self, db):
         added = db.insert_many("Family", [(5, "A"), (6, "B"), (5, "A")])
         assert added == 2
+
+    def test_insert_validates_each_row_once(self, db, monkeypatch):
+        validated = []
+        validate_row = RelationSchema.validate_row
+
+        def counting_validate_row(schema, row):
+            validated.append(schema.name)
+            return validate_row(schema, row)
+
+        monkeypatch.setattr(RelationSchema, "validate_row", counting_validate_row)
+        assert db.insert("Family", (3, "Opioid"))
+        assert db.insert("Family", {"FID": 4, "FName": "Orexin"})
+        assert db.insert("Committee", (3, "A. Curator"))  # foreign key checked
+        assert validated == ["Family", "Family", "Committee"]
+
+    def test_invalid_rows_are_refused_by_database_and_relation(self, db):
+        family = db.relation("Family")
+        for row, error in (((5,), ArityError), (("5", "Opioid"), SchemaError)):
+            with pytest.raises(error):
+                db.insert("Family", row)
+            with pytest.raises(error):
+                family.insert(row)
+        assert len(family) == 2
 
 
 class TestIndexes:

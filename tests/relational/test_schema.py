@@ -72,6 +72,11 @@ class TestRelationSchema:
         assert schema.key_positions() == (2, 0)
         assert RelationSchema("R", ["a"]).key_positions() is None
 
+    def test_key_positions_are_computed_once(self):
+        schema = RelationSchema("R", ["a", "b", "c"], key=["c", "a"])
+        assert schema.key_positions() is schema.key_positions()
+        assert schema.key_of((1, 2, 3)) == (3, 1)
+
     def test_validate_row_checks_arity(self):
         schema = RelationSchema("R", ["a", "b"])
         with pytest.raises(ArityError):

@@ -43,7 +43,7 @@ class TestDeadline:
         assert near.union(None) is near
 
     def test_deadline_exceeded_is_timeout_but_not_transient(self):
-        error = DeadlineExceeded("shard")
+        error = DeadlineExceeded("join")
         assert isinstance(error, TimeoutError)
         assert not is_transient(error)
 

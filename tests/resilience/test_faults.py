@@ -48,9 +48,9 @@ class TestEffects:
             assert excinfo.value.retry_after == 0.2
 
     def test_error_factory_is_called(self):
-        with plan(FaultSpec("shard.execute", error=ConnectionError)):
+        with plan(FaultSpec("service.pool_submit", error=ConnectionError)):
             with pytest.raises(ConnectionError):
-                fire("shard.execute")
+                fire("service.pool_submit")
 
     def test_stall_then_error(self):
         spec = FaultSpec("prelude.build", stall=0.001, error=RuntimeError("slow boom"))
@@ -62,12 +62,12 @@ class TestEffects:
 
 class TestSelectors:
     def test_key_restricts_firing(self):
-        spec = FaultSpec("shard.execute", error=RuntimeError("boom"), key=2)
+        spec = FaultSpec("service.pool_submit", error=RuntimeError("boom"), key=2)
         with plan(spec):
-            fire("shard.execute", key=0)
-            fire("shard.execute", key=1)
+            fire("service.pool_submit", key=0)
+            fire("service.pool_submit", key=1)
             with pytest.raises(RuntimeError):
-                fire("shard.execute", key=2)
+                fire("service.pool_submit", key=2)
         assert spec.hits == 1  # only the matching key counted
 
     def test_after_skips_initial_hits(self):

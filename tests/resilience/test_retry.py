@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import DeadlineExceeded, Overloaded, QueryError, WorkerCrashError
+from repro.errors import DeadlineExceeded, Overloaded, QueryError
 from repro.resilience import Deadline, RetryPolicy
 
 
@@ -41,9 +41,9 @@ class TestRetry:
         assert run.calls["n"] == 3
         assert retried == [1, 2]
 
-    def test_worker_crash_is_retryable(self):
+    def test_overloaded_is_retryable(self):
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0)
-        assert policy.call(flaky(1, lambda: WorkerCrashError(123, -9))) == "ok"
+        assert policy.call(flaky(1, lambda: Overloaded("busy", 0.0))) == "ok"
 
     def test_permanent_errors_are_not_retried(self):
         policy = RetryPolicy(max_attempts=5, base_delay=0.0, max_delay=0.0)
@@ -54,7 +54,7 @@ class TestRetry:
 
     def test_deadline_exceeded_is_never_retried(self):
         policy = RetryPolicy(max_attempts=5, base_delay=0.0, max_delay=0.0)
-        run = flaky(1, lambda: DeadlineExceeded("shard"))
+        run = flaky(1, lambda: DeadlineExceeded("join"))
         with pytest.raises(DeadlineExceeded):
             policy.call(run)
         assert run.calls["n"] == 1

@@ -1,6 +1,6 @@
 """Service worker-pool contracts: batch deadlines, close semantics, sizing.
 
-Three regression suites for the pool bugs fixed alongside sharded evaluation:
+Three regression suites for the request pool:
 
 * **deadline** — ``submit_batch(..., timeout=T)`` on a service built with
   ``max_workers=N`` must return within ``T`` plus scheduling slack even when
@@ -11,12 +11,10 @@ Three regression suites for the pool bugs fixed alongside sharded evaluation:
   so the old lazily recreated pool would serve post-close requests whose
   writes silently no longer counted into ``mutations_observed``.  Closed is
   now terminal: batch entry points raise, :meth:`submit` carries the error;
-* **sizing** — the default worker count derives from the CPU count (bounded),
-  shared with the evaluator's shard count via
-  :func:`repro.concurrency.default_worker_count`.
+* **sizing** — the default worker count derives from the CPU count (bounded)
+  via :func:`repro.concurrency.default_worker_count`.
 """
 
-import os
 import threading
 import time
 
@@ -232,17 +230,32 @@ class TestWorkerSizing:
             CitationService(engine, max_workers=0)
 
     def test_stats_expose_workers_and_parallel_knobs(self):
+        """The keys perfbench reads on every run, so that dropping one fails
+        here rather than in a benchmark run: ``perfbench/run.py::settings``
+        reads ``workers``, ``strategy`` and ``parallel_backend`` from
+        ``stats()["engine"]``, and ``perfbench/run.py::counters`` reads
+        ``parallel`` and ``serial`` from the evaluation metrics'
+        ``sharding`` block."""
         database = gtopdb.paper_instance()
-        engine = CitationEngine(database, gtopdb.citation_views(), workers=3)
+        engine = CitationEngine(database, gtopdb.citation_views())
         service = CitationService(engine, max_workers=5)
         try:
+            for query in (
+                "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)",
+                "Q(FName) :- Family(FID, FName, Desc)",
+            ):
+                assert service.submit(CitationRequest(query=query)).ok
             snapshot = service.stats()
             assert snapshot["workers"] == 5
-            assert snapshot["engine"]["workers"] == 3
-            assert snapshot["engine"]["parallel_backend"] == (
-                "fork" if hasattr(os, "fork") else "serial"
-            )
-            assert "sharding" in snapshot["evaluation"]
+            assert snapshot["engine"]["workers"] == 1
+            assert snapshot["engine"]["strategy"] == "auto"
+            assert snapshot["engine"]["parallel_backend"] == "serial"
+            metrics = engine.evaluation_metrics.snapshot()
+            picks = sum(metrics["picks"].values())
+            assert picks > 0
+            assert metrics["sharding"]["parallel"] == 0
+            assert metrics["sharding"]["serial"] == picks
+            assert snapshot["evaluation"]["sharding"] == metrics["sharding"]
         finally:
             service.close()
 

@@ -71,6 +71,14 @@ class TestCite:
         assert code == 0
         assert "answer tuple" in capsys.readouterr().err
 
+    def test_strategy_choices(self, database_file, capsys):
+        code = main(["cite", "--database", database_file, "--strategy", "reduced", QUERY])
+        assert code == 0
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cite", "--database", database_file, "--strategy", "parallel", QUERY])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'parallel'" in capsys.readouterr().err
+
     def test_error_exit_code_on_bad_query(self, database_file, spec_file, capsys):
         code = main(["cite", "--database", database_file, "--spec", spec_file, "Q(X :- R(X)"])
         assert code == 2
