@@ -1,8 +1,8 @@
 """E19 — observability overhead and EXPLAIN ANALYZE fidelity.
 
 The observability PR instruments the whole request lifecycle — service
-envelope, engine plan execution, evaluator strategy pick, per-join-step
-cardinalities — so two costs need gates:
+envelope, engine plan execution, evaluation, per-join-step cardinalities —
+so two costs need gates:
 
 1. **Disabled tracing must stay ~free.**  Every instrumented call site pays
    one ``get_tracer()`` (a contextvar read), one ``enabled`` branch and at
@@ -18,11 +18,7 @@ cardinalities — so two costs need gates:
    traced/untraced ratios, each round interleaving the two services request
    by request.
 
-Plus a fidelity smoke: on the E18 sparse dangling-heavy instance, the second
-``CitationService.explain`` of the same query must show the semi-join
-prelude being *reused* (``prelude=hit`` on the evaluation span) — the
-EXPLAIN ANALYZE trace reports what the engine actually did, not just what it
-planned.  Machine-readable rows land in ``BENCH_e19.json`` (CI artifact).
+Machine-readable rows land in ``BENCH_e19.json`` (CI artifact).
 """
 
 from __future__ import annotations
@@ -41,12 +37,14 @@ from repro.observability import (
     current_fingerprint,
     get_tracer,
 )
-from benchmarks.bench_e18_cost_cache import (
-    SCHEMA,
-    _dangling_instance,
-    _sparse_instance,
+from benchmarks.conftest import (
+    CHAIN_QUERY as QUERY,
+    CHAIN_SCHEMA as SCHEMA,
+    dangling_chain,
+    paired_rounds,
+    record_json,
+    report,
 )
-from benchmarks.conftest import paired_rounds, record_json, report
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 ROWS = 600 if SMOKE else 1500
@@ -61,28 +59,20 @@ ENABLED_OVERHEAD_GATE = 1.25  # traced warm path ≤ 1.25x the untraced one
 #: evaluation per rewriting; the paper-shaped plans here have two).
 SPAN_SITES = 24
 
-QUERY = (
-    "Q(FID, Ref) :- Family(FID, FamKey), Target(FamKey, TargKey), "
-    "Interaction(TargKey, LigKey), LigandRef(LigKey, Ref)"
-)
-
-
 def _service(tracer: Tracer | None = None) -> CitationService:
-    """A serving stack over the E18 dangling chain, result cache off.
+    """A serving stack over the dangling chain, result cache off.
 
     ``cache_results=False`` keeps every request on the execution path (the
-    quantity being gated); the plan cache and the warm semi-join prelude
-    stay on, exactly like steady-state serving traffic.
+    quantity being gated); the plan cache and the view indexes stay on,
+    exactly like steady-state serving traffic.
     """
-    database = _dangling_instance(ROWS, seed=31)
-    engine = CitationEngine(
-        database, default_views_for_schema(SCHEMA), strategy="reduced"
-    )
+    database = dangling_chain(ROWS, seed=31)
+    engine = CitationEngine(database, default_views_for_schema(SCHEMA))
     return CitationService(engine, cache_results=False, tracer=tracer)
 
 
 def _warm_up(service: CitationService) -> None:
-    """Warm the plan cache, the prelude and the indexes."""
+    """Warm the plan cache and the indexes."""
     for _ in range(5):
         service.submit(CitationRequest(query=QUERY)).unwrap()
 
@@ -181,49 +171,3 @@ def test_e19_enabled_tracing_overhead_is_bounded():
         f"{PAIRED_ROUNDS} paired rounds (gate {ENABLED_OVERHEAD_GATE}x)"
     )
 
-
-def test_e19_explain_trace_shows_warm_prelude_hit():
-    """EXPLAIN ANALYZE on the E18 sparse view reports real prelude reuse."""
-    sparse = _sparse_instance(500)
-    engine = CitationEngine(
-        sparse, default_views_for_schema(SCHEMA), strategy="reduced"
-    )
-
-    def main_evaluation(reportee):
-        spans = [
-            span
-            for span in reportee.trace.find_all("query.evaluate")
-            if span.attributes.get("executor") == "reduced"
-        ]
-        assert spans, reportee.to_text()
-        return spans[0]
-
-    with CitationService(engine, cache_results=False) as service:
-        first = service.explain(QUERY)
-        second = service.explain(QUERY)
-    assert first.ok and second.ok
-
-    cold = main_evaluation(first)
-    warm = main_evaluation(second)
-    assert cold.attributes["prelude"] in ("cold", "miss")
-    assert warm.attributes["prelude"] == "hit"
-    assert second.trace.find("service.plan").attributes["plan_cache"] == "hit"
-    assert "prelude=hit" in second.to_text()
-    steps = [
-        span
-        for span in second.trace.find_all("join.step")
-        if span.parent_id == warm.span_id
-    ]
-    assert steps, "warm evaluation lost its per-step cardinality records"
-
-    rows = [
-        {
-            "op": "explain_prelude_smoke",
-            "first_prelude": cold.attributes["prelude"],
-            "second_prelude": warm.attributes["prelude"],
-            "second_plan_cache": "hit",
-            "join_steps": len(steps),
-        }
-    ]
-    report("E19: explain trace prelude fidelity on the sparse instance", rows)
-    record_json("e19", rows)

@@ -1,9 +1,8 @@
-"""E21: IR-verifier overhead on the E18 chain workload.
+"""E21: IR-verifier overhead on a dangling four-relation chain.
 
 The ``verify_plans`` knob must be cheap enough to leave on outside tests:
 verification runs once per plan compile (never on the warm per-request
-path), over the programs and reductions ``compile_plan`` builds for every
-plan anyway.  This experiment measures
+path), over the programs ``compile_plan`` builds for every plan anyway.  This experiment measures
 the knob both where it is most visible (compile-heavy traffic: every
 request compiles a fresh plan) and where production traffic actually lives
 (serving-shaped: one compile, many executions), and gates the
@@ -19,37 +18,36 @@ import statistics
 from collections.abc import Iterator
 from functools import partial
 
+import os
+
 from repro import CitationEngine
 from repro.core.spec import default_views_for_schema
 
-from benchmarks.bench_e18_cost_cache import (
-    ROUNDS,
-    SCHEMA,
-    SMOKE,
-    _dangling_instance,
+from benchmarks.conftest import (
+    CHAIN_QUERY as QUERY,
+    CHAIN_SCHEMA as SCHEMA,
+    dangling_chain,
+    paired_rounds,
+    record_json,
+    report,
 )
-from benchmarks.conftest import paired_rounds, record_json, report
+
+SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
 
 #: Hard gate: verify_plans="warn" may cost at most 5% on serving-shaped
 #: traffic (compile once, execute many — the production profile).
 OVERHEAD_GATE = 1.05
 
-QUERY = (
-    "Q(FID, Ref) :- Family(FID, FamKey), Target(FamKey, TargKey), "
-    "Interaction(TargKey, LigKey), LigandRef(LigKey, Ref)"
-)
-
 SERVE_REQUESTS = 60 if SMOKE else 150
 COMPILE_REPEATS = 10 if SMOKE else 25
 #: Paired off/warn rounds per shape; the gate reads their median ratio.
-RATIO_ROUNDS = ROUNDS + 12
+RATIO_ROUNDS = (3 if SMOKE else 5) + 12
 
 
 def _engine(database, verify: str) -> CitationEngine:
     return CitationEngine(
         database,
         default_views_for_schema(SCHEMA),
-        strategy="reduced",
         verify_plans=verify,
     )
 
@@ -78,7 +76,7 @@ def _compile_pass(engine: CitationEngine) -> Iterator[None]:
 
 
 def test_e21_verifier_overhead_is_bounded():
-    database = _dangling_instance(600 if SMOKE else 1500, seed=31)
+    database = dangling_chain(600 if SMOKE else 1500, seed=31)
 
     rows = []
     ratios: dict[str, float] = {}

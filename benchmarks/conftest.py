@@ -12,7 +12,7 @@ Besides the human-readable tables (:func:`report`), experiments can record
 recorded experiment is written to ``BENCH_<id>.json`` (in
 ``$REPRO_BENCH_JSON_DIR`` or the working directory).  CI uploads these files
 as artifacts, so the perf trajectory — cold/warm timings, speed-ups,
-strategy picks — is tracked across PRs instead of scrolling away in logs.
+overhead ratios — is tracked across PRs instead of scrolling away in logs.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import random
 import sys
 import time
 from collections.abc import Callable, Iterator, Mapping
@@ -27,7 +28,60 @@ from collections.abc import Callable, Iterator, Mapping
 import pytest
 
 from repro import CitationEngine, CitationPolicy
+from repro.relational.database import Database
+from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
 from repro.workloads import gtopdb
+
+#: A four-relation key chain, the serving workload of E19 and E21.
+CHAIN_SCHEMA = DatabaseSchema(
+    [
+        RelationSchema("Family", [Attribute("FID", int), Attribute("FamKey", int)]),
+        RelationSchema("Target", [Attribute("FamKey", int), Attribute("TargKey", int)]),
+        RelationSchema(
+            "Interaction", [Attribute("TargKey", int), Attribute("LigKey", int)]
+        ),
+        RelationSchema("LigandRef", [Attribute("LigKey", int), Attribute("Ref", int)]),
+    ]
+)
+CHAIN_QUERY = (
+    "Q(FID, Ref) :- Family(FID, FamKey), Target(FamKey, TargKey), "
+    "Interaction(TargKey, LigKey), LigandRef(LigKey, Ref)"
+)
+
+
+def dangling_chain(rows: int, seed: int) -> Database:
+    """*rows* rows per :data:`CHAIN_SCHEMA` relation, where only about eight
+    ligand keys ever join.
+
+    Join keys are drawn from a domain of ``rows // 2`` values; ligand keys
+    in ``LigandRef`` mostly come from a disjoint range, so most partial
+    chains dangle and the answer set stays small.
+    """
+    rng = random.Random(seed)
+    domain = rows // 2
+    survivors = 8
+    database = Database(CHAIN_SCHEMA)
+    database.insert_many("Family", ((i, rng.randrange(domain)) for i in range(rows)))
+    database.insert_many(
+        "Target", ((rng.randrange(domain), rng.randrange(domain)) for _ in range(rows))
+    )
+    database.insert_many(
+        "Interaction",
+        ((rng.randrange(domain), rng.randrange(domain)) for _ in range(rows)),
+    )
+    database.insert_many(
+        "LigandRef",
+        (
+            (
+                rng.randrange(survivors)
+                if rng.random() < survivors / domain
+                else domain + rng.randrange(domain),
+                i,
+            )
+            for i in range(rows)
+        ),
+    )
+    return database
 
 #: Experiments this process has already (re)started a JSON file for, so a
 #: session's first record truncates any stale file from an earlier run while

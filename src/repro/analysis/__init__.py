@@ -19,10 +19,9 @@ to work before any data is touched:
   workload, ambiguity overlaps, key terms missing from view heads,
   citation-function field maps that can never fire;
 * :mod:`repro.analysis.ir` — a dataflow verifier over the compiled-join IR
-  (:class:`~repro.query.compiler.JoinProgram` and friends): slot
-  definite-assignment, probe-key well-formedness, faithfulness of steps to
-  the source query, semi-join trees consistent with GYO ear removal, and
-  prelude snapshots that agree with the steps they cache.  Run by
+  (:class:`~repro.query.compiler.JoinProgram` and the citation programs
+  reading its frames): slot definite-assignment, probe-key
+  well-formedness and faithfulness of steps to the source query.  Run by
   :meth:`~repro.core.engine.CitationEngine.compile_plan` under the
   ``verify_plans`` knob;
 * :mod:`repro.analysis.codelint` — an AST lint over the package's own
@@ -45,12 +44,7 @@ from repro.analysis.diagnostics import (
     rule,
 )
 from repro.analysis.codelint import lint_paths, lint_source
-from repro.analysis.ir import (
-    verify_citation_plan,
-    verify_prelude,
-    verify_program,
-    verify_reduced,
-)
+from repro.analysis.ir import verify_citation_plan, verify_program
 from repro.analysis.query_rules import QueryAnalysis, analyze_query
 from repro.analysis.view_rules import analyze_view_set, analyze_workload_coverage
 
@@ -65,9 +59,7 @@ __all__ = [
     "analyze_view_set",
     "analyze_workload_coverage",
     "verify_citation_plan",
-    "verify_prelude",
     "verify_program",
-    "verify_reduced",
     "lint_paths",
     "lint_source",
 ]

@@ -30,8 +30,8 @@ uniformly.  ``--backend`` selects the backend explicitly:
   timestamp attribute, see ``--timestamp-attribute``).
 
 ``cite``, ``batch`` and ``serve`` accept ``--stats`` to dump the service's
-metrics snapshot (per-backend counters, evaluator strategy picks, cost-model
-estimates and prelude-cache hit rates) to stderr on exit —
+metrics snapshot (per-backend counters, cache counters and evaluation counts
+and times) to stderr on exit —
 ``--stats-format prometheus`` switches that dump to Prometheus text
 exposition — and ``serve`` understands the ``.stats`` / ``.backends`` /
 ``.slowlog`` / ``.quit`` directives on stdin.  ``--trace-jsonl PATH``
@@ -40,12 +40,9 @@ to *PATH*; ``--slow-log N`` retains the N slowest request traces (surfaced
 by ``--stats`` and the ``.slowlog`` directive).  ``explain`` prints the
 static citation explanation followed by an EXPLAIN ANALYZE section: the
 request is actually served with tracing forced on and the resulting span
-tree — cache outcomes, strategy pick with cost estimate, per-join-step
-estimated vs. measured cardinalities — is rendered; ``--warm`` serves the
-request once beforehand so the explained run shows the warm-path behaviour
-(plan-cache and semi-join prelude hits).  ``--strategy`` selects the join
-executor on every data command; the default ``auto`` prices the semi-join
-reduction with the statistics-driven cost model per query and data version.
+tree — cache outcomes, per-join-step measured cardinalities — is rendered;
+``--warm`` serves the request once beforehand so the explained run shows the
+warm-path behaviour (a plan-cache hit).
 
 The database file is the JSON format written by
 :func:`repro.relational.csvio.dump_database_json`; the specification file is
@@ -75,14 +72,12 @@ from repro.core.policy import CitationPolicy
 from repro.core.temporal import TIMESTAMP_ATTRIBUTE, TemporalCitationEngine, timestamp_view
 from repro.errors import ReproError
 from repro.observability import JsonlSink, SlowQueryLog, Tracer
-from repro.query.evaluator import STRATEGIES
 from repro.query.parser import parse_query
 from repro.query.sql import parse_sql
 from repro.relational.csvio import load_database_json
 from repro.service import CitationService
 
 BACKEND_CHOICES = ("auto", "relational", "union", "temporal")
-STRATEGY_CHOICES = STRATEGIES
 
 
 def _load_engine(args: argparse.Namespace) -> CitationEngine:
@@ -97,7 +92,6 @@ def _load_engine(args: argparse.Namespace) -> CitationEngine:
         views,
         policy=policy,
         on_no_rewriting="fallback",
-        strategy=getattr(args, "strategy", "auto"),
     )
 
 
@@ -442,12 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--title", default="Cited database", help="database title used by default views"
         )
         sub.add_argument(
-            "--strategy", choices=STRATEGY_CHOICES, default="auto",
-            help="join execution strategy: auto prices the semi-join "
-            "reduction with the statistics-driven cost model (and always "
-            "reuses a warm prelude), program/reduced force one executor",
-        )
-        sub.add_argument(
             "--workers", type=positive_int, default=None,
             help="size of the service request pool (default: bounded "
             "CPU-derived)",
@@ -513,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     cite.add_argument("--show-answers", action="store_true", help="print answers to stderr")
     cite.add_argument(
         "--stats", action="store_true",
-        help="dump service metrics (incl. strategy picks, cost-model "
-        "estimates and prelude-cache rates) to stderr on exit",
+        help="dump service metrics (incl. cache counters and evaluation "
+        "counts) to stderr on exit",
     )
     cite.add_argument(
         "--stats-format", choices=["json", "prometheus"], default="json",
@@ -622,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--warm", action="store_true",
         help="serve the request once before explaining, so the trace shows "
-        "the warm path (plan-cache and semi-join prelude hits)",
+        "the warm path (a plan-cache hit)",
     )
     explain.set_defaults(func=_cmd_explain)
 

@@ -56,9 +56,9 @@ from repro.errors import (
 )
 from repro.observability import NULL_SPAN, get_tracer
 from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
-from repro.query.compiler import PreludeCache
-from repro.query.evaluator import Binding, QueryEvaluator, Strategy, result_schema
-from repro.query.stats import CostModel, EvaluationMetrics, StatisticsCatalog
+from repro.query.compiler import JoinProgram
+from repro.query.evaluator import Binding, QueryEvaluator, result_schema
+from repro.query.stats import EvaluationMetrics
 from repro.query.parser import parse_query
 from repro.query.ucq import UnionQuery
 from repro.relational.database import Change, Database
@@ -341,14 +341,11 @@ class CitationPlan:
     #: Static-analysis findings from compile time (empty when analysis off).
     diagnostics: tuple[Diagnostic, ...] = field(default=(), compare=False)
     #: Per rewriting, in order: its :class:`CitationProgram` and the
-    #: :class:`~repro.query.compiler.PreludeCache` over its semi-join-reduced
-    #: join program.  The reduced program is ``prelude.reduced`` and the
-    #: plain one ``prelude.reduced.program``, so the three are paired by
-    #: construction.  Programs are pure description; the prelude's warm
-    #: state is data-derived, stamped with every relation's identity and
-    #: version, and refreshes itself when they move.  This is the only copy
-    #: of a plan's compiled state.
-    compiled: tuple[tuple[CitationProgram, PreludeCache], ...] = field(
+    #: :class:`~repro.query.compiler.JoinProgram` whose frames it reads, so
+    #: the two are paired by construction.  Both are pure description and
+    #: stay valid across database changes.  This is the only copy of a
+    #: plan's compiled state.
+    compiled: tuple[tuple[CitationProgram, JoinProgram], ...] = field(
         default=(), compare=False, repr=False
     )
     #: Its core's lifted constants (:meth:`CitationEngine.shape`), if recorded.
@@ -458,12 +455,10 @@ class CitationEngine:
         selector: RewritingSelector | None = None,
         on_no_rewriting: Literal["error", "fallback"] = "error",
         fallback_citation: CitationRecord | None = None,
-        strategy: Strategy = "auto",
         analysis: AnalysisMode = "warn",
         verify_plans: VerifyMode | None = None,
     ) -> None:
         self.database = database
-        self.strategy: Strategy = strategy
         self.analysis: AnalysisMode = analysis
         if verify_plans is None:
             verify_plans = type(self).DEFAULT_VERIFY_PLANS
@@ -531,13 +526,8 @@ class CitationEngine:
         # materialised views survive from one request to the next (they are
         # re-validated against the views' identity and version on every probe).
         self._index_manager = IndexManager(database)
-        # Statistics and cost model feeding strategy="auto" — reading
-        # off the shared index manager, so pricing a query warms the very
-        # indexes its execution probes.  Evaluation metrics aggregate every
-        # strategy decision, cost estimate and prelude-cache outcome; the
-        # serving layer exposes them through CitationService.stats().
-        self._statistics = StatisticsCatalog(self._index_manager)
-        self._cost_model = CostModel(self._statistics)
+        # Counts and times every evaluation; the serving layer exposes it
+        # through CitationService.stats().
         self.evaluation_metrics = EvaluationMetrics()
         # One persistent evaluator per engine, shared by compile_plan and
         # every execution (the views it reads are re-pointed per call, see
@@ -602,16 +592,13 @@ class CitationEngine:
         a cache stays correct unless it is
         :attr:`~CitationPlan.data_dependent`.
 
-        Besides the views, citation records and view indexes, this clears the
-        statistics catalog.  Warm preludes on plans held elsewhere need no
-        action: the views are materialised anew, and a prelude refreshes
-        whenever a relation's identity or version moves.
+        Besides the views and citation records, this clears the view
+        indexes; they rebuild on the next probe.
         """
         with self._refresh_lock:
             self._drop_caches_locked()
             self._cache_generation = self.database.generation
         self._index_manager.invalidate()
-        self._statistics.invalidate()
         self._cache_epoch += 1
 
     def refresh_stats(self) -> dict[str, int]:
@@ -738,7 +725,7 @@ class CitationEngine:
         only the views whose body reads a relation it changed, which are
         patched from the change log where they can be and re-materialised
         on next use otherwise.  The other views keep their relation objects
-        (and so their indexes and warm preludes), and while no view is stale
+        (and so their indexes), and while no view is stale
         repeated calls return the same mapping.
         """
         with self._refresh_lock:
@@ -975,22 +962,20 @@ class CitationEngine:
             return plan
 
     def _compile_rewritings(self, rewritings: Iterable[Rewriting]) -> tuple:
-        """:attr:`CitationPlan.compiled` for *rewritings*, with new prelude caches."""
+        """:attr:`CitationPlan.compiled` for *rewritings*."""
         evaluator = self._execution_evaluator()
         compiled = []
         for rewriting in rewritings:
-            prelude = evaluator.prelude_for(rewriting.query, evaluator.reduce(rewriting.query))
-            citation = CitationProgram(
-                rewriting, self._citation_view_by_name, prelude.reduced.program.variables
-            )
-            compiled.append((citation, prelude))
+            program = evaluator.compile(rewriting.query)
+            citation = CitationProgram(rewriting, self._citation_view_by_name, program.variables)
+            compiled.append((citation, program))
         return tuple(compiled)
 
     def instantiate_plan(self, plan: CitationPlan, constants: tuple) -> CitationPlan:
         """*plan* with *constants* in place of ``plan.constants`` (matched by
         type and value) in its rewritings and their expansions, so no search
-        runs; the programs and prelude caches (warm state belongs to one set
-        of constants) are built anew and verified as :meth:`compile_plan` does.
+        runs; the programs, whose probe keys hold the constants, are built
+        anew and verified as :meth:`compile_plan` does.
         *plan* itself when the constants are its own."""
         if plan.constants == constants:
             return plan
@@ -1014,8 +999,8 @@ class CitationEngine:
         """Run the IR verifier over *plan*'s compiled join IR (see
         ``verify_plans``).
 
-        Verification runs once per plan compile, over the programs and
-        reductions :meth:`compile_plan` just built, so warm traffic through
+        Verification runs once per plan compile, over the programs
+        :meth:`compile_plan` just built, so warm traffic through
         the serving layer's plan cache never pays again.
         """
         if self.verify_plans == "off" or not plan.rewritings:
@@ -1040,8 +1025,8 @@ class CitationEngine:
             )
 
     def verify_plan(self, plan: CitationPlan) -> AnalysisReport:
-        """IR-verify everything compiled onto *plan* (programs, reductions
-        and warm preludes), regardless of the ``verify_plans`` knob.
+        """IR-verify everything compiled onto *plan* (join and citation
+        programs), regardless of the ``verify_plans`` knob.
 
         Tests and the race harness use it to assert plans stay
         verifier-clean *after* being executed and cached.
@@ -1055,8 +1040,8 @@ class CitationEngine:
     ) -> CitedResult:
         """Answer *query* and construct per-tuple and aggregate citations.
 
-        Compiles a new plan on every call: to reuse compiled programs and
-        warm preludes, hold the plan (:meth:`compile_plan`,
+        Compiles a new plan on every call: to reuse compiled programs,
+        hold the plan (:meth:`compile_plan`,
         :meth:`execute_plan`) or serve through the service's plan cache.
         """
         return self.execute_plan(self.compile_plan(query, mode))
@@ -1108,7 +1093,7 @@ class CitationEngine:
         # Read after the evaluator, which refreshes the generation.
         cache = self._atom_cache
         alternatives_by_row: dict[tuple, list[tuple[CitationProgram, list[tuple]]]] = {}
-        for position, (rewriting, (citation, prelude)) in enumerate(
+        for position, (rewriting, (citation, program)) in enumerate(
             zip(plan.rewritings, plan.compiled, strict=True)
         ):
             rewriting_span = (
@@ -1121,9 +1106,9 @@ class CitationEngine:
                 else NULL_SPAN
             )
             with rewriting_span:
-                # Frames in the layout of prelude.reduced.program, which
-                # the citation program was resolved against.
-                frames_by_row = evaluator.frames_by_row(rewriting.query, prelude=prelude)
+                # Frames in the layout of the program the citation program
+                # was resolved against.
+                frames_by_row = evaluator.frames_by_row(rewriting.query, program)
                 rewriting_span.set_attribute("rows", len(frames_by_row))
             for row, frames in frames_by_row.items():
                 alternatives_by_row.setdefault(row, []).append((citation, frames))
@@ -1226,8 +1211,8 @@ class CitationEngine:
         state lives on the plans.  The view relations it resolves against
         are re-bound per call: within one database generation they are the
         same objects, and after a mutation the fresh materialisations
-        replace them (the plans' prelude caches notice via their identity
-        stamps); ``views=False`` skips both, for a query that names no view.
+        replace them; ``views=False`` skips both, for a query that names no
+        view.
         Mutations must not race in-flight executions — the usual
         reader/writer discipline of the in-memory store.
         """
@@ -1238,16 +1223,11 @@ class CitationEngine:
                 self.database,
                 extra_relations=relations,
                 index_manager=self._index_manager,
-                strategy=self.strategy,
-                statistics=self._statistics,
-                cost_model=self._cost_model,
                 metrics=self.evaluation_metrics,
             )
             self._evaluator = evaluator
-        else:
-            if relations is not None and evaluator.extra_relations is not relations:
-                evaluator.extra_relations = relations
-            evaluator.strategy = self.strategy
+        elif relations is not None and evaluator.extra_relations is not relations:
+            evaluator.extra_relations = relations
         return evaluator
 
     def evaluate_uncovered(self, query: ConjunctiveQuery) -> Relation:

@@ -133,13 +133,11 @@ class IncrementalCitationMaintainer:
             self._execute(token)
             return self._result
         self._token = (changes[0], token[1])
-        # Delta and per-row queries probe a few rows: the plain program over
-        # the engine's view indexes, with no cost model.
+        # Delta and per-row queries probe a few rows over the engine's view indexes.
         evaluator = QueryEvaluator(
             self.engine.database,
             extra_relations=relations,
             index_manager=self.engine._index_manager,
-            strategy="program",
         )
         rows = self._delta_output_rows(evaluator, added)
         keys, whole, _ = self.engine._reach(changes[1])

@@ -72,7 +72,7 @@ class PlanVerificationError(StaticAnalysisError):
 
     Raised from :meth:`~repro.core.engine.CitationEngine.compile_plan` when the
     dataflow verifier (:mod:`repro.analysis.ir`) finds error-severity
-    diagnostics in a compiled ``JoinProgram``/``ReducedProgram``.  Like its
+    diagnostics in a compiled ``JoinProgram`` or citation program.  Like its
     base class it carries the offending diagnostics on ``diagnostics``.
     """
 
@@ -133,8 +133,8 @@ class TransientError(ReproError):
 class DeadlineExceeded(ReproError, TimeoutError):
     """A request ran past its deadline and was cooperatively cancelled.
 
-    Raised from a cancellation checkpoint (join loop, prelude pass, cache
-    wait) the moment the propagated
+    Raised from a cancellation checkpoint (rewriting search, join loop,
+    citation assembly, a wait on another request's compile) the moment the propagated
     :class:`~repro.resilience.deadline.Deadline` expires.  ``where`` names the
     checkpoint that fired, so traces show how deep the request got.  Also a
     :class:`TimeoutError` so existing ``except TimeoutError`` callers treat

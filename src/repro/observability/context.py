@@ -1,9 +1,8 @@
 """Request-scoped context values beyond the span tree.
 
 The serving layer knows the structural fingerprint of the query it is about
-to execute; the evaluator, several layers down, wants to attribute its
-estimate-vs-actual measurements to that fingerprint (feeding the adaptive
-cost-model work).  Importing the service's fingerprint module from the query
+to execute; the evaluator, several layers down, attributes its measured
+evaluation times to that fingerprint.  Importing the service's fingerprint module from the query
 layer would be an import cycle, so the key flows through a context variable
 instead: the service sets it around ``backend.execute`` and the evaluator
 reads it back.  Like the span context, it propagates into batch worker

@@ -2,12 +2,12 @@
 
 One request's trace *is* its annotated plan: the service spans carry cache
 outcomes, the engine spans carry rewriting counts, the evaluation spans carry
-the strategy pick with its reason and the cost model's estimate, and the
-``join.step`` annotation children carry per-step estimated vs. actual
-cardinalities.  :func:`render_trace` draws the tree with box-drawing
-connectors; ``join.step`` spans get a compact one-line cardinality format::
+answer counts, and the ``join.step`` annotation children carry per-step
+measured cardinalities.  :func:`render_trace` draws the tree with
+box-drawing connectors; ``join.step`` spans get a compact one-line
+cardinality format::
 
-    join.step[0] Family  rows 1500 -> 8 (survival 0.53%, est 0.40%) scanned=8 out=5
+    join.step[0] Family  rows=1500  scanned=8  out=5
 
 Everything else prints ``name  duration  key=value ...`` with long values
 elided, so the renderer stays useful for arbitrary spans.
@@ -25,19 +25,8 @@ __all__ = ["render_trace"]
 #: Attribute keys whose values may be long free text; elide past this length.
 _ELIDE_AT = 72
 
-#: Keys consumed by the join.step special-case formatter.
-_STEP_KEYS = frozenset(
-    {
-        "step",
-        "predicate",
-        "relation_rows",
-        "rows_in",
-        "rows_scanned",
-        "frames_out",
-        "survival",
-        "est_survival",
-    }
-)
+#: The join.step keys its one-line format consumes, with their labels.
+_STEP_LABELS = {"relation_rows": "rows", "rows_scanned": "scanned", "frames_out": "out"}
 
 
 def _short(value: Any) -> str:
@@ -50,41 +39,16 @@ def _short(value: Any) -> str:
     return text
 
 
-def _percent(fraction: Any) -> str:
-    if not isinstance(fraction, (int, float)):
-        return "?"
-    return f"{fraction * 100.0:.2f}%"
-
-
 def _step_line(span: "TraceSpan") -> str:
     attrs = span.attributes
-    index = attrs.get("step", "?")
-    predicate = attrs.get("predicate", "?")
-    relation_rows = attrs.get("relation_rows")
-    rows_in = attrs.get("rows_in")
-    parts = [f"join.step[{index}] {predicate}"]
-    if relation_rows is not None and rows_in is not None:
-        flow = f"rows {relation_rows} -> {rows_in}"
-        survival = attrs.get("survival")
-        est = attrs.get("est_survival")
-        qualifiers = []
-        if survival is not None:
-            qualifiers.append(f"survival {_percent(survival)}")
-        if est is not None:
-            qualifiers.append(f"est {_percent(est)}")
-        if qualifiers:
-            flow += f" ({', '.join(qualifiers)})"
-        parts.append(flow)
-    if "rows_scanned" in attrs:
-        parts.append(f"scanned={attrs['rows_scanned']}")
-    if "frames_out" in attrs:
-        parts.append(f"out={attrs['frames_out']}")
-    extra = [
+    parts = [f"join.step[{attrs.get('step', '?')}] {attrs.get('predicate', '?')}"]
+    parts += [f"{label}={attrs[key]}" for key, label in _STEP_LABELS.items() if key in attrs]
+    parts += [
         f"{key}={_short(value)}"
         for key, value in attrs.items()
-        if key not in _STEP_KEYS
+        if key not in _STEP_LABELS and key not in ("step", "predicate")
     ]
-    return "  ".join(parts + extra)
+    return "  ".join(parts)
 
 
 def _span_line(span: "TraceSpan") -> str:

@@ -14,15 +14,8 @@ full CQ toolchain the model needs:
 * :mod:`repro.query.compiler` — compilation of a CQ into a static
   :class:`~repro.query.compiler.JoinProgram` (fixed atom order, variable→slot
   frames, per-atom bound-position accessors) that the evaluator executes and
-  the serving layer caches on compiled citation plans; plus the GYO
-  acyclicity analysis and the Yannakakis-style
-  :class:`~repro.query.compiler.ReducedProgram` (semi-join prelude +
-  sideways information passing) behind the evaluator's strategy knob, and
-  the version-keyed :class:`~repro.query.compiler.PreludeCache` that lets
-  warm serving traffic skip the reduction entirely,
-* :mod:`repro.query.stats` — per-relation statistics (read off the shared
-  hash indexes) and the cost model that prices the reduction for
-  ``strategy="auto"``, plus the evaluator's strategy/prelude metrics,
+  the serving layer caches on compiled citation plans,
+* :mod:`repro.query.stats` — the evaluator's evaluation counts and times,
 * :mod:`repro.query.containment` — homomorphism-based containment and
   equivalence,
 * :mod:`repro.query.minimization` — core computation / minimization,
@@ -38,28 +31,9 @@ from repro.query.ast import (
     Variable,
 )
 from repro.query.parser import parse_query, parse_program
-from repro.query.compiler import (
-    JoinProgram,
-    PreludeCache,
-    ReducedProgram,
-    compile_query,
-    is_acyclic,
-    join_forest,
-    reduce_program,
-)
-from repro.query.evaluator import (
-    QueryEvaluator,
-    Strategy,
-    evaluate,
-    evaluate_with_bindings,
-)
-from repro.query.stats import (
-    CostEstimate,
-    CostModel,
-    EvaluationMetrics,
-    RelationStatistics,
-    StatisticsCatalog,
-)
+from repro.query.compiler import JoinProgram, compile_query
+from repro.query.evaluator import QueryEvaluator, evaluate, evaluate_with_bindings
+from repro.query.stats import EvaluationMetrics
 from repro.query.containment import (
     containment_mapping,
     find_homomorphism,
@@ -88,20 +62,10 @@ __all__ = [
     "parse_program",
     "parse_sql",
     "JoinProgram",
-    "ReducedProgram",
-    "PreludeCache",
     "compile_query",
-    "reduce_program",
-    "join_forest",
-    "is_acyclic",
     "QueryEvaluator",
-    "Strategy",
     "evaluate",
     "evaluate_with_bindings",
-    "RelationStatistics",
-    "StatisticsCatalog",
-    "CostEstimate",
-    "CostModel",
     "EvaluationMetrics",
     "is_contained_in",
     "is_equivalent_to",

@@ -20,61 +20,29 @@ are fixed once at compile time; per evaluation the program's prepared plan
 resolves every step's row source, with bound-position probes served by hash
 indexes — over database relations *and* over ``extra_relations`` such as
 materialised views, via an :class:`~repro.relational.index.IndexManager` —
-and one join loop runs that plan for plain and reduced programs alike.  The evaluator caches nothing
-per query: a call compiles its program and reduction afresh, unless the
-caller hands in a :class:`~repro.query.compiler.PreludeCache`, which carries
-the reduced program (``prelude.reduced``), the plain one
-(``prelude.reduced.program``) and the warm semi-join state.  The citation
+and one join loop (:meth:`~repro.query.compiler.JoinProgram.run_plan`) runs
+that plan in the calling thread.  The evaluator caches nothing per query: a
+call compiles its program afresh, unless the caller hands in a compiled
+:class:`~repro.query.compiler.JoinProgram` (``program=``).  The citation
 engine compiles one per rewriting into each
 :class:`~repro.core.engine.CitationPlan` and passes it in, which is how
 serving traffic pays for compilation once per query shape.
-
-The evaluator has a **strategy knob** for how a program is executed:
-
-* ``"program"`` — the plain nested-loop join program;
-* ``"reduced"`` — the program behind its semi-join reduction prelude
-  (:func:`~repro.query.compiler.reduce_program`): a Yannakakis bottom-up /
-  top-down pass over the join tree for acyclic queries, plus sideways
-  information passing for every query;
-* ``"auto"`` (the default) — for α-acyclic multi-atom queries, ask the
-  statistics-driven :class:`~repro.query.stats.CostModel` whether the
-  prelude's expected dangling-tuple savings beat its linear passes; run
-  whatever it picks.
-
-Every evaluation runs the one join loop
-(:meth:`~repro.query.compiler.JoinProgram.run_plan`) in the calling thread.
-
-Under ``"auto"`` a query whose handed-in prelude is warm for the current
-relations always runs reduced — the prelude costs nothing, so the cost
-model is only consulted cold.
-
-All strategies produce identical answers and binding sets — the reduction
-only removes rows that cannot contribute — which the differential property
-suites (``tests/property/test_strategy_equivalence.py`` and
-``tests/property/test_prelude_equivalence.py``) lock down.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
+from collections.abc import Callable, Iterable, Mapping, Sized
 from functools import partial
 from operator import itemgetter
-from typing import Literal, TypeVar
+from typing import TypeVar
 
 from repro.errors import QueryError, UnknownRelationError
 from repro.observability import NULL_SPAN, current_fingerprint, get_tracer
 from repro.resilience.deadline import current_deadline
 from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
-from repro.query.compiler import (
-    JoinProfile,
-    JoinProgram,
-    PreludeCache,
-    ReducedProgram,
-    compile_query,
-    reduce_program,
-)
-from repro.query.stats import CostEstimate, CostModel, EvaluationMetrics, StatisticsCatalog
+from repro.query.compiler import JoinProfile, JoinProgram, compile_query
+from repro.query.stats import EvaluationMetrics
 from repro.relational.database import Database
 from repro.relational.index import IndexManager
 from repro.relational.relation import Relation
@@ -83,10 +51,6 @@ from repro.relational.schema import Attribute, RelationSchema
 Binding = dict[Variable, object]
 
 _Out = TypeVar("_Out", bound=Sized)
-
-Strategy = Literal["auto", "program", "reduced"]
-
-STRATEGIES: tuple[Strategy, ...] = ("auto", "program", "reduced")
 
 
 class QueryEvaluator:
@@ -97,11 +61,10 @@ class QueryEvaluator:
     matches an extra relation are evaluated against it.  An external
     :class:`~repro.relational.index.IndexManager` may be supplied to share
     view indexes across evaluator instances (the citation engine does this);
-    otherwise the evaluator owns a private one.  Likewise *statistics* /
-    *cost_model* / *metrics* default to private instances but can be shared
-    (the engine threads one :class:`~repro.query.stats.StatisticsCatalog`
-    and one :class:`~repro.query.stats.EvaluationMetrics` through every
-    evaluator it builds).
+    otherwise the evaluator owns a private one.  With *metrics*, every
+    evaluation is counted and timed there (the engine threads one
+    :class:`~repro.query.stats.EvaluationMetrics` through every evaluator
+    it builds).
     """
 
     def __init__(
@@ -109,26 +72,14 @@ class QueryEvaluator:
         database: Database,
         extra_relations: Mapping[str, Relation] | None = None,
         index_manager: IndexManager | None = None,
-        strategy: Strategy = "auto",
-        statistics: StatisticsCatalog | None = None,
-        cost_model: CostModel | None = None,
         metrics: EvaluationMetrics | None = None,
     ) -> None:
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
         self.database = database
         self.extra_relations = dict(extra_relations or {})
-        self.strategy: Strategy = strategy
         # Not `or`: an IndexManager with no entries yet is len() == 0, falsy.
         self.index_manager = (
             index_manager if index_manager is not None else IndexManager(database)
         )
-        self.statistics = (
-            statistics if statistics is not None else StatisticsCatalog(self.index_manager)
-        )
-        self.cost_model = cost_model if cost_model is not None else CostModel(self.statistics)
         self.metrics = metrics
 
     # -- relation resolution ------------------------------------------------
@@ -159,141 +110,12 @@ class QueryEvaluator:
         """Compile *query*'s join program against the current relations."""
         return compile_query(query, self._resolve_relations(query))
 
-    def reduce(self, query: ConjunctiveQuery) -> ReducedProgram:
-        """Compile *query* and build its semi-join reduction."""
-        return self.reduction_of(query, self.compile(query))
-
-    def reduction_of(
-        self, query: ConjunctiveQuery, program: JoinProgram
-    ) -> ReducedProgram:
-        """The semi-join reduction of *program*, compiled from *query*."""
-        return reduce_program(program)
-
-    def prelude_for(
-        self, query: ConjunctiveQuery, reduced: ReducedProgram
-    ) -> PreludeCache:
-        """A new, empty :class:`PreludeCache` over *query*'s reduction
-        *reduced*, reporting hits and misses to :attr:`metrics`."""
-        return PreludeCache(reduced, metrics=self.metrics)
-
-    # -- strategy selection --------------------------------------------------
-    def select_strategy(
-        self, query: ConjunctiveQuery
-    ) -> Literal["program", "reduced"]:
-        """The executor this evaluator would run *query* with right now.
-
-        ``"program"`` and ``"reduced"`` are themselves; ``"auto"`` resolves
-        through the cost model, so the answer can change as the data drifts.
-        """
-        relations = self._resolve_relations(query)
-        # Pure introspection: resolve without recording picks or estimates,
-        # so polling this for monitoring never skews the serving metrics.
-        executor, _reason, _estimate = self._executor(
-            relations, compile_query(query, relations), None, None, record=False
-        )
-        return "reduced" if isinstance(executor, ReducedProgram) else "program"
-
-    def _executor(
-        self,
-        relations: Mapping[str, Relation],
-        program: JoinProgram,
-        reduced: ReducedProgram | None,
-        strategy: Strategy | None,
-        prelude: PreludeCache | None = None,
-        record: bool = True,
-    ) -> tuple[JoinProgram | ReducedProgram, str, CostEstimate | None]:
-        """Resolve the strategy for one evaluation to a runnable program.
-
-        *reduced* is *program*'s reduction when the caller holds one (it is
-        built here otherwise, and only if the pick needs it).  Returns
-        ``(executor, pick reason, cost estimate or None)`` — the reason and
-        estimate feed the evaluation span's attributes, so an EXPLAIN trace
-        shows not just what ran but why the resolver picked it.  With
-        ``record=False`` the resolution leaves no trace in :attr:`metrics`
-        (introspection via :meth:`select_strategy`).
-        """
-        strategy = strategy or self.strategy
-        if strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown evaluation strategy {strategy!r}; expected one of {STRATEGIES}"
-            )
-        if strategy == "program":
-            return self._picked(program, "forced", record)
-        if strategy != "reduced" and len(program.steps) < 2:
-            # Single-atom queries never pay for the analysis.  Multi-atom
-            # ones run join_forest + a cost estimate per resolution; both are
-            # O(atoms²)/O(atoms) over the tiny compiled description, and the
-            # estimate's statistics are version-cached in the catalog.
-            return self._picked(program, "single_atom", record)
-        if reduced is None:
-            reduced = reduce_program(program)
-        if strategy == "reduced":
-            return self._picked(reduced, "forced", record)
-        if not reduced.acyclic:
-            return self._picked(program, "cyclic", record)
-        # Warm state makes the prelude free: always run reduced on a hit.
-        if prelude is not None and prelude.is_warm(relations):
-            return self._picked(reduced, "warm_prelude", record)
-        estimate = self.cost_model.estimate(reduced, relations)
-        if record and self.metrics is not None:
-            self.metrics.record_estimate(estimate)
-        if estimate.prefers_reduction:
-            return self._picked(reduced, "cost_model", record, estimate)
-        return self._picked(program, "cost_model", record, estimate)
-
-    def _picked(
-        self,
-        executor: JoinProgram | ReducedProgram,
-        reason: str,
-        record: bool = True,
-        estimate: CostEstimate | None = None,
-    ) -> tuple[JoinProgram | ReducedProgram, str, CostEstimate | None]:
-        if record and self.metrics is not None:
-            kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
-            self.metrics.record_pick(kind, reason)
-        return executor, reason, estimate
-
-    # -- core join ------------------------------------------------------------
-    def _frames_for(
-        self,
-        executor: JoinProgram | ReducedProgram,
-        relations: Mapping[str, Relation],
-        prelude: PreludeCache | None,
-        profile: JoinProfile | None = None,
-        cancel=None,
-    ) -> Iterator[tuple]:
-        """Run *executor*, threading warm-prelude state into reduced runs.
-
-        *cancel* (a zero-arg checkpoint callable) flows through to the
-        prelude passes and the per-row join loop.
-        """
-        if isinstance(executor, ReducedProgram):
-            return executor.run_frames(
-                relations, self.index_manager, prelude, profile, cancel
-            )
-        return executor.run_frames(relations, self.index_manager, profile, cancel)
-
-    def _compiled(
-        self,
-        query: ConjunctiveQuery,
-        relations: Mapping[str, Relation],
-        prelude: PreludeCache | None,
-    ) -> tuple[JoinProgram, ReducedProgram | None]:
-        """*query*'s program and, when the caller holds one, its reduction."""
-        if prelude is not None:
-            return prelude.reduced.program, prelude.reduced
-        return compile_query(query, relations), None
+    # Read by perfbench/layers.py::HOOKS, which resolves both with getattr.
+    reduction_of = prelude_for = compile
 
     # -- tracing ---------------------------------------------------------------
-    def _evaluation_span(
-        self,
-        query: ConjunctiveQuery,
-        executor: JoinProgram | ReducedProgram,
-        kind: str,
-        reason: str,
-        strategy: Strategy | None,
-        estimate: CostEstimate | None,
-    ):
+    @staticmethod
+    def _evaluation_span(query: ConjunctiveQuery, program: JoinProgram):
         """An open ``query.evaluate`` span plus the profile to fill (or no-ops).
 
         Returns ``(span, profile)``; callers gate every further attribute
@@ -303,64 +125,28 @@ class QueryEvaluator:
         tracer = get_tracer()
         if not tracer.enabled:
             return NULL_SPAN, None
-        span = tracer.span(
-            "query.evaluate",
-            query=query.name,
-            strategy=strategy or self.strategy,
-            executor=kind,
-            reason=reason,
-        )
-        if estimate is not None:
-            span.set_attribute("cost_estimate", estimate.as_dict())
-        steps = (
-            executor.program.steps
-            if isinstance(executor, ReducedProgram)
-            else executor.steps
-        )
-        return span, JoinProfile(len(steps))
+        return tracer.span("query.evaluate", query=query.name), JoinProfile(len(program.steps))
 
     @staticmethod
-    def _annotate_span(
-        span,
-        executor: JoinProgram | ReducedProgram,
-        profile: JoinProfile,
-        estimate: CostEstimate | None,
-    ) -> None:
+    def _annotate_span(span, program: JoinProgram, profile: JoinProfile) -> None:
         """Copy one profiled run's counters onto its evaluation span."""
-        if profile.prelude is not None:
-            span.set_attribute("prelude", profile.prelude)
-        if profile.empty:
-            span.set_attribute("empty", True)
         span.set_attribute("results", profile.results)
-        steps = (
-            executor.program.steps
-            if isinstance(executor, ReducedProgram)
-            else executor.steps
-        )
-        est_survival = estimate.survival if estimate is not None else None
-        for position, step in enumerate(steps):
-            child = span.child(
+        for position, step in enumerate(program.steps):
+            span.child(
                 "join.step",
                 step=position,
                 predicate=step.predicate,
                 relation_rows=profile.relation_rows[position],
-                rows_in=profile.rows_in[position],
                 rows_scanned=profile.rows_scanned[position],
                 frames_out=profile.frames_out[position],
-                survival=round(profile.survival(position), 4),
             )
-            if est_survival is not None and position < len(est_survival):
-                child.set_attribute("est_survival", round(est_survival[position], 4))
 
     def bindings(
-        self,
-        query: ConjunctiveQuery,
-        strategy: Strategy | None = None,
-        prelude: PreludeCache | None = None,
+        self, query: ConjunctiveQuery, program: JoinProgram | None = None
     ) -> list[Binding]:
         """Every satisfying assignment of the query's variables, one per frame."""
         return self._join(
-            query, strategy, prelude,
+            query, program,
             lambda program, frames: [
                 dict(zip(program.variables, frame)) for frame in frames
             ],
@@ -382,37 +168,26 @@ class QueryEvaluator:
                 out.append(binding[term])
         return tuple(out)
 
-    def evaluate(
-        self, query: ConjunctiveQuery, strategy: Strategy | None = None
-    ) -> Relation:
+    def evaluate(self, query: ConjunctiveQuery) -> Relation:
         """Evaluate *query* and return its answer relation (set semantics)."""
         answers = self._join(
-            query, strategy, None,
-            lambda program, frames: set(map(program.output_row, frames)),
+            query, None, lambda program, frames: set(map(program.output_row, frames))
         )
         return Relation.of_valid_rows(result_schema(query), answers)
 
     def frames_by_row(
-        self,
-        query: ConjunctiveQuery,
-        strategy: Strategy | None = None,
-        prelude: PreludeCache | None = None,
+        self, query: ConjunctiveQuery, program: JoinProgram | None = None
     ) -> dict[tuple, list[tuple]]:
         """Map every output tuple to the join frames producing it.
 
-        A frame holds one value per slot of the program that ran.  With
-        *prelude* (a :class:`~repro.query.compiler.PreludeCache` for
-        *query*), its reduced program and the plain program under it run
-        instead of a fresh compile, its warm state serves reduced runs, and
-        the frames are laid out as ``prelude.reduced.program.variables``.
+        A frame holds one value per slot of the program that ran: *program*
+        (compiled from *query*) when given, so the frames are laid out as
+        ``program.variables``, else a fresh compile.
         """
-        return self._join(query, strategy, prelude, _grouped)
+        return self._join(query, program, _grouped)
 
     def evaluate_with_bindings(
-        self,
-        query: ConjunctiveQuery,
-        strategy: Strategy | None = None,
-        prelude: PreludeCache | None = None,
+        self, query: ConjunctiveQuery, program: JoinProgram | None = None
     ) -> dict[tuple, list[Binding]]:
         """Map every output tuple to the list of bindings producing it: the
         dict adapter over :meth:`frames_by_row`."""
@@ -424,60 +199,47 @@ class QueryEvaluator:
                 for row, group in _grouped(program, frames).items()
             }
 
-        return self._join(query, strategy, prelude, as_bindings)
+        return self._join(query, program, as_bindings)
 
     def _join(
         self,
         query: ConjunctiveQuery,
-        strategy: Strategy | None,
-        prelude: PreludeCache | None,
+        program: JoinProgram | None,
         collect: Callable[[JoinProgram, Iterable[tuple]], _Out],
     ) -> _Out:
-        """One traced, metered evaluation of *query*: resolve the executor,
-        run the join, and return ``collect(program, frames)``."""
+        """One traced, metered evaluation of *query*: run *program* (or a
+        fresh compile) and return ``collect(program, frames)``."""
         deadline = current_deadline()
         if deadline is not None:
             deadline.check("evaluate.start")
         relations = self._resolve_relations(query)
-        program, reduced = self._compiled(query, relations, prelude)
-        executor, reason, estimate = self._executor(
-            relations, program, reduced, strategy, prelude
-        )
-        kind = "reduced" if isinstance(executor, ReducedProgram) else "program"
-        span, profile = self._evaluation_span(
-            query, executor, kind, reason, strategy, estimate
-        )
+        if program is None:
+            program = compile_query(query, relations)
+        span, profile = self._evaluation_span(query, program)
         timed = self.metrics is not None or profile is not None
         with span:
             started = time.perf_counter() if timed else 0.0
             cancel = partial(deadline.check, "join") if deadline is not None else None
-            frames = self._frames_for(
-                executor, relations, prelude, profile=profile, cancel=cancel
-            )
+            frames = program.run_frames(relations, self.index_manager, profile, cancel)
             out = collect(program, frames)
             elapsed = time.perf_counter() - started if timed else 0.0
             if profile is not None:
                 span.set_attribute("answers", len(out))
-                self._annotate_span(span, executor, profile, estimate)
+                self._annotate_span(span, program, profile)
         if self.metrics is not None:
-            self.metrics.record_actual(kind, elapsed)
-            fingerprint = current_fingerprint()
-            if fingerprint is not None:
-                self.metrics.record_evaluation(fingerprint, kind, elapsed, estimate)
+            self.metrics.record_evaluation(elapsed, current_fingerprint())
         return out
 
     def evaluate_parameterized(
         self,
         query: ConjunctiveQuery,
         parameter_values: Mapping[str | Variable, object],
-        strategy: Strategy | None = None,
     ) -> Relation:
         """Evaluate a parameterized query with its parameters instantiated.
 
         ``parameter_values`` maps parameter names (or variables) to constants;
         every parameter of the query must be covered.  The substituted
-        constants become reduction pre-filters, so parameterized citation
-        queries are where the ``"reduced"`` strategy shines.
+        constants become probe-key constants of the compiled program.
         """
         substitution: dict[Variable, Term] = {}
         for param in query.parameters:
@@ -490,7 +252,7 @@ class QueryEvaluator:
                     f"missing value for parameter {param.name!r} of query {query.name!r}"
                 )
             substitution[param] = Constant(value)
-        return self.evaluate(query.substitute(substitution), strategy=strategy)
+        return self.evaluate(query.substitute(substitution))
 
 
 def _grouped(program: JoinProgram, frames: Iterable[tuple]) -> dict[tuple, list[tuple]]:

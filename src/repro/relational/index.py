@@ -13,7 +13,7 @@ staleness detection via :attr:`Relation.version`.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, KeysView
+from collections.abc import Iterable, Iterator
 from typing import TYPE_CHECKING
 
 from repro.relational.relation import Relation
@@ -67,37 +67,13 @@ class HashIndex:
         Like :meth:`lookup` but returns the bucket itself instead of a
         generator — the join hot path iterates it directly.  Callers must not
         mutate the returned list.  The optional *default* mirrors
-        ``dict.get`` so a :class:`HashIndex` and a plain bucket dict are
-        interchangeable row sources (the reduced join program exploits this).
+        ``dict.get``.
         """
         return self._buckets.get(key, default)
 
     def keys(self) -> Iterator[tuple]:
         """Yield the distinct keys present in the index."""
         return iter(self._buckets)
-
-    def key_set(self) -> KeysView[tuple]:
-        """The distinct keys as a set-like view (no copy).
-
-        This is exactly the projection of the indexed relation onto the index
-        positions — the semi-join passes of
-        :class:`~repro.query.compiler.ReducedProgram` read it instead of
-        re-scanning relations whose extension the reduction has not shrunk.
-        """
-        return self._buckets.keys()
-
-    def distinct_count(self) -> int:
-        """Number of distinct keys — the projection's cardinality.
-
-        The statistics catalog (:mod:`repro.query.stats`) reads this (and
-        :meth:`max_bucket_size`) instead of scanning the relation: the index
-        already groups the rows by exactly the projection it needs.
-        """
-        return len(self._buckets)
-
-    def max_bucket_size(self) -> int:
-        """Size of the largest bucket (0 when empty) — the key-skew cap."""
-        return max(map(len, self._buckets.values()), default=0)
 
     def __len__(self) -> int:
         return self._size

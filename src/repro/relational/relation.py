@@ -148,16 +148,6 @@ class Relation:
         positions = tuple(positions)
         return {tuple(row[i] for i in positions) for row in self._rows}
 
-    def distinct_count(self, positions: Iterable[int]) -> int:
-        """Number of distinct projections of the rows onto *positions*.
-
-        Index-free fallback for the statistics catalog
-        (:mod:`repro.query.stats`); with an
-        :class:`~repro.relational.index.IndexManager` at hand the hash
-        index's key count answers this without a scan.
-        """
-        return len(self.project_positions(positions))
-
     def column(self, attribute: str) -> set[object]:
         """Return the set of values in column *attribute*."""
         pos = self.schema.position(attribute)

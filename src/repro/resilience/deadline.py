@@ -3,8 +3,8 @@
 A :class:`Deadline` is an absolute point on the monotonic clock.  The serving
 layer creates one per request (from ``CitationRequest.timeout`` or a
 ``submit_batch`` budget) and installs it with :func:`deadline_scope`; the
-engine, evaluator, prelude passes and compiled join loops — several import
-layers down — read it back with :func:`current_deadline` and poll
+rewriting search, evaluator, compiled join loops and citation assembly —
+several import layers down — read it back with :func:`current_deadline` and poll
 :meth:`Deadline.check` at their cancellation checkpoints.  The moment the
 deadline passes, the checkpoint raises
 :class:`~repro.errors.DeadlineExceeded` and the request unwinds instead of
@@ -74,7 +74,7 @@ class Deadline:
     def check(self, where: str = "") -> None:
         """Raise :class:`~repro.errors.DeadlineExceeded` if expired.
 
-        *where* names the checkpoint (``"join"``, ``"prelude"``, ...) and
+        *where* names the checkpoint (``"join"``, ``"assembly"``, ...) and
         lands in the exception and therefore in traces and the slow-query
         log, so operators can see how far cancelled requests got.
         """
@@ -85,7 +85,7 @@ class Deadline:
         """A rate-limited checkpoint closure for per-row call sites.
 
         The closure reads the clock only every *stride* calls; in between it
-        costs one integer increment.  Each call site (each prelude pass)
+        costs one integer increment.  Each call site (each rewriting search)
         builds its own checker, so the counter needs no lock.
         """
         expires_at = self.expires_at

@@ -1,6 +1,6 @@
 """Deterministic, seed-driven fault injection for the chaos suite.
 
-Production code calls :func:`fire` at **named injection points** — the three
+Production code calls :func:`fire` at **named injection points** — the two
 places where the serving stack crosses a concurrency boundary or starts
 costly work, and where failures actually happen:
 
@@ -9,7 +9,6 @@ point                             fired from
 ================================= ==============================================
 ``service.pool_submit``           batch worker-pool submission
 ``backend.execute``               just before the backend executes a request
-``prelude.build``                 before a semi-join prelude refresh
 ================================= ==============================================
 
 With no faults armed, :func:`fire` is a truthiness test on an empty dict —
@@ -38,7 +37,6 @@ __all__ = ["FaultSpec", "FaultRegistry", "fire", "inject", "clear", "plan", "reg
 POINTS = (
     "service.pool_submit",
     "backend.execute",
-    "prelude.build",
 )
 
 

@@ -4,9 +4,8 @@
 wraps the outcome in an :class:`ExplainReport`: the ordinary response next to
 the request's full trace tree.  The trace *is* the annotated plan — service
 spans carry the cache outcomes, the engine spans the rewriting counts, the
-evaluation spans the strategy pick (with reason and cost estimate) and the
-``join.step`` children the per-step estimated vs. measured cardinalities —
-so rendering it (:func:`repro.observability.render.render_trace`) yields the
+evaluation spans the answer counts and the ``join.step`` children the
+per-step measured cardinalities — so rendering it (:func:`repro.observability.render.render_trace`) yields the
 per-step plan text the CLI ``explain`` subcommand prints.
 """
 

@@ -201,7 +201,7 @@ class ServiceMetrics:
 
         The callable's dict snapshot appears under key *name* in the stats
         output.  This is how subsystems that keep their own thread-safe
-        counters (e.g. the evaluator's strategy/prelude metrics,
+        counters (e.g. the evaluator's evaluation counts,
         :class:`repro.query.stats.EvaluationMetrics`) surface through the
         service's one-stop ``stats()`` without double-counting into the flat
         counter namespace.  Re-registering a name replaces the source;

@@ -36,10 +36,9 @@ serving-layer machinery:
 
 :meth:`explain`, :meth:`plan_for` and :meth:`warm` also accept a bare
 conjunctive query (or its text), which they wrap in a relational-backend
-request.  A served plan carries its compiled join programs and warm
-semi-join state (:attr:`~repro.core.engine.CitationPlan.compiled`), so a
-plan-cache hit skips the rewriting search, the program compile and, while
-the data holds still, the semi-join passes.
+request.  A served plan carries its compiled join programs
+(:attr:`~repro.core.engine.CitationPlan.compiled`), so a plan-cache hit
+skips the rewriting search and the program compile.
 
 Mutations may arrive between requests (the caches notice via the validity
 tokens) but must not race a request mid-flight — the usual reader/writer
@@ -170,8 +169,7 @@ class CitationService:
         )
         if engine is not None:
             engine.database.add_mutation_listener(self._count_mutation)
-            # Strategy picks, cost-model estimates vs. actuals and prelude
-            # cache hit/miss rates, polled live at stats() time.
+            # Evaluation counts and times, polled live at stats() time.
             self.metrics.register_gauge_source(
                 "evaluation", engine.evaluation_metrics.snapshot
             )
@@ -218,9 +216,8 @@ class CitationService:
 
         The request's EXPLAIN ANALYZE: the returned
         :class:`~repro.service.explain.ExplainReport` carries the response
-        plus the full span tree — plan/result-cache outcomes, the strategy
-        pick with its reason and cost estimate, per-join-step estimated vs.
-        measured cardinalities, and the prelude-cache outcome.  The result
+        plus the full span tree — plan/result-cache outcomes and
+        per-join-step measured cardinalities.  The result
         cache is bypassed (via the request's ``no_result_cache`` metadata
         key) so the explained request actually executes; the plan cache is
         exercised normally, so explaining a warm query shape shows the hit.
@@ -403,10 +400,10 @@ class CitationService:
                 "generation": generation,
                 "cache_epoch": epoch,
                 "mode": self.engine.mode,
-                "strategy": self.engine.strategy,
                 "analysis": self.engine.analysis,
                 "citation_views": len(self.engine.citation_views),
-                # Read by perfbench/run.py::settings; every join runs serially.
+                # Read by perfbench/run.py::settings; one executor, serial.
+                "strategy": "program",
                 "workers": 1,
                 "parallel_backend": "serial",
                 "refresh": self.engine.refresh_stats(),
@@ -798,8 +795,12 @@ class CitationService:
                 with self._flights_lock:
                     flight = self._flights.setdefault(cache_key, [threading.Lock(), 0])
                     flight[1] += 1
+                # A request waiting on another's compile waits under its own deadline.
+                deadline = current_deadline()
                 try:
-                    with flight[0]:
+                    if not flight[0].acquire(timeout=-1 if deadline is None else deadline.remaining()):
+                        raise DeadlineExceeded("plan")
+                    try:
                         plan = self.plan_cache.get(cache_key, stamp)
                         if plan is None:
                             compile_started = time.perf_counter()
@@ -809,6 +810,8 @@ class CitationService:
                             self.metrics.increment_backend(backend.name, "compilations")
                             self.plan_cache.put(cache_key, plan, stamp)
                             return plan, False
+                    finally:
+                        flight[0].release()
                 finally:
                     with self._flights_lock:
                         flight[1] -= 1

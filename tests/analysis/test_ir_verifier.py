@@ -1,7 +1,7 @@
 """The compiled-plan IR verifier: clean on real output, precise on mutations.
 
-Two halves.  First, everything the compiler actually produces — programs,
-reductions, warm preludes — must verify clean (the whole tier-1 suite also
+Two halves.  First, everything the compiler actually produces — join
+programs and the citation programs reading them — must verify clean (the whole tier-1 suite also
 enforces this via the ``strict`` default installed in ``conftest.py``).
 Second, each class of hand-seeded corruption must be rejected with its
 specific I-code, so the verifier localises faults instead of merely
@@ -15,16 +15,10 @@ import dataclasses
 import pytest
 
 from repro import CitationEngine, parse_query
-from repro.analysis.ir import (
-    verify_citation_plan,
-    verify_prelude,
-    verify_program,
-    verify_reduced,
-)
+from repro.analysis.ir import verify_citation_plan, verify_program
 from repro.core.engine import CitationProgram
 from repro.errors import PlanVerificationError
 from repro.query.ast import Variable
-from repro.query.compiler import StepReduction, reduce_program
 from repro.query.evaluator import QueryEvaluator
 from repro.relational.database import Database
 from repro.relational.schema import Attribute, DatabaseSchema, RelationSchema
@@ -63,28 +57,18 @@ def codes(report):
 # Clean compiler output verifies clean
 # ---------------------------------------------------------------------------
 class TestCleanArtifacts:
-    def test_program_reduction_and_prelude_verify_clean(self, evaluator):
+    def test_program_verifies_clean_after_evaluation(self, evaluator):
         program = evaluator.compile(CHAIN)
-        reduced = evaluator.reduction_of(CHAIN, program)
-        prelude = evaluator.prelude_for(CHAIN, reduced)
-        # Warm the prelude (twice: the second pass caches the bucket plan).
-        evaluator.evaluate_with_bindings(CHAIN, strategy="reduced", prelude=prelude)
-        evaluator.evaluate_with_bindings(CHAIN, strategy="reduced", prelude=prelude)
+        assert evaluator.evaluate_with_bindings(CHAIN, program)
         assert not list(verify_program(program))
-        assert not list(verify_reduced(reduced))
-        assert not list(verify_prelude(prelude))
 
     def test_constants_and_equalities_verify_clean(self, evaluator):
         query = parse_query('Q(X) :- R(X, Y), S(Y, "3"), X = "1"')
-        program = evaluator.compile(query)
-        assert not list(verify_program(program))
-        assert not list(verify_reduced(evaluator.reduction_of(query, program)))
+        assert not list(verify_program(evaluator.compile(query)))
 
     def test_self_join_verifies_clean(self, evaluator):
         query = parse_query("Q(X, Z) :- R(X, Y), R(Y, Z)")
-        program = evaluator.compile(query)
-        assert not list(verify_program(program))
-        assert not list(verify_reduced(evaluator.reduction_of(query, program)))
+        assert not list(verify_program(evaluator.compile(query)))
 
     def test_repeated_variable_within_atom_verifies_clean(self, evaluator):
         query = parse_query("Q(X) :- R(X, X)")
@@ -125,47 +109,6 @@ class TestSeededMutations:
             ),
         )
         assert "I001" in codes(verify_program(mutated))
-
-    def test_dropped_reduction_fields_are_i006(self, evaluator):
-        program = evaluator.compile(CHAIN)
-        reduced = evaluator.reduction_of(CHAIN, program)
-        target = next(
-            index
-            for index, reduction in enumerate(reduced.reductions)
-            if reduction != StepReduction((), (), (), ())
-        )
-        reductions = list(reduced.reductions)
-        reductions[target] = StepReduction((), (), (), ())
-        mutated = dataclasses.replace(reduced, reductions=tuple(reductions))
-        assert codes(verify_reduced(mutated)) == ["I006"]
-
-    def test_flipped_acyclic_flag_is_i005(self, evaluator):
-        reduced = evaluator.reduction_of(CHAIN, evaluator.compile(CHAIN))
-        assert reduced.acyclic and reduced.semi_joins
-        mutated = dataclasses.replace(reduced, acyclic=False)
-        assert codes(verify_reduced(mutated)) == ["I005"]
-
-    def test_reordered_semi_joins_are_i005(self, evaluator):
-        reduced = evaluator.reduction_of(CHAIN, evaluator.compile(CHAIN))
-        assert len(reduced.semi_joins) >= 2
-        mutated = dataclasses.replace(
-            reduced, semi_joins=tuple(reversed(reduced.semi_joins))
-        )
-        assert "I005" in codes(verify_reduced(mutated))
-
-    def test_stale_bucket_plan_is_i007(self, evaluator):
-        program = evaluator.compile(CHAIN)
-        reduced = evaluator.reduction_of(CHAIN, program)
-        prelude = evaluator.prelude_for(CHAIN, reduced)
-        evaluator.evaluate_with_bindings(CHAIN, strategy="reduced", prelude=prelude)
-        evaluator.evaluate_with_bindings(CHAIN, strategy="reduced", prelude=prelude)
-        snapshot = prelude._snapshot
-        assert snapshot is not None and snapshot.plan is not None
-        # Replace one plan entry's step with an equal-but-distinct copy: the
-        # snapshot no longer refers to the program's own step objects.
-        entry = snapshot.plan[0]
-        snapshot.plan[0] = (dataclasses.replace(entry[0]), *entry[1:])
-        assert codes(verify_prelude(prelude)) == ["I007"]
 
     def test_mutated_seed_is_i004(self, evaluator):
         query = parse_query('Q(X) :- R(X, Y), X = "1"')
@@ -252,7 +195,7 @@ class TestEngineKnob:
     def test_verify_plan_clean_after_cite(self, paper_engine, paper_query):
         plan = paper_engine.compile_plan(paper_query)
         paper_engine.execute_plan(plan)
-        paper_engine.execute_plan(plan)  # warm preludes and bucket plans
+        paper_engine.execute_plan(plan)
         report = paper_engine.verify_plan(plan)
         assert not list(report)
 
@@ -273,10 +216,10 @@ class TestEngineKnob:
         # Both rewritings' join programs lay out (FID, FName, Desc, Text),
         # so only the citation programs' atoms tell the swap apart.
         plan = paper_engine.compile_plan(paper_query)
-        (first, first_prelude), (second, second_prelude) = plan.compiled
+        (first, first_program), (second, second_program) = plan.compiled
         assert first.variables == second.variables
         object.__setattr__(
-            plan, "compiled", ((second, first_prelude), (first, second_prelude))
+            plan, "compiled", ((second, first_program), (first, second_program))
         )
         report = verify_citation_plan(plan)
         assert codes(report) == ["I004"]
@@ -286,19 +229,19 @@ class TestEngineKnob:
         self, paper_engine, paper_query
     ):
         plan = paper_engine.compile_plan(paper_query)
-        (rewriting, *_), ((_citation, prelude), *rest) = plan.rewritings, plan.compiled
+        (rewriting, *_), ((_citation, program), *rest) = plan.rewritings, plan.compiled
         # Laid out in variable-name order, not on the join program's slots.
         by_name = CitationProgram(rewriting, paper_engine._citation_view_by_name)
-        assert by_name.variables != prelude.reduced.program.variables
-        object.__setattr__(plan, "compiled", ((by_name, prelude), *rest))
+        assert by_name.variables != program.variables
+        object.__setattr__(plan, "compiled", ((by_name, program), *rest))
         assert "I004" in codes(verify_citation_plan(plan))
 
     def test_verify_plan_catches_a_parameter_read_from_a_foreign_slot(
         self, paper_engine, paper_query
     ):
         plan = paper_engine.compile_plan(paper_query)
-        citation, prelude = plan.compiled[0]
-        slot_of = prelude.reduced.program.variables.index
+        citation, program = plan.compiled[0]
+        slot_of = program.variables.index
         (view, sources, key), *others = citation.atoms
         assert view == "V1" and sources == (("FID", slot_of(Variable("FID"))),)
         # Text is a variable of V3's atom, not of V1's.
@@ -314,11 +257,3 @@ class TestEngineKnob:
         assert stats["plans_verified"] >= 1
         assert stats["verify_violations"] == 0
 
-
-def test_reduce_program_is_deterministic(evaluator):
-    program = evaluator.compile(CHAIN)
-    first = reduce_program(program)
-    second = reduce_program(program)
-    assert first.semi_joins == second.semi_joins
-    assert first.reductions == second.reductions
-    assert first.subtrees == second.subtrees

@@ -2,7 +2,6 @@
 
 import pytest
 
-import repro.analysis.ir as ir_module
 import repro.core.engine as engine_module
 import repro.query.evaluator as evaluator_module
 from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
@@ -308,8 +307,7 @@ class TestNoRewriting:
         result = engine.cite(text)
         assert result.used_fallback
         assert result.result.rows == evaluate(parse_query(text), database).rows
-        snapshot = engine.evaluation_metrics.snapshot()
-        assert sum(snapshot["picks"].values()) == 1
+        assert engine.evaluation_metrics.snapshot()["evaluations"] == 1
 
     def test_cached_fallback_over_a_view_follows_its_base_relation(self):
         """A fallback body may name a citation view; a write to the view's
@@ -388,33 +386,28 @@ class TestValidation:
 
 class TestCompileOnce:
     """A plan owns its compiled rewritings: served from the plan cache or
-    held by the caller, it never compiles or reduces a rewriting again."""
+    held by the caller, it never compiles a rewriting again."""
 
     def test_plan_hits_and_held_plans_never_recompile(
         self, paper_db, paper_views, monkeypatch
     ):
         built: list = []
-        for module, name in (
-            (evaluator_module, "compile_query"),
-            (evaluator_module, "reduce_program"),
-            (ir_module, "reduce_program"),
-        ):
-            original = getattr(module, name)
+        original = evaluator_module.compile_query
 
-            def counting(first, *args, _original=original):
-                built.append(getattr(first, "query", first))
-                return _original(first, *args)
+        def counting(query, *args):
+            built.append(query)
+            return original(query, *args)
 
-            monkeypatch.setattr(module, name, counting)
-        engine = CitationEngine(paper_db, paper_views, strategy="reduced")
+        monkeypatch.setattr(evaluator_module, "compile_query", counting)
+        engine = CitationEngine(paper_db, paper_views)
         service = CitationService(engine, cache_results=False)
         query = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
         service.submit(CitationRequest(query=query)).unwrap()
         plan, hit = service.plan_for(query)
         assert hit and plan.rewritings
         rewriting_queries = {rewriting.query for rewriting in plan.rewritings}
-        preludes = [prelude for _citation, prelude in plan.compiled]
-        assert len(preludes) == len(plan.rewritings)
+        programs = _programs(plan)
+        assert len(programs) == len(plan.rewritings)
 
         def recompiled():
             return [q for q in built if q in rewriting_queries]
@@ -427,19 +420,18 @@ class TestCompileOnce:
             CitationRequest(query="Q(N) :- FamilyIntro(F, T), Family(F, N, D)")
         ).unwrap()
         assert len(recompiled()) == compiled
-        assert all(prelude.hits >= 1 for prelude in preludes)
-        # The held plan, executed after a write, refreshes its preludes.
+        # The held plan, executed after a write, runs its programs on the new data.
         paper_db.insert("Family", (60, "Fresh", "d"))
         paper_db.insert("FamilyIntro", (60, "fresh intro"))
         assert ("Fresh",) in engine.execute_plan(plan).result.rows
         assert len(recompiled()) == compiled
-        assert all(prelude.misses >= 2 for prelude in preludes)
+        assert all(a is b for a, b in zip(_programs(plan), programs, strict=True))
         service.close()
 
 
 def _programs(plan):
-    """Each rewriting's plain join program, as the plan holds it."""
-    return [prelude.reduced.program for _citation, prelude in plan.compiled]
+    """Each rewriting's join program, as the plan holds it."""
+    return [program for _citation, program in plan.compiled]
 
 
 class TestCompiledJoinPrograms:
@@ -497,124 +489,34 @@ class TestCompiledJoinPrograms:
         assert len(paper_engine._index_manager) == 0
 
 
-class TestReducedProgramsOnPlans:
-    def test_execute_attaches_reduced_programs(self, paper_db, paper_views, paper_query):
-        paper_engine = CitationEngine(paper_db, paper_views, verify_plans="off")
-        plan = paper_engine.compile_plan(paper_query)
-        reduced = [prelude.reduced for _citation, prelude in plan.compiled]
-        assert len(reduced) == len(plan.rewritings)
-        # Rewritings over the citation views are acyclic conjunctive queries.
-        assert all(r.acyclic for r in reduced)
-        paper_engine.execute_plan(plan)
-        paper_engine.execute_plan(plan)
-        assert all(
-            prelude.reduced is r
-            for (_citation, prelude), r in zip(plan.compiled, reduced, strict=True)
-        )
-
-    @pytest.mark.parametrize("strategy", ["program", "reduced", "auto"])
-    def test_every_strategy_produces_the_same_citations(
-        self, paper_db, paper_views, paper_query, strategy
-    ):
-        baseline = CitationEngine(paper_db, paper_views).cite(paper_query)
-        engine = CitationEngine(paper_db, paper_views, strategy=strategy)
-        result = engine.cite(paper_query)
-        assert result.result.rows == baseline.result.rows
-        assert result.citation.records == baseline.citation.records
-        by_row = {tc.row: tc.records for tc in result.tuple_citations}
-        baseline_by_row = {tc.row: tc.records for tc in baseline.tuple_citations}
-        assert by_row == baseline_by_row
-
-
-class TestExecutorsCiteAlike:
-    def test_program_and_reduced_engines_cite_alike(self):
+class TestFrameOrder:
+    def test_reversed_frames_cite_alike(self):
         """No row's ``+`` order, expression or records may depend on the
-        executor or on the order it yields a row's frames in.  The two
-        executors yield one order on this instance, so the reduced engine's
-        frames are handed to assembly reversed."""
+        order the join yields a row's frames in: a second engine's
+        evaluator hands assembly each row's frames reversed."""
         database = gtopdb.generate(
             families=24, targets_per_family=3, duplicate_name_fraction=0.5, seed=11
         )
-        program = CitationEngine(
-            database, gtopdb.citation_views(extended=True), strategy="program"
-        )
-        reduced = CitationEngine(
-            database, gtopdb.citation_views(extended=True), strategy="reduced"
-        )
-        evaluator = reduced._execution_evaluator()
+        forward = CitationEngine(database, gtopdb.citation_views(extended=True))
+        backward = CitationEngine(database, gtopdb.citation_views(extended=True))
+        evaluator = backward._execution_evaluator()
         frames_by_row = evaluator.frames_by_row
 
-        def reversed_frames(query, strategy=None, prelude=None):
-            grouped = frames_by_row(query, strategy, prelude)
+        def reversed_frames(query, program=None):
+            grouped = frames_by_row(query, program)
             return {row: frames[::-1] for row, frames in grouped.items()}
 
         evaluator.frames_by_row = reversed_frames
         queries = {q.name: q for q in gtopdb.example_queries()}
         for name in ("Q", "Q5", "Q6"):  # the paper query, Q5, Q6
-            left = program.cite(queries[name])
-            right = reduced.cite(queries[name])
+            left = forward.cite(queries[name])
+            right = backward.cite(queries[name])
             assert [(t.row, str(t.expression), t.records) for t in right.tuple_citations] == [
                 (t.row, str(t.expression), t.records) for t in left.tuple_citations
             ], name
             assert str(left.citation.to_text()) == str(right.citation.to_text())
             if name == "Q":  # rows cited through several V1 records: + order
                 assert any(" + " in str(t.expression) for t in left.tuple_citations)
-        assert program.evaluation_metrics.snapshot()["picks"]["reduced"] == 0
-        assert reduced.evaluation_metrics.snapshot()["picks"]["program"] == 0
-
-
-class TestPreludesOnPlans:
-    """Warm-prelude state rides compiled plans through the serving layer.
-
-    The paper micro-instance is densely joining, so ``strategy="auto"``
-    correctly refuses the prelude there — the warm-path tests force
-    ``"reduced"`` to exercise the cache itself.
-    """
-
-    @pytest.fixture
-    def reduced_engine(self, paper_db, paper_views):
-        return CitationEngine(paper_db, paper_views, strategy="reduced")
-
-    def test_execute_attaches_and_warms_preludes(self, reduced_engine, paper_query):
-        paper_engine = reduced_engine
-        plan = paper_engine.compile_plan(paper_query)
-        preludes = [prelude for _citation, prelude in plan.compiled]
-        assert len(preludes) == len(plan.rewritings)
-        # A prelude does no work until first used.
-        assert all(p.hits == 0 and p.misses == 0 for p in preludes)
-        paper_engine.execute_plan(plan)
-        paper_engine.execute_plan(plan)
-        assert all(
-            prelude is p
-            for (_citation, prelude), p in zip(plan.compiled, preludes, strict=True)
-        )
-        assert all(p.hits >= 1 for p in preludes)
-
-    def test_data_drift_partially_refreshes_instead_of_recomputing(
-        self, reduced_engine, paper_query, paper_db
-    ):
-        paper_engine = reduced_engine
-        plan = paper_engine.compile_plan(paper_query)
-        baseline = paper_engine.execute_plan(plan)
-        paper_db.insert("Family", (99, "Novel family", "d"))
-        paper_db.insert("FamilyIntro", (99, "intro"))
-        drifted = paper_engine.execute_plan(plan)
-        assert ("Novel family",) in drifted.result.rows
-        assert baseline.result.rows <= drifted.result.rows
-        # The views re-materialise wholesale (new Relation objects), so the
-        # refresh is a miss — but it reuses whatever did not change.
-        assert all(prelude.misses >= 2 for _citation, prelude in plan.compiled)
-
-    def test_strategy_metrics_surface_on_the_engine(self, paper_engine, paper_query):
-        paper_engine.cite(paper_query)
-        paper_engine.cite(paper_query)
-        snapshot = paper_engine.evaluation_metrics.snapshot()
-        picks = snapshot["picks"]
-        assert picks["program"] + picks["reduced"] >= 2
-        lookups = (
-            snapshot["prelude_cache"]["hits"] + snapshot["prelude_cache"]["misses"]
-        )
-        assert lookups >= 0  # shape is present even when auto picked program
 
 
 class TestInvalidationClearsWarmState:
@@ -623,14 +525,14 @@ class TestInvalidationClearsWarmState:
     def test_invalidate_clears_the_evaluator_caches(
         self, paper_db, paper_views, paper_query
     ):
-        """The evaluator's only cache is the engine's statistics catalog."""
+        """The evaluator's only cache is the engine's index manager."""
         engine = CitationEngine(paper_db, paper_views)
         engine.cite(paper_query)
         assert engine._evaluator is not None
-        assert engine._evaluator.statistics is engine._statistics
-        assert len(engine._statistics) > 0
+        assert engine._evaluator.index_manager is engine._index_manager
+        assert len(engine._index_manager) > 0
         engine.invalidate_caches()
-        assert len(engine._statistics) == 0
+        assert len(engine._index_manager) == 0
 
     def test_results_stay_exact_across_invalidation_and_drift(
         self, paper_engine, paper_query, paper_db

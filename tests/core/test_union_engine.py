@@ -84,8 +84,8 @@ class TestUnionCitations:
         # counts the evaluation in the engine's metrics.
         covered = "Q(N) :- Family(F, N, D), FamilyIntro(F, T)"
 
-        def picks(engine):
-            return sum(engine.evaluation_metrics.snapshot()["picks"].values())
+        def evaluations(engine):
+            return engine.evaluation_metrics.snapshot()["evaluations"]
 
         alone = CitationEngine(gtopdb.paper_instance(), paper_views)
         cite_union(alone, covered)
@@ -93,7 +93,7 @@ class TestUnionCitations:
         result = cite_union(engine, f"{covered}\nQ(N) :- V2(F, N, D)", on_uncovered_disjunct="skip")
         assert result.uncovered_disjuncts == [1]
         assert set(result.rows()) == {("Adenosine",), ("Calcitonin",)}
-        assert picks(engine) == picks(alone) + 1
+        assert evaluations(engine) == evaluations(alone) + 1
 
     def test_aggregate_size_under_default_policy(self, paper_db, paper_views, name_union):
         engine = CitationEngine(paper_db, paper_views, policy=CitationPolicy.default())

@@ -47,14 +47,13 @@ class TestExplainReport:
         ]
         assert evaluations
         for evaluation in evaluations:
-            assert evaluation.attributes["executor"] in ("program", "reduced")
-            assert evaluation.attributes["reason"]
-        assert any("cost_estimate" in span.attributes for span in evaluations)
+            # One answer row per group of frames.
+            assert 0 < evaluation.attributes["answers"] <= evaluation.attributes["results"]
         steps = trace.find_all("join.step")
         assert steps, "per-step cardinality records missing"
         for step in steps:
-            assert step.attributes["relation_rows"] >= step.attributes["rows_in"] >= 0
-            assert 0.0 <= step.attributes["survival"] <= 1.0
+            assert step.attributes["relation_rows"] > 0
+            assert step.attributes["rows_scanned"] >= step.attributes["frames_out"] > 0
 
     def test_second_explain_shows_warm_plan_cache(self, service):
         first = service.explain(PAPER_QUERY)
@@ -82,8 +81,7 @@ class TestExplainReport:
         assert "service.request" in text
         assert "plan_cache=hit" in text
         assert "join.step[0]" in text
-        assert "survival" in text
-        assert "est " in text  # estimated vs actual cardinalities
+        assert "rows=" in text and "scanned=" in text  # measured cardinalities
 
     def test_to_dict_is_json_friendly(self, service):
         payload = json.loads(json.dumps(service.explain(PAPER_QUERY).to_dict()))

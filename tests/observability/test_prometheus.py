@@ -133,7 +133,7 @@ class TestServiceMetricsExposition:
         metrics.observe("request", 0.002)
         metrics.observe("request", 0.2)
         metrics.observe("execute", 0.001)
-        metrics.register_gauge_source("evaluation", lambda: {"strategy": {"picks": 7}})
+        metrics.register_gauge_source("evaluation", lambda: {"sharding": {"serial": 7}})
         return metrics
 
     def test_exposition_is_well_formed(self):
@@ -141,7 +141,7 @@ class TestServiceMetricsExposition:
         samples = _assert_valid_exposition(text)
         assert "repro_requests_total 4" in samples
         assert 'repro_backend_events_total{backend="relational",event="executions"} 2' in samples
-        assert "repro_evaluation_strategy_picks 7" in samples
+        assert "repro_evaluation_sharding_serial 7" in samples
 
     def test_histograms_expose_bucket_sum_count_per_phase(self):
         text = self._metrics().to_prometheus()

@@ -138,6 +138,4 @@ class TestPerQueryAttribution:
         assert len(profiles) >= len(queries)
         for profile in profiles.values():
             assert profile["evaluations"] >= 1
-            for kind_stats in profile["actual_ms"].values():
-                assert kind_stats["count"] >= 1
-                assert kind_stats["mean_ms"] >= 0.0
+            assert profile["mean_ms"] >= 0.0

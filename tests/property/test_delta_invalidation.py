@@ -17,11 +17,10 @@ policy.  The steps mix
 
 The long-lived engine also holds one formal-mode plan per query, compiled
 and executed before the edit sequence, and executes each again after every
-step.  Compiled state lives only on plans: the plans' warm preludes must
-notice every edit through their relations' identity and version stamps,
-across ``invalidate_caches()`` too, with no epoch check.  The engine draws
-``strategy="reduced"`` half the time, so those preludes always serve the
-join.  (An economical plan embeds a selection made against the data, so a
+step.  Compiled state lives only on plans, and a plan's join programs hold
+no data: they must run every edit's data through the engine's current views
+and indexes, across ``invalidate_caches()`` too, with no epoch check.  (An
+economical plan embeds a selection made against the data, so a
 held one may rightly differ from a fresh engine's.)
 
 A long-lived :class:`CitationService` over the long-lived engine has its
@@ -265,25 +264,24 @@ steps = st.lists(
 
 class TestDeltaInvalidation:
     @given(
-        instances, policies, steps, st.sampled_from(["auto", "reduced"]),
-        st.integers(0, 2**16),
+        instances, policies, steps, st.integers(0, 2**16),
     )
     @settings(max_examples=40, deadline=None)
     def test_long_lived_engine_matches_a_fresh_one(
-        self, instance, policy, edits, strategy, seed
+        self, instance, policy, edits, seed
     ):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(database_module, "_CHANGE_LOG_LIMIT", LOG_LIMIT)
             database = gtopdb.generate(**instance)
         database.enforce_foreign_keys = False  # edits may leave dangling rows
         rng = random.Random(seed)
-        engine = CitationEngine(database, views(), policy=policy, strategy=strategy)
+        engine = CitationEngine(database, views(), policy=policy)
         maintained = [IncrementalCitationMaintainer(engine, QUERIES[i]) for i in (0, 5)]
         with CitationService(engine, startup_lint=False) as service:
             held = [engine.compile_plan(query, "formal") for query in QUERIES]
             for query, plan in zip(QUERIES, held):
-                # Warm every record, view, held prelude and cached result the
-                # steps may hit.
+                # Warm every record, view, index and cached result the steps
+                # may hit.
                 engine.cite(query)
                 engine.execute_plan(plan)
                 for mode in ("formal", "economical"):

@@ -2,36 +2,48 @@
 
 Two independent answers — and per-row binding sets — are compared on
 randomly generated queries and instances (generators shared via
-:mod:`strategies`), including self-joins (the same predicate twice) and
+:mod:`strategies`): arbitrary, tree-shaped (acyclic) and cyclic bodies,
+self-joins (the same predicate twice), λ-parameterized queries and
 view-backed ``extra_relations``:
 
-* the compiled evaluator probing hash indexes, both running its plain
-  program and running whatever the default ``"auto"`` strategy picks (on
-  these tiny instances, mostly the reduced program, whose prelude already
-  filters within-atom repeats),
+* the compiled evaluator: one join program probing hash indexes,
 * a brute-force reference that enumerates the full cartesian product of the
   body atoms' relations and filters by the term constraints — no join
   ordering, no slots, no indexes, just the textbook semantics.
 
-The semi-join-reduction strategies get the same treatment in
-``test_strategy_equivalence.py``.
+A program compiled once and held across data drift (as a compiled
+:class:`~repro.core.engine.CitationPlan` holds it) must stay exact after
+every drift step, through both invalidation channels: database writes, and
+direct mutation of the view-like extra relation ``V``, where only its
+:attr:`~repro.relational.relation.Relation.version` moves.
 """
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from strategies import (
+    acyclic_queries,
+    apply_drift,
     binding_sets,
     brute_force,
     brute_force_bindings,
+    cyclic_queries,
+    drift_sequences,
+    parameterized_queries,
     random_instances,
     random_queries,
     self_join_queries,
 )
 
+from repro.query.ast import Constant
 from repro.query.evaluator import QueryEvaluator
 
-#: The plain program, and the default pick.
-STRATEGIES = ("program", "auto")
+
+def _check(query, database, extra):
+    evaluator = QueryEvaluator(database, extra_relations=extra)
+    assert evaluator.evaluate(query).rows == brute_force(query, database, extra)
+    assert binding_sets(evaluator.evaluate_with_bindings(query)) == brute_force_bindings(
+        query, database, extra
+    )
 
 
 class TestEvaluatorEquivalence:
@@ -39,19 +51,55 @@ class TestEvaluatorEquivalence:
     @settings(max_examples=80, deadline=None)
     def test_indexed_matches_brute_force(self, query, instance):
         database, extra = instance
-        reference = brute_force(query, database, extra)
-        for strategy in STRATEGIES:
-            indexed = QueryEvaluator(database, extra_relations=extra, strategy=strategy)
-            assert indexed.evaluate(query).rows == reference, strategy
+        indexed = QueryEvaluator(database, extra_relations=extra)
+        assert indexed.evaluate(query).rows == brute_force(query, database, extra)
 
     @given(random_queries(), random_instances())
     @settings(max_examples=60, deadline=None)
     def test_binding_sets_agree_between_indexed_and_brute_force(self, query, instance):
         database, extra = instance
         reference = brute_force_bindings(query, database, extra)
-        for strategy in STRATEGIES:
-            indexed = QueryEvaluator(database, extra_relations=extra, strategy=strategy)
-            assert binding_sets(indexed.evaluate_with_bindings(query)) == reference, strategy
+        indexed = QueryEvaluator(database, extra_relations=extra)
+        assert binding_sets(indexed.evaluate_with_bindings(query)) == reference
+
+    @given(acyclic_queries(), random_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_acyclic_queries_match_brute_force(self, query, instance):
+        _check(query, *instance)
+
+    @given(cyclic_queries(), random_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_cyclic_queries_match_brute_force(self, query, instance):
+        _check(query, *instance)
+
+    @given(parameterized_queries(), random_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_parameterized_evaluation_matches_brute_force(self, query_and_values, instance):
+        query, valuation = query_and_values
+        database, extra = instance
+        substituted = query.substitute(
+            {param: Constant(valuation[param.name]) for param in query.parameters}
+        )
+        evaluator = QueryEvaluator(database, extra_relations=extra)
+        assert evaluator.evaluate_parameterized(query, valuation).rows == brute_force(
+            substituted, database, extra
+        )
+
+    @given(random_queries(), random_instances(max_rows=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_held_program_stays_exact_under_drift(self, query, instance, data):
+        """One evaluator runs one compiled program before and after each
+        step of a drift over the relations the query reads; its answers and
+        binding sets follow the data."""
+        database, extra = instance
+        ops = data.draw(drift_sequences(tuple(sorted({atom.predicate for atom in query.body}))))
+        evaluator = QueryEvaluator(database, extra_relations=extra)
+        program = evaluator.compile(query)
+        for step in [None, *ops]:
+            if step is not None:
+                apply_drift(database, extra, [step])
+            bindings = evaluator.evaluate_with_bindings(query, program)
+            assert binding_sets(bindings) == brute_force_bindings(query, database, extra), step
 
     @given(self_join_queries(), random_instances())
     @settings(max_examples=40, deadline=None)

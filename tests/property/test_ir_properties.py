@@ -1,8 +1,8 @@
 """Property: everything the compiler emits passes the IR verifier.
 
 The generators in ``tests/strategies.py`` cover cyclic shapes, constants,
-self-joins and repeated variables — every program, reduction and (warmed)
-prelude compiled from them must verify with zero diagnostics, and a family
+self-joins and repeated variables — every program compiled from them must
+verify with zero diagnostics, before and after it runs, and a family
 of deterministic hand-seeded mutations must each be rejected with its
 specific I-code.  Together the two halves pin the verifier's precision:
 no false positives on real output, no false negatives on the fault classes
@@ -22,8 +22,7 @@ from strategies import (
     self_join_queries,
 )
 
-from repro.analysis.ir import verify_prelude, verify_program, verify_reduced
-from repro.query.compiler import StepReduction
+from repro.analysis.ir import verify_program
 from repro.query.evaluator import QueryEvaluator
 
 
@@ -32,15 +31,8 @@ def _verify_everything(database, extra, query):
     program = evaluator.compile(query)
     report = verify_program(program)
     assert not list(report), f"{query}: {report.to_text()}"
-    reduced = evaluator.reduction_of(query, program)
-    report = verify_reduced(reduced)
-    assert not list(report), f"{query}: {report.to_text()}"
-    # Warm a held prelude through real evaluations (second pass caches the
-    # bucket plan) and verify the warm state too.
-    prelude = evaluator.prelude_for(query, reduced)
-    evaluator.evaluate_with_bindings(query, strategy="reduced", prelude=prelude)
-    evaluator.evaluate_with_bindings(query, strategy="reduced", prelude=prelude)
-    report = verify_prelude(prelude)
+    evaluator.evaluate_with_bindings(query, program)
+    report = verify_program(program)
     assert not list(report), f"{query}: {report.to_text()}"
 
 
@@ -87,33 +79,3 @@ class TestSeededMutationsAreCaught:
         if not step.writes:
             return  # nothing to corrupt in this example
         assert any(d.code == "I003" for d in verify_program(mutated))
-
-    @settings(max_examples=25)
-    @given(acyclic_queries(max_atoms=3), random_instances(max_rows=4))
-    def test_emptied_reductions_raise_i006(self, query, instance):
-        database, extra = instance
-        evaluator = QueryEvaluator(database, extra_relations=extra)
-        program = evaluator.compile(query)
-        reduced = evaluator.reduction_of(query, program)
-        empty = StepReduction((), (), (), ())
-        targets = [
-            index
-            for index, reduction in enumerate(reduced.reductions)
-            if reduction != empty
-        ]
-        if not targets:
-            return  # a reduction-free program has nothing to drop
-        reductions = list(reduced.reductions)
-        reductions[targets[0]] = empty
-        mutated = dataclasses.replace(reduced, reductions=tuple(reductions))
-        report = verify_reduced(mutated)
-        assert any(d.code == "I006" for d in report)
-
-    @settings(max_examples=25)
-    @given(acyclic_queries(max_atoms=3), random_instances(max_rows=4))
-    def test_flipped_acyclicity_raises_i005(self, query, instance):
-        database, extra = instance
-        evaluator = QueryEvaluator(database, extra_relations=extra)
-        reduced = evaluator.reduce(query)
-        mutated = dataclasses.replace(reduced, acyclic=not reduced.acyclic)
-        assert any(d.code == "I005" for d in verify_reduced(mutated))

@@ -5,7 +5,7 @@ import pytest
 from strategies import brute_force
 
 from repro.query.ast import Variable
-from repro.query.compiler import compile_query, reduce_program
+from repro.query.compiler import compile_query
 from repro.query.evaluator import QueryEvaluator
 from repro.query.parser import parse_query
 from repro.relational.database import Database
@@ -183,74 +183,3 @@ class TestViewIndexing:
         result = evaluator.evaluate(parse_query("Q(B) :- Base(1, B)"))
         assert result.rows == {(999,)}
 
-
-class TestReduceProgram:
-    """The reduction analysis: pre-filters, SIP wiring and the join tree."""
-
-    def test_constants_become_prefilters(self, db):
-        query = parse_query('Q(FName) :- Family(FID, FName, "C1")')
-        program = compile_query(query, _relations(db, query))
-        reduced = reduce_program(program)
-        (reduction,) = reduced.reductions
-        assert reduction.prefilters == ((2, "C1"),)
-        assert reduction.sip_filters == ()
-
-    def test_equality_seeded_variables_become_prefilters(self, db):
-        query = parse_query('Q(FID) :- Family(FID, F, De), De = "x"')
-        program = compile_query(query, _relations(db, query))
-        reduced = reduce_program(program)
-        (reduction,) = reduced.reductions
-        assert reduction.prefilters == ((2, "x"),)
-
-    def test_sip_exports_feed_downstream_filters(self, db):
-        query = parse_query(
-            "Q(FName, Text) :- Family(FID, FName, D), FamilyIntro(FID, Text)"
-        )
-        program = compile_query(query, _relations(db, query))
-        reduced = reduce_program(program)
-        first, second = reduced.reductions
-        # The second step's probe on FID is a SIP filter fed by the first
-        # step's export of the same slot.
-        assert len(second.sip_filters) == 1
-        (_position, slot) = second.sip_filters[0]
-        assert (0, slot) in first.exports
-        # Nothing downstream consumes the other first-step writes.
-        exported_slots = {s for _p, s in first.exports}
-        assert exported_slots == {slot}
-
-    def test_within_atom_repeats_become_repeat_pairs(self, db):
-        query = parse_query("Q(FID) :- Family(FID, X, X)")
-        program = compile_query(query, _relations(db, query))
-        reduced = reduce_program(program)
-        (reduction,) = reduced.reductions
-        assert reduction.repeat_pairs == ((1, 2),)
-
-    def test_reduced_frames_equal_program_frames(self, db):
-        for text in TestExecutionEquivalence.QUERIES:
-            query = parse_query(text)
-            relations = _relations(db, query)
-            program = compile_query(query, relations)
-            reduced = reduce_program(program)
-            manager = IndexManager(db)
-            plain = set(program.run_frames(relations, manager))
-            behind_reduction = set(reduced.run_frames(relations, manager))
-            assert plain == behind_reduction, text
-
-    def test_reduction_is_pure_description(self, db):
-        query = parse_query(
-            "Q(FName, Text) :- Family(FID, FName, D), FamilyIntro(FID, Text)"
-        )
-        relations = _relations(db, query)
-        program = compile_query(query, relations)
-        reduced = reduce_program(program)
-
-        def rows():
-            frames = reduced.run_frames(_relations(db, query), IndexManager(db))
-            return set(map(program.output_row, frames))
-
-        before = rows()
-        db.insert("Family", (61, "Later", "d"))
-        db.insert("FamilyIntro", (61, "later intro"))
-        after = rows()
-        assert ("Later", "later intro") in after
-        assert before <= after

@@ -1,7 +1,7 @@
 """Pinned per-step join counters (``JoinProfile``) on the paper instance.
 
-One query, three runs: the plain program, and the reduced program behind a
-cold and then a warm prelude cache.  Each counter below was checked by hand against the paper instance:
+One query, one run of its compiled program.  Each counter below was checked
+by hand against the paper instance:
 
 * ``Family`` holds (11, Calcitonin, C1), (12, Calcitonin, C2),
   (13, Adenosine, A1); ``FamilyIntro`` holds (11, 1st), (12, 2nd),
@@ -9,11 +9,8 @@ cold and then a warm prelude cache.  Each counter below was checked by hand agai
   12 and 13.
 * The compiled order is Family (its constant first, ties broken by body
   position), FamilyIntro (FID and its constant bound), Committee.
-* The plain program scans both Calcitonin families; family 12 dies at the
+* The program scans both Calcitonin families; family 12 dies at the
   FamilyIntro probe, and family 11 joins its two committee members.
-* The reduction prelude prunes family 12 before the join (only intro
-  "1st" survives the constant, and the semi-joins carry FID 11 to every
-  step), so the reduced join scans one Family row.
 
 A step's ``frames_out`` is the number of entries into the next depth, and
 ``results`` the number of entries past the last one.
@@ -36,15 +33,8 @@ ORDER = ["Family", "FamilyIntro", "Committee"]
 RELATION_ROWS = [3, 3, 4]
 
 PLAIN = {
-    "rows_in": [3, 3, 4],
     "rows_scanned": [2, 1, 2],
     "frames_out": [2, 1, 2],
-    "results": 2,
-}
-REDUCED = {
-    "rows_in": [1, 1, 2],
-    "rows_scanned": [1, 1, 2],
-    "frames_out": [1, 1, 2],
     "results": 2,
 }
 
@@ -64,7 +54,6 @@ def _counters(span):
     assert [step.attributes["predicate"] for step in steps] == ORDER
     assert [step.attributes["relation_rows"] for step in steps] == RELATION_ROWS
     return {
-        "rows_in": [step.attributes["rows_in"] for step in steps],
         "rows_scanned": [step.attributes["rows_scanned"] for step in steps],
         "frames_out": [step.attributes["frames_out"] for step in steps],
         "results": span.attributes["results"],
@@ -83,19 +72,7 @@ def db():
 
 class TestPinnedJoinProfile:
     def test_plain_program(self, db, query):
-        evaluator = QueryEvaluator(db, strategy="program")
+        evaluator = QueryEvaluator(db)
         span = _traced(lambda: evaluator.evaluate_with_bindings(query))
-        assert span.attributes["executor"] == "program"
-        assert "prelude" not in span.attributes
+        assert span.attributes["query"] == "Q"
         assert _counters(span) == PLAIN
-
-    def test_reduced_with_a_cold_then_a_warm_prelude(self, db, query):
-        evaluator = QueryEvaluator(db, strategy="reduced")
-        prelude = evaluator.prelude_for(query, evaluator.reduce(query))
-        for outcome in ("miss", "hit"):
-            span = _traced(
-                lambda: evaluator.evaluate_with_bindings(query, prelude=prelude)
-            )
-            assert span.attributes["executor"] == "reduced"
-            assert span.attributes["prelude"] == outcome
-            assert _counters(span) == REDUCED, outcome

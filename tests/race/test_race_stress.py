@@ -136,8 +136,8 @@ class TestServiceUnderChurn:
             assert counters["mutations_observed"] == writer_ops
 
             # 3. No cross-request plan corruption: everything compiled during
-            # the stampede — plans, programs, reductions, warm preludes —
-            # still passes the IR verifier.
+            # the stampede — plans, join and citation programs — still
+            # passes the IR verifier.
             for query in QUERIES:
                 plan = engine.compile_plan(parse_query(query))
                 engine.execute_plan(plan)

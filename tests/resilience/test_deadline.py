@@ -106,17 +106,15 @@ class TestCheckpointCounts:
 
     Q6 is executed once, cold, under a one-hour deadline and a tracer whose
     ``join.step`` spans count the rows each evaluation scanned.  The join
-    reads the clock every ``CHECK_STRIDE`` rows and once per reduction
-    prelude pass; assembly every ``CHECK_STRIDE`` rows and after each row
-    that fetched a record.
+    reads the clock every ``CHECK_STRIDE`` rows; assembly every
+    ``CHECK_STRIDE`` rows and after each row that fetched a record.
     """
 
     @pytest.fixture(scope="class")
     def database(self):
         return gtopdb.generate(families=80, targets_per_family=3, seed=17)
 
-    @pytest.mark.parametrize("strategy", ["program", "reduced"])
-    def test_checks_stay_within_their_strides(self, database, strategy, monkeypatch):
+    def test_checks_stay_within_their_strides(self, database, monkeypatch):
         checks: Counter[str] = Counter()
         fetched = 0
         check, fetch = Deadline.check, AtomCache.__missing__
@@ -130,9 +128,7 @@ class TestCheckpointCounts:
             fetched += 1
             return fetch(cache, key)
 
-        engine = CitationEngine(
-            database, gtopdb.citation_views(extended=True), strategy=strategy
-        )
+        engine = CitationEngine(database, gtopdb.citation_views(extended=True))
         plan = engine.compile_plan(gtopdb.example_queries()[5])  # Q6
         monkeypatch.setattr(Deadline, "check", counting_check)
         monkeypatch.setattr(AtomCache, "__missing__", counting_fetch)
@@ -145,16 +141,7 @@ class TestCheckpointCounts:
         scanned = sum(step.attributes["rows_scanned"] for spans in steps for step in spans)
         main = max(sum(step.attributes["rows_scanned"] for step in spans) for spans in steps)
         assert main >= 20 * CHECK_STRIDE
-        # A reduced evaluation's prelude checks once per pass: each step is
-        # prefiltered at most twice and filtered once by sideways
-        # information passing, and each join-tree edge is passed up and down.
-        passes = sum(
-            3 * len(spans) + 2 * (len(spans) - 1)
-            for span, spans in zip(evaluations, steps)
-            if span.attributes["executor"] == "reduced"
-        )
-        assert (passes > 0) == (strategy == "reduced")
-        assert checks["join"] <= scanned // CHECK_STRIDE + passes + 2
+        assert checks["join"] <= scanned // CHECK_STRIDE + 2
         rows = len(result.tuple_citations)
         assert fetched > 0
         assert checks["assembly"] <= rows // CHECK_STRIDE + fetched + 1

@@ -53,10 +53,10 @@ class TestEffects:
                 fire("service.pool_submit")
 
     def test_stall_then_error(self):
-        spec = FaultSpec("prelude.build", stall=0.001, error=RuntimeError("slow boom"))
+        spec = FaultSpec("backend.execute", stall=0.001, error=RuntimeError("slow boom"))
         with plan(spec):
             with pytest.raises(RuntimeError):
-                fire("prelude.build")
+                fire("backend.execute")
         assert spec.fired == 1
 
 

@@ -426,29 +426,6 @@ class TestCompiledProgramsThroughThePlanCache:
         twin, twin_hit = service.plan_for(renamed)
         assert twin_hit and twin is plan
 
-    def test_plan_hit_carries_reduced_programs(self, service):
-        """Serving traffic amortizes the semi-join analysis: the plan carries
-        the reduced programs, every later hit reuses them."""
-        query = "Q(FName) :- Family(FID, FName, Desc), FamilyIntro(FID, Text)"
-        cite(service, query)
-        plan, hit = service.plan_for(query)
-        assert hit
-        reduced = [prelude.reduced for _citation, prelude in plan.compiled]
-        assert len(reduced) == len(plan.rewritings)
-        assert all(r.acyclic for r in reduced)  # citation views are acyclic CQs
-        service.submit(
-            CitationRequest(query=query, metadata={"no_result_cache": True})
-        ).unwrap()  # warm: executes the cached plan again
-        again, again_hit = service.plan_for(query)
-        assert again_hit and again is plan
-        assert all(
-            prelude.reduced is r
-            for (_citation, prelude), r in zip(plan.compiled, reduced, strict=True)
-        )
-
-    def test_stats_expose_the_engine_strategy(self, service):
-        assert service.stats()["engine"]["strategy"] == "auto"
-
 
 def _rows_and_records(result) -> list:
     return [(tc.row, str(tc.expression), tc.records) for tc in result.tuple_citations]
@@ -512,49 +489,12 @@ class TestPlanTemplates:
 
 
 class TestEvaluationMetricsExposure:
-    def test_stats_expose_strategy_and_prelude_metrics(self, service):
-        cite(service, QUERY)
-        cite(service, QUERY)
-        stats = service.stats()
-        evaluation = stats["evaluation"]
-        assert set(evaluation) == {
-            "picks",
-            "pick_reasons",
-            "cost_model",
-            "prelude_cache",
-            "sharding",
-        }
-        picks = evaluation["picks"]
-        # First call executes, the repeat is a result-cache hit: at least
-        # one strategy decision was recorded (one per rewriting).
-        assert picks["program"] + picks["reduced"] >= 1
-        assert "estimates" in evaluation["cost_model"]
-        assert "hit_rate" in evaluation["prelude_cache"]
-
     def test_stats_are_json_serialisable_with_evaluation_block(self, service):
         import json
 
         cite(service, QUERY)
+        evaluation = service.stats()["evaluation"]
+        assert set(evaluation) == {"evaluations", "mean_ms", "tracked_queries", "sharding"}
+        assert evaluation["evaluations"] >= 1  # one per rewriting, at least
         payload = json.dumps(service.stats(), sort_keys=True)
-        assert "prelude_cache" in payload
-
-    def test_warm_plan_hits_surface_as_prelude_hits(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(extended=True), strategy="reduced"
-        )
-        with CitationService(engine, cache_results=False) as svc:
-            cite(svc, QUERY)
-            cite(svc, QUERY)  # plan hit + warm prelude: no reduction runs
-            prelude = svc.stats()["evaluation"]["prelude_cache"]
-            assert prelude["hits"] >= 1
-            assert prelude["misses"] >= 1
-
-    def test_isomorphic_requests_share_the_warm_prelude(self, db):
-        engine = CitationEngine(
-            db, gtopdb.citation_views(extended=True), strategy="reduced"
-        )
-        with CitationService(engine, cache_results=False) as svc:
-            cite(svc, QUERY)
-            cite(svc, QUERY_RENAMED)  # same fingerprint: same plan, same state
-            prelude = svc.stats()["evaluation"]["prelude_cache"]
-            assert prelude["hits"] >= 1
+        assert '"evaluations"' in payload

@@ -26,6 +26,7 @@ from repro.concurrency import MAX_DEFAULT_WORKERS, default_worker_count
 from repro.core.citation import Citation
 from repro.core.engine import CitationEngine
 from repro.errors import CitationError
+from repro.query.evaluator import QueryEvaluator
 from repro.service.service import CitationService
 from repro.workloads import gtopdb
 
@@ -230,12 +231,16 @@ class TestWorkerSizing:
             CitationService(engine, max_workers=0)
 
     def test_stats_expose_workers_and_parallel_knobs(self):
-        """The keys perfbench reads on every run, so that dropping one fails
-        here rather than in a benchmark run: ``perfbench/run.py::settings``
-        reads ``workers``, ``strategy`` and ``parallel_backend`` from
-        ``stats()["engine"]``, and ``perfbench/run.py::counters`` reads
+        """The seams perfbench reads, so that dropping one fails here rather
+        than in a benchmark run: ``perfbench/run.py::settings`` reads
+        ``workers``, ``strategy`` and ``parallel_backend`` from
+        ``stats()["engine"]``, ``perfbench/run.py::counters`` reads
         ``parallel`` and ``serial`` from the evaluation metrics'
-        ``sharding`` block."""
+        ``sharding`` block, and ``perfbench/layers.py::HOOKS`` resolves
+        ``QueryEvaluator.compile``, ``reduction_of``, ``prelude_for`` and
+        ``evaluate_with_bindings`` with ``getattr`` under ``--trace 1``."""
+        for name in ("compile", "reduction_of", "prelude_for", "evaluate_with_bindings"):
+            assert callable(getattr(QueryEvaluator, name)), name
         database = gtopdb.paper_instance()
         engine = CitationEngine(database, gtopdb.citation_views())
         service = CitationService(engine, max_workers=5)
@@ -248,13 +253,12 @@ class TestWorkerSizing:
             snapshot = service.stats()
             assert snapshot["workers"] == 5
             assert snapshot["engine"]["workers"] == 1
-            assert snapshot["engine"]["strategy"] == "auto"
+            assert snapshot["engine"]["strategy"] == "program"
             assert snapshot["engine"]["parallel_backend"] == "serial"
             metrics = engine.evaluation_metrics.snapshot()
-            picks = sum(metrics["picks"].values())
-            assert picks > 0
+            assert metrics["evaluations"] > 0
             assert metrics["sharding"]["parallel"] == 0
-            assert metrics["sharding"]["serial"] == picks
+            assert metrics["sharding"]["serial"] == metrics["evaluations"]
             assert snapshot["evaluation"]["sharding"] == metrics["sharding"]
         finally:
             service.close()
@@ -315,3 +319,43 @@ class TestSingleFlightCompile:
             "answer:a", "answer:a", "answer:a", "answer:b"
         ]
         assert service.metrics.counter("plan_cache_hits") == 2
+
+    def test_a_waiter_gives_up_at_its_own_deadline(self):
+        """A request waiting on another's compile of its key answers
+        ``DEADLINE_EXCEEDED`` when its own deadline passes, while the holder
+        is still compiling; the holder then answers normally."""
+        service, _database = _service()
+        backend = GatedCompileBackend()
+        service.register_backend(backend)
+        holder: list = []
+        thread = threading.Thread(
+            target=lambda: holder.append(
+                service.submit(CitationRequest(query="a", backend="gated"))
+            )
+        )
+        # Bounds the wait of a waiter that ignores its deadline.
+        gate = threading.Timer(2.0, backend.release.set)
+        try:
+            thread.start()
+            deadline = time.monotonic() + 2.0
+            while backend.compiled != ["a"] and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert backend.compiled == ["a"]
+            gate.start()
+            started = time.monotonic()
+            waiter = service.submit(
+                CitationRequest(query="a", backend="gated", timeout=0.05)
+            )
+            elapsed = time.monotonic() - started
+            holding = not backend.release.is_set()
+        finally:
+            gate.cancel()
+            backend.release.set()
+            thread.join(5.0)
+            service.close()
+        assert waiter.error_code == "DEADLINE_EXCEEDED"
+        assert elapsed < 0.5 and holding
+        assert [response.result for response in holder] == ["answer:a"]
+        assert backend.compiled == ["a"]
+        assert service._flights == {}
+        assert service.metrics.counter("errors_timeout") == 1

@@ -3,8 +3,8 @@
 Every property suite generates over the same tiny world: two binary base
 relations ``R`` and ``S`` plus a view-like extra relation ``V`` handed to the
 evaluator as an ``extra_relation``, with values drawn from a small domain so
-joins actually join.  The generators cover the shapes the evaluator's
-strategies must agree on:
+joins actually join.  The generators cover the shapes the evaluator must
+answer exactly:
 
 * :func:`random_queries` — arbitrary safe CQs (acyclic and cyclic mixed),
   optionally with constants and the view predicate;
@@ -23,7 +23,7 @@ strategies must agree on:
 
 :func:`brute_force` is the shared reference semantics: filter the full
 cartesian product of the body extensions, no join order, no indexes — the
-textbook answer every execution strategy is compared against.
+textbook answer the compiled evaluator is compared against.
 :func:`brute_force_bindings` is the same enumeration keeping each row's
 bindings, the reference for Definition 2.2's binding sets, and
 :func:`binding_sets` puts an evaluator's bindings in the same form.
