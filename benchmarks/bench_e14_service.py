@@ -4,24 +4,28 @@ The serving scenario the paper motivates: the same citation views are hit by
 a stream of mostly-repeating "cite this query result" requests.  This
 experiment measures
 
-* the cold path (first request for a query shape: view materialisation +
-  rewriting search + evaluation) against the warm path (plan/result cache
-  hits) — the acceptance bar is a >= 5x speed-up on the GtoPdb workload;
+* the cold path (first request for a query shape: rewriting search +
+  evaluation) against the warm path (plan/result cache hits) — the
+  acceptance bar is a >= 5x speed-up on the GtoPdb workload;
 * batch serving throughput with within-batch deduplication against a naive
   sequential ``engine.cite()`` loop, with a full correctness cross-check
-  (identical answer rows and citation records per request).
+  (identical answer rows and citation records per request).  The gate reads
+  the median batch/sequential ratio of paired rounds, each on fresh engines.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService
 from repro.workloads import gtopdb
-from benchmarks.conftest import report
+from benchmarks.conftest import paired_rounds, report
 
 WARM_ROUNDS = 25
 BATCH_DUPLICATION = 8
+#: Paired sequential/batch rounds; the batch gate reads their median ratio.
+RATIO_ROUNDS = 5
 
 
 def _make_engine(families: int = 150) -> CitationEngine:
@@ -64,7 +68,7 @@ def test_e14_cold_vs_warm_latency():
         report(
             "E14 cold vs warm cite latency (GtoPdb)",
             [
-                {"path": "cold (materialise+rewrite+eval)", "ms": round(cold * 1e3, 3)},
+                {"path": "cold (rewrite+eval)", "ms": round(cold * 1e3, 3)},
                 {"path": f"warm mean of {WARM_ROUNDS}", "ms": round(warm * 1e3, 3)},
                 {"path": "warm, alpha-renamed query", "ms": round(alpha * 1e3, 3)},
                 {"path": "speedup (cold/warm)", "ms": round(speedup, 1)},
@@ -81,17 +85,32 @@ def test_e14_cold_vs_warm_latency():
 
 def test_e14_batch_matches_sequential():
     queries = list(gtopdb.example_queries()) * BATCH_DUPLICATION
+    outcomes: dict[str, list] = {}
+    services: list[CitationService] = []
 
-    sequential_engine = _make_engine()
-    sequential, sequential_elapsed = _timed(
-        lambda: [sequential_engine.cite(query) for query in queries]
-    )
+    def sequential_pass(engine: CitationEngine):
+        outcomes["sequential"] = [engine.cite(query) for query in queries]
+        yield
 
-    service_engine = _make_engine()
-    with CitationService(service_engine, max_workers=8) as service:
-        responses, batch_elapsed = _timed(
-            lambda: service.submit_batch([CitationRequest(query=query) for query in queries])
+    def batch_pass(service: CitationService):
+        requests = [CitationRequest(query=query) for query in queries]
+        outcomes["batch"] = service.submit_batch(requests)
+        yield
+
+    def fresh_service() -> CitationService:
+        services.append(CitationService(_make_engine(), max_workers=8))
+        return services[-1]
+
+    try:
+        # Each pass starts on a fresh engine, built before the round's clock.
+        best, ratios = paired_rounds(
+            {
+                "sequential": lambda: sequential_pass(_make_engine()),
+                "batch": lambda: batch_pass(fresh_service()),
+            },
+            RATIO_ROUNDS, "batch", "sequential",
         )
+        sequential, responses, service = outcomes["sequential"], outcomes["batch"], services[-1]
         assert all(response.ok for response in responses)
         for expected, response in zip(sequential, responses):
             result = response.result
@@ -103,20 +122,22 @@ def test_e14_batch_matches_sequential():
                 tc.row: tc.records for tc in result.tuple_citations
             }
 
-        throughput = len(queries) / batch_elapsed if batch_elapsed else float("inf")
+        ratio = statistics.median(ratios)
         report(
             "E14 batch serving vs sequential engine.cite",
             [
                 {
-                    "path": "sequential engine.cite",
-                    "total_ms": round(sequential_elapsed * 1e3, 1),
-                    "qps": round(len(queries) / sequential_elapsed, 1),
+                    "path": "sequential engine.cite (best pass)",
+                    "total_ms": round(best["sequential"] * 1e3, 1),
+                    "qps": round(len(queries) / best["sequential"], 1),
                 },
                 {
-                    "path": "service.submit_batch (dedup)",
-                    "total_ms": round(batch_elapsed * 1e3, 1),
-                    "qps": round(throughput, 1),
+                    "path": "service.submit_batch (dedup, best pass)",
+                    "total_ms": round(best["batch"] * 1e3, 1),
+                    "qps": round(len(queries) / best["batch"], 1),
                 },
+                {"path": f"median batch/sequential of {RATIO_ROUNDS} rounds",
+                 "total_ms": round(ratio, 3), "qps": ""},
             ],
         )
         # Deduplication means the service executes each distinct shape once.
@@ -126,12 +147,16 @@ def test_e14_batch_matches_sequential():
             service.metrics.counter("deduplicated")
             == len(queries) - distinct
         )
-        assert batch_elapsed < sequential_elapsed
+        assert ratio < 1.0, f"batch took {ratio:.2f}x the sequential loop's time"
+    finally:
+        for service in services:
+            service.close()
 
 
 def test_e14_invalidation_cost():
-    """After a mutation the next request re-materialises and re-evaluates,
-    but a formal-mode plan (data-independent) is reused, not recompiled."""
+    """After a mutation the next request executes the held plan again over
+    the base relations: a formal-mode plan (data-independent) is reused,
+    not recompiled."""
     engine = _make_engine(families=60)
     query = gtopdb.paper_query()
     with CitationService(engine) as service:

@@ -13,8 +13,8 @@ contract — a verifier over the compiled artifacts themselves:
   head faithfully reassemble the source query (I004);
 * :func:`verify_citation_plan` — every program compiled onto a
   :class:`~repro.core.engine.CitationPlan`, plus a check that each
-  rewriting's program was compiled from that rewriting and that its
-  citation program reads that program's frames (I004).
+  rewriting's program was compiled from that rewriting's expansion and
+  that its citation program reads that program's frames (I004).
 
 Everything here is pure description — no relation data is read — so
 verification is cheap enough to run once per plan compile.
@@ -248,12 +248,13 @@ def verify_citation_plan(plan) -> AnalysisReport:
     """Verify everything compiled onto a :class:`~repro.core.engine.CitationPlan`.
 
     Walks ``plan.compiled``: one entry per rewriting, whose program must
-    verify and must have been compiled from that rewriting's query.  Its
-    citation program reads that program's frames by slot, so it must be
+    verify and must have been compiled from that rewriting's expansion.
+    Its citation program reads that program's frames by slot, so it must be
     laid out on the program's variables, follow the rewriting's body atom
-    by atom, and read each λ-parameter from a variable of its view atom.
-    Duck typed on purpose — importing the engine here would be an import
-    cycle.
+    by atom, and read each λ-parameter from the slot of the variable its
+    view atom's term resolves to (``rewriting.resolve``), or hold the
+    constant it resolves to.  Duck typed on purpose — importing the engine
+    here would be an import cycle.
     """
     report = AnalysisReport()
     if len(plan.compiled) != len(plan.rewritings):
@@ -269,19 +270,31 @@ def verify_citation_plan(plan) -> AnalysisReport:
         loc = f"plan {plan.query.name!r}, rewriting {position}"
         body = rewriting.query.body
         problems = []
-        if program.query != rewriting.query:
-            problems.append("program was compiled from a different query than the rewriting")
+        if program.query != rewriting.expansion:
+            problems.append(
+                "program was compiled from a different query than the rewriting's expansion"
+            )
         if tuple(citation.variables) != program.variables:
             problems.append("citation program is laid out on another program's variables")
         if [view for view, _, _ in citation.atoms] != [atom.predicate for atom in body]:
             problems.append("citation program does not follow the rewriting's body")
+        views = {view.name: view for view in rewriting.views}
         for (view, sources, _), atom in zip(citation.atoms, body):
-            problems += [
-                f"parameter {name!r} of {view!r} reads slot {slot!r}, "
-                "which holds no variable of its view atom"
-                for name, slot in sources
-                if slot is not None and _slot_variable(program, slot) not in atom.terms
-            ]
+            positions = views[atom.predicate].parameter_positions()
+            for item, slot in sources:
+                name, value = item if slot is None else (item, None)
+                position = positions.get(name)
+                term = None if position is None else rewriting.resolve(atom.terms[position])
+                if slot is not None and _slot_variable(program, slot) != term:
+                    problems.append(
+                        f"parameter {name!r} of {view!r} reads slot {slot!r}, which holds "
+                        f"no variable of its view atom at the parameter's position ({term})"
+                    )
+                elif slot is None and not (isinstance(term, Constant) and term.value == value):
+                    problems.append(
+                        f"parameter {name!r} of {view!r} holds {value!r}, "
+                        f"not its view atom's term at the parameter's position ({term})"
+                    )
         for message in problems:
             report.add(diagnostic("I004", message, loc))
         report.extend(verify_program(program))

@@ -5,9 +5,10 @@ This module implements the paper's approach end to end:
 1. the query is rewritten into (minimal) equivalent queries over the citation
    views, ignoring λ-parameters (Section 2);
 2. for every rewriting and every output tuple, the set of bindings is
-   enumerated; each binding yields the joint (``·``) citation of the view
-   atoms it instantiates, with the views' parameters valued by the binding
-   (Definition 2.1);
+   enumerated by joining the rewriting's expansion (each view atom unfolded
+   into the view's body) over the base relations; each binding yields the
+   joint (``·``) citation of the view atoms it instantiates, with the views'
+   parameters valued by the binding (Definition 2.1);
 3. multiple bindings are combined with ``+`` (Definition 2.2), multiple
    rewritings with ``+R`` and the result tuples with ``Agg``;
 4. the resulting expression is evaluated under the owner's
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from typing import TYPE_CHECKING, Literal
 
 from repro.core.citation import Citation
@@ -55,20 +56,18 @@ from repro.errors import (
     StaticAnalysisError,
 )
 from repro.observability import NULL_SPAN, get_tracer
-from repro.query.ast import ConjunctiveQuery, Constant, Term, Variable
+from repro.query.ast import ConjunctiveQuery, Constant, Variable
 from repro.query.compiler import JoinProgram
 from repro.query.evaluator import Binding, QueryEvaluator, result_schema
 from repro.query.stats import EvaluationMetrics
 from repro.query.parser import parse_query
 from repro.query.ucq import UnionQuery
 from repro.relational.database import Change, Database
-from repro.relational.index import IndexManager
 from repro.relational.relation import Relation
-from repro.relational.schema import DatabaseSchema
 from repro.rewriting.bucket import BucketRewriter
 from repro.rewriting.minicon import MiniConRewriter
-from repro.rewriting.rewriting import Rewriting
-from repro.rewriting.view import View, materialize_views
+from repro.rewriting.rewriting import Rewriting, expand_rewriting
+from repro.rewriting.view import materialize_views, views_by_name
 
 if TYPE_CHECKING:
     from repro.service.fingerprint import Shape
@@ -97,7 +96,7 @@ VerifyMode = Literal["strict", "warn", "off"]
 _ANALYSIS_CACHE_LIMIT = 1024
 
 #: A cache-validity stamp: ``(database generation, engine cache epoch)``.
-#: Anything compiled from the engine (plans, materialised views, cached
+#: Anything compiled from the engine (plans, citation records, cached
 #: results) is valid as long as the engine's current token equals the token
 #: it was stamped with; a cited result can also be brought forward to the
 #: current token (:meth:`CitationEngine.refresh_result`).
@@ -140,55 +139,6 @@ def record_reach(citation_views: Iterable[CitationView]) -> RecordReach:
     return reach
 
 
-def row_image(view: View, schema: DatabaseSchema) -> Callable[[tuple], tuple | None] | None:
-    """The map from a row of the view's one base relation to the row it puts
-    in the view's extent (``None`` for a row the view does not select), or
-    ``None`` when the extent cannot follow the relation row by row.
-
-    It can for one atom over a base relation, with no equality atoms, whose
-    head keeps every key column (every column, for a keyless relation).  Then
-    rows with equal images share a key, so no two are ever in the relation
-    at once, and a changed row can add or remove only its own image.
-    """
-    query = view.query
-    if len(query.body) != 1 or query.equalities:
-        return None
-    atom = query.body[0]
-    if atom.predicate not in schema:
-        return None
-    relation = schema.relation(atom.predicate)
-    if len(atom.terms) != relation.arity:
-        return None
-    head = query.head_terms
-    key = relation.key_positions() or range(relation.arity)
-    if not all(isinstance(atom.terms[p], Variable) and atom.terms[p] in head for p in key):
-        return None
-    # A row is selected when it holds each constant and repeats each
-    # repeated variable: (position, other position or None, constant).
-    first: dict[Term, int] = {}
-    checks: list[tuple[int, int | None, object]] = []
-    for position, term in enumerate(atom.terms):
-        if isinstance(term, Constant):
-            checks.append((position, None, term.value))
-        elif term in first:
-            checks.append((position, first[term], None))
-        else:
-            first[term] = position
-    # Per head term: the row position it reads, or None and its constant.
-    picks = tuple(
-        (None, term.value) if isinstance(term, Constant) else (first[term], None)
-        for term in head
-    )
-
-    def image(row: tuple) -> tuple | None:
-        for position, other, value in checks:
-            if row[position] != (value if other is None else row[other]):
-                return None
-        return tuple([value if at is None else row[at] for at, value in picks])
-
-    return image
-
-
 def holds_reached(expression: CitationExpression, keys: set[CitationKey], whole: set[str]) -> bool:
     """Whether *expression* holds a record that logged changes reach: an atom
     of a *whole* view or one whose key is in *keys* (see ``CitationEngine._reach``)."""
@@ -207,14 +157,19 @@ def _with_atoms_from(expression: CitationExpression, cache: AtomCache) -> Citati
 
 class CitationProgram:
     """Definitions 2.1/2.2 for one rewriting, read from frames of one value
-    per variable of :attr:`variables` (the join program's slots; by default
-    the variables in name order, which :meth:`frame` fills from a dict).
+    per variable of :attr:`variables`: the slots of the join program
+    compiled from the rewriting's expansion, where each rewriting term
+    stands for the term it resolves to (:meth:`Rewriting.resolve`); by
+    default the rewriting's own variables in name order, which
+    :meth:`frame` fills from a dict.
 
     Per view atom: ``(view, sources, key)``, one source per λ-parameter in
     name order — ``(name, slot)``, or ``((name, value), None)`` for a
     constant — and the atom's :data:`CitationKey` when no source is a slot;
     :attr:`fixed` holds every atom's key when all do.  Frames are ordered by
-    the ``repr`` of their values in variable-name order (:attr:`order`).
+    the ``repr`` of the rewriting's variables' values, in name order
+    (:attr:`order`): a view that projects columns away gives several
+    expansion frames per rewriting binding, and those tie.
     """
 
     __slots__ = ("variables", "atoms", "order", "fixed")
@@ -225,9 +180,9 @@ class CitationProgram:
         citation_views: Mapping[str, CitationView],
         variables: Sequence[Variable] | None = None,
     ) -> None:
-        if variables is None:
-            variables = sorted(rewriting.query.variables(), key=lambda v: v.name)
-        self.variables = tuple(variables)
+        own = sorted(rewriting.query.variables(), key=lambda v: v.name)
+        resolve = rewriting.resolve if variables is not None else lambda term: term
+        self.variables = tuple(own if variables is None else variables)
         slots = {variable: slot for slot, variable in enumerate(self.variables)}
         atoms: list[tuple[str, tuple, CitationKey | None]] = []
         for view_atom in rewriting.query.body:
@@ -239,14 +194,16 @@ class CitationProgram:
             positions = citation_view.view.parameter_positions()
             sources: list[tuple] = []
             for name in sorted(positions):
-                term = view_atom.terms[positions[name]]
+                term = resolve(view_atom.terms[positions[name]])
                 constant = isinstance(term, Constant)
                 sources.append(((name, term.value), None) if constant else (name, slots[term]))
             fixed = all(slot is None for _, slot in sources)
             key = (view_atom.predicate, tuple(item for item, _ in sources)) if fixed else None
             atoms.append((view_atom.predicate, tuple(sources), key))
         self.atoms = tuple(atoms)
-        self.order = tuple(sorted(slots.values(), key=lambda slot: self.variables[slot].name))
+        self.order = tuple(
+            slots[term] for term in map(resolve, own) if isinstance(term, Variable)
+        )
         keys = tuple(key for _, _, key in atoms)
         self.fixed = keys if all(key is not None for key in keys) else None
 
@@ -341,8 +298,9 @@ class CitationPlan:
     #: Static-analysis findings from compile time (empty when analysis off).
     diagnostics: tuple[Diagnostic, ...] = field(default=(), compare=False)
     #: Per rewriting, in order: its :class:`CitationProgram` and the
-    #: :class:`~repro.query.compiler.JoinProgram` whose frames it reads, so
-    #: the two are paired by construction.  Both are pure description and
+    #: :class:`~repro.query.compiler.JoinProgram` compiled from its
+    #: expansion, whose frames it reads, so the two are paired by
+    #: construction.  Both are pure description and
     #: stay valid across database changes.  This is the only copy of a
     #: plan's compiled state.
     compiled: tuple[tuple[CitationProgram, JoinProgram], ...] = field(
@@ -433,9 +391,7 @@ class CitedResult:
 
 
 @shared_state("_analysis_cache", "_analysis_stats", lock="_analysis_lock")
-@shared_state(
-    "_atom_cache", "_view_relations", "_cache_generation", "_refresh_stats", lock="_refresh_lock"
-)
+@shared_state("_atom_cache", "_cache_generation", "_refresh_stats", lock="_refresh_lock")
 class CitationEngine:
     """Constructs citations for general queries over a cited database."""
 
@@ -487,14 +443,11 @@ class CitationEngine:
         self.selector = selector or RewritingSelector(
             database, strategy="min_citation_size", keep=1
         )
-        # Both caches are brought to the database's generation under the
-        # refresh lock, from its change log: a view whose body reads a
-        # changed relation is patched or dropped from the mapping (and
-        # re-materialised on next use), and the atom cache is replaced by a
-        # copy minus the keys the changes reach, so an execution keeps the
-        # caches it started with.  ``None``: no view materialised yet.
+        # The atom cache is brought to the database's generation under the
+        # refresh lock, from its change log: it is replaced by a copy minus
+        # the keys the changes reach, so an execution keeps the cache it
+        # started with.
         self._refresh_lock = threading.Lock()
-        self._view_relations: dict[str, Relation] | None = None
         self._atom_cache = AtomCache(database, self._citation_view_by_name)
         self._cache_generation = database.generation
         self._cache_epoch = 0
@@ -509,30 +462,13 @@ class CitationEngine:
         self._view_constants = {t.value for v in self._views for a in (v.query.head, *v.query.body)
                                 for t in a.terms if isinstance(t, Constant)}
         self._view_constants |= {e.constant.value for v in self._views for e in v.query.equalities}
-        # view → (base relation, row_image) for the views a change patches.
-        self._view_images = {
-            view.name: (view.query.body[0].predicate, image)
-            for view in self._views
-            if (image := row_image(view, database.schema)) is not None
-        }
-        self._refresh_stats = {
-            "records_kept": 0,
-            "records_evicted": 0,
-            "full_drops": 0,
-            "views_patched": 0,
-            "views_rematerialized": 0,
-        }
-        # Shared across executions so that hash indexes built over
-        # materialised views survive from one request to the next (they are
-        # re-validated against the views' identity and version on every probe).
-        self._index_manager = IndexManager(database)
+        self._refresh_stats = {"records_kept": 0, "records_evicted": 0, "full_drops": 0}
         # Counts and times every evaluation; the serving layer exposes it
         # through CitationService.stats().
         self.evaluation_metrics = EvaluationMetrics()
         # One persistent evaluator per engine, shared by compile_plan and
-        # every execution (the views it reads are re-pointed per call, see
-        # _execution_evaluator).
-        self._evaluator: QueryEvaluator | None = None
+        # every execution (see _execution_evaluator).
+        self._evaluator = QueryEvaluator(database, metrics=self.evaluation_metrics)
         # Static analysis is pure query-shape work (schema + containment, no
         # instance data), so one bounded cache serves every compile and every
         # fingerprint computation of the same query object.  submit_batch fans
@@ -579,7 +515,7 @@ class CitationEngine:
         return plan.token == self.plan_token()
 
     def invalidate_caches(self) -> None:
-        """Force-drop materialised views and every derived cache.
+        """Force-drop every derived cache.
 
         Ordinary data updates do **not** require calling this: the caches
         follow :attr:`Database.generation` and evict what each change can
@@ -591,21 +527,16 @@ class CitationEngine:
         plan and result caches, see :meth:`plan_stamp`); a plan held outside
         a cache stays correct unless it is
         :attr:`~CitationPlan.data_dependent`.
-
-        Besides the views and citation records, this clears the view
-        indexes; they rebuild on the next probe.
         """
         with self._refresh_lock:
             self._drop_caches_locked()
             self._cache_generation = self.database.generation
-        self._index_manager.invalidate()
         self._cache_epoch += 1
 
     def refresh_stats(self) -> dict[str, int]:
-        """How precisely database changes invalidated the caches: records
-        kept and evicted over all refreshes, wholesale drops (log overrun or
-        :meth:`invalidate_caches`), views patched from the change log and
-        views materialised again."""
+        """How precisely database changes invalidated the record cache:
+        records kept and evicted over all refreshes, and wholesale drops
+        (log overrun or :meth:`invalidate_caches`)."""
         with self._refresh_lock:
             return dict(self._refresh_stats)
 
@@ -613,8 +544,6 @@ class CitationEngine:
         self._refresh_stats["full_drops"] += 1
         self._refresh_stats["records_evicted"] += len(self._atom_cache)
         self._atom_cache = AtomCache(self.database, self._citation_view_by_name)
-        if self._view_relations is not None:
-            self._view_relations = {}
 
     def _refresh_generation(self) -> None:
         """Evict what the database's changes since the caches' generation reach."""
@@ -650,7 +579,7 @@ class CitationEngine:
             self._cache_generation = self.database.generation
             return
         self._cache_generation, entries = changes
-        keys, whole, changed = self._reach(entries)
+        keys, whole, _ = self._reach(entries)
         reached = whole | {view for view, _ in keys}
         if reached:
             # One C-level copy: readers may be filling the old cache meanwhile.
@@ -670,87 +599,14 @@ class CitationEngine:
             self._refresh_stats["records_evicted"] += len(snapshot) - len(cache)
             self._atom_cache = cache
         self._refresh_stats["records_kept"] += len(self._atom_cache)
-        relations = self._view_relations
-        if relations and any(self._view_reads[name] & changed for name in relations):
-            self._view_relations = self._patched_views_locked(relations, entries, changed)
-
-    def _patched_views_locked(
-        self, relations: dict[str, Relation], entries: list[Change], changed: set[str]
-    ) -> dict[str, Relation]:
-        """*relations* brought forward over *entries*: a view over a changed
-        relation is patched when :func:`row_image` allows and no entry is
-        drift on that relation; it is left out, to be re-materialised on
-        next use, otherwise.
-
-        A patched view is a new relation, so an execution keeps the mapping
-        it started with and identity stamps see the change.  Images of
-        logged rows no longer in the relation go first: a replaced row may
-        keep its image.
-        """
-        logged: dict[str, dict[tuple, None]] = {}
-        drifted: set[str] = set()
-        for relation, row in entries:
-            if row is None:
-                drifted.add(relation)
-            else:
-                logged.setdefault(relation, {})[row] = None
-        kept: dict[str, Relation] = {}
-        for name, extent in relations.items():
-            if not self._view_reads[name] & changed:
-                kept[name] = extent
-                continue
-            patchable = self._view_images.get(name)
-            if patchable is None:
-                continue
-            base, image = patchable
-            if base in drifted:
-                continue
-            current = self.database.relation(base)
-            rows = set(extent)
-            changed_rows = logged[base]
-            for row in changed_rows:
-                if row not in current and (gone := image(row)) is not None:
-                    rows.discard(gone)
-            for row in changed_rows:
-                if row in current and (present := image(row)) is not None:
-                    rows.add(present)
-            kept[name] = Relation.of_valid_rows(extent.schema, rows)
-            self._refresh_stats["views_patched"] += 1
-        return kept
 
     def view_relations(self) -> dict[str, Relation]:
-        """Materialisations of all citation views.
+        """Materialisations of all citation views, evaluated afresh per call.
 
-        Materialised on first use; after that a database change reaches
-        only the views whose body reads a relation it changed, which are
-        patched from the change log where they can be and re-materialised
-        on next use otherwise.  The other views keep their relation objects
-        (and so their indexes), and while no view is stale
-        repeated calls return the same mapping.
+        No execution reads them: a rewriting runs as its expansion over the
+        base relations.  Schema-level estimates read view extents here.
         """
-        with self._refresh_lock:
-            self._refresh_locked()
-            relations = self._view_relations or {}
-            stale = [view for view in self._views if view.name not in relations]
-            if not stale:
-                return relations
-            tracer = get_tracer()
-            span = (
-                tracer.span("engine.materialize_views", views=len(stale))
-                if tracer.enabled
-                else NULL_SPAN
-            )
-            with span:
-                fresh = materialize_views(stale, self.database)
-                span.set_attribute("rows", sum(len(r) for r in fresh.values()))
-            if self._view_relations is not None:
-                self._refresh_stats["views_rematerialized"] += len(stale)
-            relations = {
-                view.name: (fresh if view.name in fresh else relations)[view.name]
-                for view in self._views
-            }
-            self._view_relations = relations
-            return relations
+        return materialize_views(self._views, self.database)
 
     # -- static analysis ---------------------------------------------------------
     def analyze(self, query: ConjunctiveQuery | str) -> QueryAnalysis:
@@ -962,11 +818,12 @@ class CitationEngine:
             return plan
 
     def _compile_rewritings(self, rewritings: Iterable[Rewriting]) -> tuple:
-        """:attr:`CitationPlan.compiled` for *rewritings*."""
+        """:attr:`CitationPlan.compiled` for *rewritings*: each one's
+        expansion compiled over the base relations."""
         evaluator = self._execution_evaluator()
         compiled = []
         for rewriting in rewritings:
-            program = evaluator.compile(rewriting.query)
+            program = evaluator.compile(rewriting.expansion)
             citation = CitationProgram(rewriting, self._citation_view_by_name, program.variables)
             compiled.append((citation, program))
         return tuple(compiled)
@@ -980,10 +837,7 @@ class CitationEngine:
         if plan.constants == constants:
             return plan
         values = {(type(o), o): Constant(n) for o, n in zip(plan.constants, constants, strict=True)}
-        rewritings = tuple(
-            Rewriting(r.query.with_constants(values), r.views, r.expansion.with_constants(values))
-            for r in plan.rewritings
-        )
+        rewritings = tuple(r.with_constants(values) for r in plan.rewritings)
         instantiated = replace(
             plan,
             query=plan.query.with_constants(values),
@@ -1090,7 +944,7 @@ class CitationEngine:
 
         tracer = get_tracer()
         evaluator = self._execution_evaluator()
-        # Read after the evaluator, which refreshes the generation.
+        self._refresh_generation()
         cache = self._atom_cache
         alternatives_by_row: dict[tuple, list[tuple[CitationProgram, list[tuple]]]] = {}
         for position, (rewriting, (citation, program)) in enumerate(
@@ -1106,9 +960,9 @@ class CitationEngine:
                 else NULL_SPAN
             )
             with rewriting_span:
-                # Frames in the layout of the program the citation program
-                # was resolved against.
-                frames_by_row = evaluator.frames_by_row(rewriting.query, program)
+                # Frames of the expansion, in the layout of the program the
+                # citation program was resolved against.
+                frames_by_row = evaluator.frames_by_row(rewriting.expansion, program)
                 rewriting_span.set_attribute("rows", len(frames_by_row))
             for row, frames in frames_by_row.items():
                 alternatives_by_row.setdefault(row, []).append((citation, frames))
@@ -1204,39 +1058,22 @@ class CitationEngine:
         return replace(result, tuple_citations=tuple_citations, citation=citation), fresh
 
     # -- helpers -------------------------------------------------------------------------
-    def _execution_evaluator(self, views: bool = True) -> QueryEvaluator:
-        """The engine's persistent evaluator, pointed at the current views.
-
-        Built once and reused; it caches nothing per query, since compiled
-        state lives on the plans.  The view relations it resolves against
-        are re-bound per call: within one database generation they are the
-        same objects, and after a mutation the fresh materialisations
-        replace them; ``views=False`` skips both, for a query that names no
-        view.
+    def _execution_evaluator(self) -> QueryEvaluator:
+        """The engine's one persistent evaluator, shared by every compile and
+        execution.  It reads the database's relations and their indexes and
+        caches nothing per query, since compiled state lives on the plans.
         Mutations must not race in-flight executions — the usual
         reader/writer discipline of the in-memory store.
         """
-        relations = self.view_relations() if views else None
-        evaluator = self._evaluator
-        if evaluator is None:
-            evaluator = QueryEvaluator(
-                self.database,
-                extra_relations=relations,
-                index_manager=self._index_manager,
-                metrics=self.evaluation_metrics,
-            )
-            self._evaluator = evaluator
-        elif relations is not None and evaluator.extra_relations is not relations:
-            evaluator.extra_relations = relations
-        return evaluator
+        return self._evaluator
 
     def evaluate_uncovered(self, query: ConjunctiveQuery) -> Relation:
         """The answer of *query*, which no rewriting covers, from the engine's
-        evaluator; the views are bound only when its body names one."""
-        evaluator = self._execution_evaluator(
-            views=any(atom.predicate in self._view_reads for atom in query.body)
-        )
-        return evaluator.evaluate(query.without_parameters())
+        evaluator; an atom over a view is expanded into the view's body."""
+        query = query.without_parameters()
+        if any(atom.predicate in self._view_reads for atom in query.body):
+            query = expand_rewriting(query, views_by_name(self._views))
+        return self._evaluator.evaluate(query)
 
     def _handle_no_rewriting(
         self,

@@ -10,15 +10,14 @@ change log is its only input.  Reading the result brings it forward
 
 * :meth:`CitationEngine.refresh_result` goes first, re-stamping a result no
   logged change reaches or rebuilding the rows whose records alone changed;
-* when the result's views only gained rows, semi-naive delta evaluation
-  finds the output rows with a derivation through a *new* view row, and
-  those rows, plus every row holding a record the changes reach, are
-  re-derived;
+* when every logged row of a relation the result's expansions read is
+  still present (the relations only gained rows), semi-naive delta
+  evaluation over the expansions finds the output rows with a derivation
+  through a *new* base row, and those rows, plus every row holding a record
+  the changes reach, are re-derived;
 * otherwise the held plan is executed again, and compiled again first when
   it is economical.
 
-The held view extents are the engine's own relation objects (the engine
-replaces a view it patches or re-materialises), so no copy is kept.
 :meth:`~IncrementalCitationMaintainer.recompute` cites from scratch; the E7
 benchmark measures the incremental path against it.
 """
@@ -26,7 +25,7 @@ benchmark measures the incremental path against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 from repro.core.engine import (
     CitationEngine,
@@ -40,6 +39,7 @@ from repro.core.citation import Citation
 from repro.errors import CitationError
 from repro.query.ast import Atom, ConjunctiveQuery, Constant, Variable
 from repro.query.evaluator import Binding, QueryEvaluator
+from repro.relational.database import Change
 from repro.relational.relation import Relation
 from repro.rewriting.rewriting import Rewriting
 
@@ -86,17 +86,7 @@ class IncrementalCitationMaintainer:
         """Compile and execute the query with the engine's caches as they stand."""
         self._token: PlanToken = self.engine.plan_token()
         self._plan: CitationPlan = self.engine.compile_plan(self.query)
-        self._take(self.engine.execute_plan(self._plan))
-
-    def _take(self, result: CitedResult) -> None:
-        """Hold *result* and the extents of the views its rewritings read."""
-        self._result = result
-        relations = self.engine.view_relations() if result.rewritings else {}
-        self._views = {
-            atom.predicate: relations[atom.predicate]
-            for rewriting in result.rewritings
-            for atom in rewriting.query.body
-        }
+        self._result = self.engine.execute_plan(self._plan)
 
     # -- full recomputation -------------------------------------------------------
     def recompute(self) -> CitedResult:
@@ -123,22 +113,17 @@ class IncrementalCitationMaintainer:
                 statistics.updates_ignored += seen
             return self._result
         changes = self.engine.database.changes_since(self._token[0])
-        relations = self.engine.view_relations() if self._views else {}
         if (
             changes is None
             or token[1] != self._token[1]
             or self._plan.data_dependent
-            or (added := self._added_view_rows(relations)) is None
+            or (added := self._added_rows(changes[1])) is None
         ):
             self._execute(token)
             return self._result
         self._token = (changes[0], token[1])
-        # Delta and per-row queries probe a few rows over the engine's view indexes.
-        evaluator = QueryEvaluator(
-            self.engine.database,
-            extra_relations=relations,
-            index_manager=self.engine._index_manager,
-        )
+        # Delta and per-row queries probe a few rows over the database's indexes.
+        evaluator = QueryEvaluator(self.engine.database)
         rows = self._delta_output_rows(evaluator, added)
         keys, whole, _ = self.engine._reach(changes[1])
         if keys or whole:
@@ -151,23 +136,25 @@ class IncrementalCitationMaintainer:
             self._patch_rows(evaluator, rows)
         else:
             statistics.updates_ignored += seen
-        self._take(self._result)
         return self._result
 
-    def _added_view_rows(self, relations: Mapping[str, Relation]) -> dict[str, set[tuple]] | None:
-        """The rows each held view gained since the held token; ``None``
-        when a view lost rows (or the result reads no view)."""
-        if not self._views:
+    def _added_rows(self, entries: Iterable[Change]) -> dict[str, set[tuple]] | None:
+        """The logged rows of the relations the result's expansions read,
+        by relation; ``None`` when one of them is gone, the log shows drift
+        on such a relation, or the result has no rewriting."""
+        reads = {
+            atom.predicate for rewriting in self._result.rewritings
+            for atom in rewriting.expansion.body
+        }
+        if not reads:
             return None
+        database = self.engine.database
         added: dict[str, set[tuple]] = {}
-        for name, old in self._views.items():
-            new = relations[name]
-            if new is not old:
-                old_rows, new_rows = old.rows, new.rows
-                if not old_rows <= new_rows:
+        for relation, row in entries:
+            if relation in reads:
+                if row is None or row not in database.relation(relation):
                     return None
-                if gained := new_rows - old_rows:
-                    added[name] = set(gained)
+                added.setdefault(relation, set()).add(row)
         return added
 
     def _execute(self, token: PlanToken) -> None:
@@ -178,7 +165,7 @@ class IncrementalCitationMaintainer:
             self._cite()
         else:
             self._token = token
-            self._take(self.engine.execute_plan(self._plan))
+            self._result = self.engine.execute_plan(self._plan)
         new_rows = self._result.result.rows
         self.statistics.rows_recomputed += len(new_rows)
         self.statistics.rows_added += len(new_rows - old_rows)
@@ -188,14 +175,15 @@ class IncrementalCitationMaintainer:
     def _delta_output_rows(
         self, evaluator: QueryEvaluator, added: Mapping[str, set[tuple]]
     ) -> set[tuple]:
-        """Output rows that gain at least one new derivation (semi-naive delta)."""
+        """Output rows that gain at least one new derivation through an added
+        base row (semi-naive delta over each rewriting's expansion)."""
         for name, rows in added.items():
             evaluator.extra_relations[f"__delta_{name}__"] = Relation.of_valid_rows(
-                evaluator.extra_relations[name].schema, rows
+                self.engine.database.relation(name).schema, rows
             )
         new_rows: set[tuple] = set()
         for rewriting in self._result.rewritings:
-            query = rewriting.query
+            query = rewriting.expansion
             for index, atom in enumerate(query.body):
                 if atom.predicate in added:
                     delta = Atom(f"__delta_{atom.predicate}__", atom.terms)
@@ -209,9 +197,11 @@ class IncrementalCitationMaintainer:
     def _bindings_for_row(
         evaluator: QueryEvaluator, rewriting: Rewriting, row: tuple
     ) -> list[Binding]:
-        """All bindings of *rewriting* that produce exactly *row*."""
+        """All bindings of *rewriting* that produce exactly *row*: those of
+        its expansion, projected onto the rewriting's variables."""
+        expansion = rewriting.expansion
         substitution: dict[Variable, Constant] = {}
-        for term, value in zip(rewriting.query.head_terms, row):
+        for term, value in zip(expansion.head_terms, row):
             if isinstance(term, Variable):
                 existing = substitution.get(term)
                 if existing is not None and existing.value != value:
@@ -220,8 +210,15 @@ class IncrementalCitationMaintainer:
             elif isinstance(term, Constant) and term.value != value:
                 return []
         values = {variable: constant.value for variable, constant in substitution.items()}
-        bound_query = rewriting.query.substitute(substitution)
-        return [{**binding, **values} for binding in evaluator.bindings(bound_query)]
+        terms = {variable: rewriting.resolve(variable) for variable in rewriting.query.variables()}
+        bindings = []
+        for binding in evaluator.bindings(expansion.substitute(substitution)):
+            binding.update(values)
+            bindings.append({
+                variable: term.value if isinstance(term, Constant) else binding[term]
+                for variable, term in terms.items()
+            })
+        return bindings
 
     def _patch_rows(self, evaluator: QueryEvaluator, rows: set[tuple]) -> None:
         """Re-derive the citations of *rows*, dropping those that vanished."""

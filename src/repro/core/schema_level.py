@@ -28,7 +28,6 @@ from repro.core.engine import CitationEngine, CitationProgram
 from repro.core.expression import Aggregate, CitationAtom, alternative, joint
 from repro.errors import NoRewritingError
 from repro.query.ast import ConjunctiveQuery, Constant
-from repro.query.evaluator import QueryEvaluator
 from repro.rewriting.rewriting import Rewriting
 
 
@@ -60,17 +59,18 @@ def cite_schema_level(
     selected = engine.selector.select(rewritings)
     rewriting = selected[0]
 
-    evaluator = QueryEvaluator(engine.database, extra_relations=engine.view_relations())
-    program = CitationProgram(rewriting, engine._citation_view_by_name)
+    evaluator = engine._execution_evaluator()
+    program = evaluator.compile(rewriting.expansion)
+    citation_program = CitationProgram(rewriting, engine._citation_view_by_name, program.variables)
     valuations_per_atom: list[tuple[str, set[tuple]]] = [
         (atom.predicate, set()) for atom in rewriting.query.body
     ]
-    result_rows: set[tuple] = set()
-    for binding in evaluator.bindings(rewriting.query):
-        result_rows.add(evaluator.output_tuple(rewriting.query, binding))
-        keys = program.keys(program.frame(binding))
-        for (_view, seen), (_name, items) in zip(valuations_per_atom, keys):
-            seen.add(items)
+    frames_by_row = evaluator.frames_by_row(rewriting.expansion, program)
+    for frames in frames_by_row.values():
+        for frame in frames:
+            keys = citation_program.keys(frame)
+            for (_view, seen), (_name, items) in zip(valuations_per_atom, keys):
+                seen.add(items)
 
     per_atom_expressions = []
     total_valuations = 0
@@ -89,7 +89,7 @@ def cite_schema_level(
         query=query,
         rewriting=rewriting,
         citation=citation,
-        result_size=len(result_rows),
+        result_size=len(frames_by_row),
         distinct_parameter_valuations=total_valuations,
     )
 

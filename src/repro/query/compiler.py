@@ -25,8 +25,7 @@ serving layer.  Executing a program first resolves a **prepared plan**
 (:meth:`JoinProgram.prepared_plan`) against a predicate→relation mapping and
 an :class:`~repro.relational.index.IndexManager`: one row source per step,
 with every bound-position probe served by a hash index — including probes
-into materialised views and other ``extra_relations``, which the interpreted
-evaluator always scanned.  One nested-loop join (:meth:`JoinProgram.run_plan`)
+into ``extra_relations``, which the interpreted evaluator always scanned.  One nested-loop join (:meth:`JoinProgram.run_plan`)
 then runs the plan, counting per-step work only when handed a
 :class:`JoinProfile`.
 """

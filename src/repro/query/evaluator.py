@@ -18,8 +18,8 @@ Evaluation runs a compiled join program (:mod:`repro.query.compiler`): the
 atom order, variable→slot assignment and per-atom bound-position accessors
 are fixed once at compile time; per evaluation the program's prepared plan
 resolves every step's row source, with bound-position probes served by hash
-indexes — over database relations *and* over ``extra_relations`` such as
-materialised views, via an :class:`~repro.relational.index.IndexManager` —
+indexes — the database's own, and the evaluator's
+:class:`~repro.relational.index.IndexManager` over ``extra_relations`` —
 and one join loop (:meth:`~repro.query.compiler.JoinProgram.run_plan`) runs
 that plan in the calling thread.  The evaluator caches nothing per query: a
 call compiles its program afresh, unless the caller hands in a compiled
@@ -57,29 +57,24 @@ class QueryEvaluator:
     """Evaluates conjunctive queries against a :class:`Database`.
 
     The evaluator may also be given *extra relations* (e.g. materialised
-    views) that are not part of the database schema; atoms whose predicate
-    matches an extra relation are evaluated against it.  An external
-    :class:`~repro.relational.index.IndexManager` may be supplied to share
-    view indexes across evaluator instances (the citation engine does this);
-    otherwise the evaluator owns a private one.  With *metrics*, every
-    evaluation is counted and timed there (the engine threads one
-    :class:`~repro.query.stats.EvaluationMetrics` through every evaluator
-    it builds).
+    views, or the incremental maintainer's delta relations) that are not
+    part of the database schema; atoms whose predicate matches an extra
+    relation are evaluated against it, probed through the evaluator's own
+    :class:`~repro.relational.index.IndexManager`.  With *metrics*, every
+    evaluation is counted and timed there (the citation engine's one
+    evaluator records into its
+    :class:`~repro.query.stats.EvaluationMetrics`).
     """
 
     def __init__(
         self,
         database: Database,
         extra_relations: Mapping[str, Relation] | None = None,
-        index_manager: IndexManager | None = None,
         metrics: EvaluationMetrics | None = None,
     ) -> None:
         self.database = database
         self.extra_relations = dict(extra_relations or {})
-        # Not `or`: an IndexManager with no entries yet is len() == 0, falsy.
-        self.index_manager = (
-            index_manager if index_manager is not None else IndexManager(database)
-        )
+        self.index_manager = IndexManager(database)
         self.metrics = metrics
 
     # -- relation resolution ------------------------------------------------

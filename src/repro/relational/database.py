@@ -97,8 +97,8 @@ class Database:
     def generation(self) -> int:
         """A counter bumped on every applied insert/delete.
 
-        Caches derived from the database content (materialised views, citation
-        records, compiled citation plans) key their validity on this value: a
+        Caches derived from the database content (citation records, cited
+        results, compiled citation plans) key their validity on this value: a
         cache entry stamped with an older generation is stale, or is brought
         forward by the changes :meth:`changes_since` reports.
 

@@ -1,19 +1,22 @@
 """Hash indexes over relation columns.
 
-Indexes accelerate the join evaluation in :mod:`repro.query.evaluator` and the
-parameterised citation-query lookups in :mod:`repro.core.engine`.  They are
-built on demand: :class:`HashIndex` is the structure itself (owned either by a
+Indexes accelerate the join evaluation in :mod:`repro.query.evaluator`, the
+foreign-key probes of :mod:`repro.relational.database` and the parameterised
+citation-query lookups in :mod:`repro.core.engine`.  They are built on
+demand: :class:`HashIndex` is the structure itself (owned either by a
 :class:`~repro.relational.database.Database`, which maintains it
 incrementally, or by an :class:`IndexManager`), and :class:`IndexManager`
-extends on-demand indexing to relations *outside* a database — materialised
-views and other ``extra_relations`` handed to the query evaluator — with
-staleness detection via :attr:`Relation.version`.
+extends on-demand indexing to relations *outside* a database — the
+``extra_relations`` handed to a query evaluator, such as the incremental
+maintainer's delta relations — with staleness detection via
+:attr:`Relation.version`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.relational.relation import Relation
@@ -22,21 +25,33 @@ if TYPE_CHECKING:  # runtime import would cycle: database.py imports this module
     from repro.relational.database import Database
 
 
-class HashIndex:
-    """A hash index mapping a projection of a row to the rows sharing it."""
+def _key_getter(positions: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """The projection of a row onto *positions*, as a tuple."""
+    if len(positions) == 1:
+        (position,) = positions
+        return lambda row: (row[position],)
+    if positions:
+        return itemgetter(*positions)
+    return lambda row: ()
 
-    __slots__ = ("relation_name", "positions", "_buckets", "_size")
+
+class HashIndex:
+    """A hash index mapping a projection of a row to the rows sharing it.
+
+    The projection is a getter fixed at construction: every write to an
+    indexed relation computes one key per index.
+    """
+
+    __slots__ = ("relation_name", "positions", "_key", "_buckets", "_size")
 
     def __init__(self, relation: Relation, positions: Iterable[int]) -> None:
         self.relation_name = relation.schema.name
         self.positions = tuple(positions)
+        self._key = _key_getter(self.positions)
         self._buckets: dict[tuple, list[tuple]] = defaultdict(list)
         self._size = 0
         for row in relation:
             self.add(row)
-
-    def _key(self, row: tuple) -> tuple:
-        return tuple(row[i] for i in self.positions)
 
     def add(self, row: tuple) -> None:
         """Index *row*."""
@@ -92,18 +107,15 @@ class IndexManager:
     relations owned by *database* delegate to
     :meth:`~repro.relational.database.Database.index_on_positions`, whose
     indexes are maintained incrementally on insert/delete.  Probes into any
-    other relation (materialised views, ``extra_relations``) build an index
+    other relation (``extra_relations``) build an index
     here, stamped with the relation's identity and
     :attr:`~repro.relational.relation.Relation.version`; a later probe that
-    finds a different relation object under the same name (e.g. a view
-    re-materialised after a database mutation) or a bumped version rebuilds
-    the index, so lookups never serve stale rows.
+    finds a different relation object under the same name or a bumped
+    version rebuilds the index, so lookups never serve stale rows.
 
-    The manager may be shared by concurrent readers (the serving layer
-    executes plans on a thread pool): entry replacement is a single dict
-    store, and two racing builders simply produce equivalent indexes.
-    Mutations must not race in-flight queries — the usual reader/writer
-    discipline of the in-memory store.
+    Entry replacement is a single dict store, so two racing builders simply
+    produce equivalent indexes.  Mutations must not race in-flight queries
+    — the usual reader/writer discipline of the in-memory store.
     """
 
     def __init__(self, database: "Database | None" = None) -> None:
@@ -130,16 +142,6 @@ class IndexManager:
         index = HashIndex(relation, positions)
         self._extra[(name, positions)] = (index, relation, relation.version)
         return index
-
-    def invalidate(self) -> int:
-        """Drop every manager-owned index; return how many were dropped.
-
-        Database-owned indexes are not touched — they are maintained
-        incrementally and never go stale.
-        """
-        dropped = len(self._extra)
-        self._extra.clear()
-        return dropped
 
     def __len__(self) -> int:
         return len(self._extra)

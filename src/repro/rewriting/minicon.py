@@ -46,6 +46,11 @@ class MCD:
     #: the view terms each query constant meets, in the order met; the
     #: rewriting puts the constant at every one of them
     constants: dict[Term, tuple[Term, ...]] = field(default_factory=dict)
+    #: the view terms a query variable meets when it meets more than one,
+    #: in the order met (the first is its ``query_to_view`` image); all are
+    #: head variables of the view, and the rewriting puts the variable at
+    #: every one of them
+    repeated: dict[Term, tuple[Term, ...]] = field(default_factory=dict)
 
     def conflicts_with(self, other: "MCD") -> bool:
         """Two MCDs conflict when their covered subgoal sets overlap."""
@@ -95,6 +100,7 @@ class MiniConRewriter:
                         and mcd.view is existing.view
                         and mcd.query_to_view == existing.query_to_view
                         and mcd.constants == existing.constants
+                        and mcd.repeated == existing.repeated
                         for existing in mcds
                     ):
                         mcds.append(mcd)
@@ -113,7 +119,10 @@ class MiniConRewriter:
     ) -> MCD | None:
         mapping: dict[Term, Term] = {}
         constants: dict[Term, tuple[Term, ...]] = {}
-        if not self._extend_mapping(start_subgoal, view_subgoal, mapping, constants):
+        repeated: dict[Term, tuple[Term, ...]] = {}
+        if not self._extend_mapping(
+            start_subgoal, view_subgoal, view_head_vars, mapping, constants, repeated
+        ):
             return None
         covered = {start_index}
 
@@ -137,8 +146,13 @@ class MiniConRewriter:
                     placed = False
                     for candidate in definition.body:
                         trial, trial_constants = dict(mapping), dict(constants)
-                        if self._extend_mapping(subgoal, candidate, trial, trial_constants):
+                        trial_repeated = dict(repeated)
+                        if self._extend_mapping(
+                            subgoal, candidate, view_head_vars, trial, trial_constants,
+                            trial_repeated,
+                        ):
                             mapping, constants = trial, trial_constants
+                            repeated = trial_repeated
                             covered.add(index)
                             placed = True
                             changed = True
@@ -146,15 +160,21 @@ class MiniConRewriter:
                     if not placed:
                         return None
         return MCD(
-            view=view, covered=frozenset(covered), query_to_view=mapping, constants=constants
+            view=view,
+            covered=frozenset(covered),
+            query_to_view=mapping,
+            constants=constants,
+            repeated=repeated,
         )
 
     @staticmethod
     def _extend_mapping(
         query_subgoal: Atom,
         view_subgoal: Atom,
+        view_head_vars: set[Variable],
         mapping: dict[Term, Term],
         constants: dict[Term, tuple[Term, ...]],
+        repeated: dict[Term, tuple[Term, ...]],
     ) -> bool:
         if (
             query_subgoal.predicate != view_subgoal.predicate
@@ -174,11 +194,18 @@ class MiniConRewriter:
                 if view_term not in met:
                     constants[query_term] = (*met, view_term)
                 continue
+            # Likewise a variable repeated within `Family(X, N, N)` meets both
+            # `FName` and `Desc`.  Only the view head can equate them: an
+            # existential view variable or a constant refuses this subgoal.
             existing = mapping.get(query_term)
             if existing is None:
                 mapping[query_term] = view_term
             elif existing != view_term:
-                return False
+                if existing not in view_head_vars or view_term not in view_head_vars:
+                    return False
+                met = repeated.get(query_term, (existing,))
+                if view_term not in met:
+                    repeated[query_term] = (*met, view_term)
         return True
 
     # -- combination ---------------------------------------------------------------
@@ -244,7 +271,10 @@ class MiniConRewriter:
         for mcd in combination:
             definition = mcd.view.query.without_parameters()
             view_to_query: dict[Term, Term] = {}
-            images = [(term, (image,)) for term, image in mcd.query_to_view.items()]
+            images = [
+                (term, mcd.repeated.get(term, (image,)))
+                for term, image in mcd.query_to_view.items()
+            ]
             for query_term, view_terms in images + list(mcd.constants.items()):
                 for view_term in view_terms:
                     if isinstance(view_term, Variable) and view_term not in view_to_query:

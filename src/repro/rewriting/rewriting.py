@@ -28,16 +28,16 @@ _fresh = itertools.count()
 
 
 class Rewriting:
-    """A query expressed over view predicates, together with its expansion."""
+    """A query expressed over view predicates, together with its expansion.
 
-    __slots__ = ("query", "views", "expansion")
+    :attr:`unifier` maps each rewriting variable that the expansion merged
+    away (a repeated view head variable, a view head constant or a view
+    equality) to the expansion term it became; :meth:`resolve` reads it.
+    """
 
-    def __init__(
-        self,
-        query: ConjunctiveQuery,
-        views: Sequence[View],
-        expansion: ConjunctiveQuery | None = None,
-    ) -> None:
+    __slots__ = ("query", "views", "expansion", "unifier")
+
+    def __init__(self, query: ConjunctiveQuery, views: Sequence[View]) -> None:
         self.query = query
         self.views = tuple(views)
         index = views_by_name(self.views)
@@ -46,7 +46,25 @@ class Rewriting:
             raise RewritingError(
                 f"rewriting {query.name!r} uses unknown view predicates: {sorted(missing)}"
             )
-        self.expansion = expand_rewriting(query, index) if expansion is None else expansion
+        self.expansion, self.unifier = _unfold(query, index)
+
+    def resolve(self, term: Term) -> Term:
+        """The expansion term a term of the rewriting stands for."""
+        return self.unifier.get(term, term) if isinstance(term, Variable) else term
+
+    def with_constants(self, values: Mapping[tuple, Term]) -> "Rewriting":
+        """This rewriting with the constants *values* keys by ``(type, value)``
+        replaced, in its query, its expansion and its unifier alike."""
+        replaced = object.__new__(Rewriting)
+        replaced.query = self.query.with_constants(values)
+        replaced.views = self.views
+        replaced.expansion = self.expansion.with_constants(values)
+        replaced.unifier = {
+            variable: values.get((type(term.value), term.value), term)
+            if isinstance(term, Constant) else term
+            for variable, term in self.unifier.items()
+        }
+        return replaced
 
     # -- introspection -------------------------------------------------------
     @property
@@ -96,6 +114,14 @@ def expand_rewriting(
     existential variables.  Repeated variables or constants in a view head are
     handled by unifying the corresponding rewriting terms.
     """
+    return _unfold(rewriting_query, views)[0]
+
+
+def _unfold(
+    rewriting_query: ConjunctiveQuery, views: Mapping[str, View]
+) -> tuple[ConjunctiveQuery, dict[Variable, Term]]:
+    """:func:`expand_rewriting`, and the unifier: each variable the
+    expansion merged away, mapped to the term it resolves to."""
     expanded_atoms: list[Atom] = []
     merges: dict[Variable, Term] = {}
 
@@ -149,15 +175,14 @@ def expand_rewriting(
         for body_atom in inlined.body:
             expanded_atoms.append(body_atom.substitute(substitution))
 
-    if merges:
-        resolved = {v: canonical(v) for v in merges}
+    resolved = {v: canonical(v) for v in merges}
+    head, equalities = rewriting_query.head, list(rewriting_query.equalities)
+    if resolved:
         expanded_atoms = [a.substitute(resolved) for a in expanded_atoms]
-        head = rewriting_query.head.substitute(resolved)
-    else:
-        head = rewriting_query.head
-
-    equalities = list(rewriting_query.equalities)
-    return ConjunctiveQuery(head, expanded_atoms, equalities)
+        head = head.substitute(resolved)
+        # A rewriting equality follows its variable too.
+        equalities = [e for e in (eq.substitute(resolved) for eq in equalities) if e is not None]
+    return ConjunctiveQuery(head, expanded_atoms, equalities), resolved
 
 
 def is_equivalent_rewriting(

@@ -333,7 +333,6 @@ class TestRepoGate:
             "_analysis_cache": "_analysis_lock",
             "_analysis_stats": "_analysis_lock",
             "_atom_cache": "_refresh_lock",
-            "_view_relations": "_refresh_lock",
             "_cache_generation": "_refresh_lock",
             "_refresh_stats": "_refresh_lock",
         }

@@ -4,14 +4,22 @@ import pytest
 
 import repro.core.engine as engine_module
 import repro.query.evaluator as evaluator_module
-from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
+from repro import (
+    CitationEngine,
+    CitationPolicy,
+    CitationRequest,
+    CitationService,
+    IncrementalCitationMaintainer,
+    parse_query,
+)
 from repro.core.citation_view import CitationView, DefaultCitationFunction
 from repro.core.record import CitationRecord
 from repro.core.rewriting_selector import RewritingSelector
 from repro.errors import CitationError, NoRewritingError
 from repro.query.evaluator import evaluate
-from repro.rewriting.view import materialize_views
+from repro.rewriting.view import View
 from repro.workloads import gtopdb
+from strategies import brute_force
 
 
 class TestRewritings:
@@ -124,54 +132,39 @@ class TestDeltaScopedRefresh:
         assert self.records(engine, "V4", "TID", targets) == v4
         assert all(engine.citation_record("V4", {"TID": t}) is v4[t] for t in targets)
 
-    def test_only_views_over_the_changed_relation_rematerialize(self, engine, database):
-        views = engine.view_relations()
-        database.insert("Contributor", (min(database.relation("Target").rows)[0], "X"))
-        assert engine.view_relations() is views  # no view reads Contributor
-        row = min(database.relation("Interaction").rows)
-        database.delete("Interaction", row)
-        fresh = engine.view_relations()
-        assert fresh is not views and row not in fresh["V6"]
-        assert {name for name in views if fresh[name] is not views[name]} == {"V6"}
-        # V6 is one atom over Interaction keeping its key: patched in place
-        # of re-materialized, to the extent a materialization gives.
-        stats = engine.refresh_stats()
-        assert stats["views_patched"] == 1 and stats["views_rematerialized"] == 0
-        v6 = next(view for view in engine._views if view.name == "V6")
-        assert fresh["V6"] == materialize_views([v6], database)["V6"]
-        # Drift names no rows, so V6 is materialized again.
-        database.relation("Interaction").insert(row)
-        drifted = engine.view_relations()
-        assert {name for name in views if drifted[name] is not fresh[name]} == {"V6"}
-        assert row in drifted["V6"]
-        stats = engine.refresh_stats()
-        assert stats["views_patched"] == 1 and stats["views_rematerialized"] == 1
-
-    def test_patched_view_selects_by_its_constant_and_removes_before_adding(self, database):
+    def test_cite_after_writes_through_a_selecting_view(self, database):
+        """V11 selects ``Target`` rows by a constant and projects ``FID``
+        away.  After edits that move a target to another family and another
+        into the selection, citing through V11 answers as brute force and
+        cites as a fresh engine."""
         v11 = CitationView(
             'lambda TID. V11(TID, TName) :- Target(TID, FID, TName, "GPCR")',
             ["lambda TID. CV11(TID, PName) :- Contributor(TID, PName)"],
             DefaultCitationFunction(),
         )
-        engine = CitationEngine(database, gtopdb.citation_views(extended=True) + [v11])
+        views = gtopdb.citation_views(extended=True) + [v11]
+        engine = CitationEngine(database, views)
+        query = parse_query('Q(TID, TName) :- Target(TID, FID, TName, "GPCR")')
+        assert any(r.query.body[0].predicate == "V11" for r in engine.rewritings(query))
+        engine.cite(query)
         database.enforce_foreign_keys = False
-        extent = engine.view_relations()["V11"]
         targets = sorted(database.relation("Target").rows)
         moved = next(row for row in targets if row[3] == "GPCR")
         joining = next(row for row in targets if row[3] != "GPCR")
         families = sorted(row[0] for row in database.relation("Family").rows)
         other = next(f for f in families if f != moved[1])
-        # Another family, same image: its removal must come before its addition.
+        # Another family, same V11 row; and a target that joins the selection.
         database.delete("Target", moved)
         database.insert("Target", (moved[0], other, moved[2], "GPCR"))
         database.delete("Target", joining)
         database.insert("Target", joining[:3] + ("GPCR",))
-        after = engine.view_relations()["V11"]
-        assert after is not extent
-        assert (moved[0], moved[2]) in after and (joining[0], joining[2]) in after
-        assert after == materialize_views([v11.view], database)["V11"]
-        stats = engine.refresh_stats()
-        assert stats["views_patched"] == 2 and stats["views_rematerialized"] == 0  # V4, V11
+        result = engine.cite(query)
+        assert {(moved[0], moved[2]), (joining[0], joining[2])} <= set(result.rows())
+        assert set(result.rows()) == brute_force(query, database)
+        fresh = CitationEngine(database, views).cite(query)
+        assert [(t.row, str(t.expression), t.records) for t in result.tuple_citations] == [
+            (t.row, str(t.expression), t.records) for t in fresh.tuple_citations
+        ]
 
     def test_log_overrun_and_invalidate_drop_everything(self, monkeypatch):
         import repro.relational.database as database_module
@@ -328,8 +321,8 @@ class TestNoRewriting:
         assert len(fresh) == 3
 
     def test_fallback_over_base_relations_leaves_the_views_alone(self, monkeypatch):
-        """A fallback query that names no view neither materializes the views
-        nor patches them after a write."""
+        """A fallback query materializes no view, before or after a write;
+        only an explicit ``view_relations()`` call does."""
         database = gtopdb.generate(families=20, targets_per_family=2, seed=3)
         engine = CitationEngine(database, gtopdb.citation_views(), on_no_rewriting="fallback")
         materialized: list = []
@@ -347,7 +340,6 @@ class TestNoRewriting:
         database.insert("Family", (777, "Added", "d"))
         result = engine.cite(text)
         assert result.rows() == evaluate(parse_query(text), database).sorted_rows()
-        assert engine.refresh_stats()["views_patched"] == 0
         assert materialized == ["V1", "V2", "V3"]
 
 
@@ -405,7 +397,7 @@ class TestCompileOnce:
         service.submit(CitationRequest(query=query)).unwrap()
         plan, hit = service.plan_for(query)
         assert hit and plan.rewritings
-        rewriting_queries = {rewriting.query for rewriting in plan.rewritings}
+        rewriting_queries = {rewriting.expansion for rewriting in plan.rewritings}
         programs = _programs(plan)
         assert len(programs) == len(plan.rewritings)
 
@@ -473,20 +465,57 @@ class TestCompiledJoinPrograms:
         assert plan == twin  # cached programs are not part of plan identity
         assert hash(plan) == hash(twin)
 
-    def test_view_indexes_are_shared_across_executions(self, paper_engine, paper_query):
-        paper_engine.cite(paper_query)
-        manager = paper_engine._index_manager
-        built = len(manager)
-        if built:
-            view_name, positions = next(iter(manager._extra))
-            index = manager._extra[(view_name, positions)][0]
-            paper_engine.cite(paper_query)
-            assert manager._extra[(view_name, positions)][0] is index
 
-    def test_invalidate_caches_drops_view_indexes(self, paper_engine, paper_query):
-        paper_engine.cite(paper_query)
-        paper_engine.invalidate_caches()
-        assert len(paper_engine._index_manager) == 0
+class TestUnfoldedViews:
+    def test_no_execution_materializes_a_view(self, monkeypatch):
+        """Every rewriting runs as its expansion over the base relations:
+        cites, writes, service reads with the result cache on and a
+        maintainer's read call ``View.materialize`` zero times, and answer
+        as a fresh engine does."""
+        database = gtopdb.generate(families=8, targets_per_family=2, seed=5)
+        views = gtopdb.citation_views(extended=True)
+        engine = CitationEngine(database, views)
+        materialized: list = []
+        real = View.materialize
+        monkeypatch.setattr(
+            View, "materialize", lambda view, db: materialized.append(view.name) or real(view, db)
+        )
+        queries = {q.name: q for q in gtopdb.example_queries()}
+        queries = [queries[name] for name in ("Q", "Q5", "Q6")]
+        maintainer = IncrementalCitationMaintainer(engine, queries[2])
+        service = CitationService(engine)
+        for query in queries:
+            engine.cite(query)
+            service.submit(CitationRequest(query=query)).unwrap()
+        interactions = database.relation("Interaction").rows
+        tid, lid = next(
+            (t[0], l[0])
+            for t in sorted(database.relation("Target").rows)
+            for l in sorted(database.relation("Ligand").rows)
+            if not any(row[:2] == (t[0], l[0]) for row in interactions)
+        )
+        database.insert("Interaction", (tid, lid, "agonist", 7.5))
+        database.delete("FamilyIntro", min(database.relation("FamilyIntro").rows))
+        database.insert("Family", (900, "Unfolded", "d"))
+        database.insert("FamilyIntro", (900, "unfolded intro"))
+        fresh = CitationEngine(database, views)
+        served = [service.submit(CitationRequest(query=query)).unwrap() for query in queries]
+        for query, result in zip(queries, served):
+            expected = fresh.cite(query)
+            assert [(t.row, str(t.expression), t.records) for t in result.tuple_citations] == [
+                (t.row, str(t.expression), t.records) for t in expected.tuple_citations
+            ], query.name
+            assert result.citation.records == expected.citation.records
+        maintained = maintainer.result
+        assert maintainer.statistics.rows_recomputed < len(maintained)  # the delta path
+        assert [(t.row, str(t.expression), t.records) for t in maintained.tuple_citations] == [
+            (t.row, str(t.expression), t.records) for t in fresh.cite(queries[2]).tuple_citations
+        ]
+        service.close()
+        assert materialized == []
+        # The joins probe the database's own indexes: the engine's evaluator
+        # builds none.
+        assert len(engine._execution_evaluator().index_manager) == 0
 
 
 class TestFrameOrder:
@@ -520,19 +549,7 @@ class TestFrameOrder:
 
 
 class TestInvalidationClearsWarmState:
-    """Regression: invalidate_caches() must retire the evaluator's warm state."""
-
-    def test_invalidate_clears_the_evaluator_caches(
-        self, paper_db, paper_views, paper_query
-    ):
-        """The evaluator's only cache is the engine's index manager."""
-        engine = CitationEngine(paper_db, paper_views)
-        engine.cite(paper_query)
-        assert engine._evaluator is not None
-        assert engine._evaluator.index_manager is engine._index_manager
-        assert len(engine._index_manager) > 0
-        engine.invalidate_caches()
-        assert len(engine._index_manager) == 0
+    """Regression: invalidate_caches() must retire the engine's warm state."""
 
     def test_results_stay_exact_across_invalidation_and_drift(
         self, paper_engine, paper_query, paper_db

@@ -167,6 +167,22 @@ class TestDeletes:
         assert parameterized == {(("FID", 11),)}
         maintainer.check_consistency()
 
+    def test_deleting_both_sides_of_a_join_removes_the_row(self, paper_query):
+        # Read once after both rows of Adenosine's only derivation are gone.
+        # No delta from the logged rows can reach the row, nor (over V2 and
+        # V3, whose records read no relation) any record, so a logged row
+        # that is gone must make the maintainer execute the plan again.
+        views = [cv for cv in gtopdb.citation_views() if cv.name in ("V2", "V3")]
+        engine = CitationEngine(gtopdb.paper_instance(), views)
+        maintainer = IncrementalCitationMaintainer(engine, paper_query)
+        database = engine.database
+        database.delete("FamilyIntro", (13, "Adenosine receptors intro"))
+        for member in sorted(r for r in database.relation("Committee").rows if r[0] == 13):
+            database.delete("Committee", member)
+        database.delete("Family", next(r for r in database.relation("Family").rows if r[0] == 13))
+        assert ("Adenosine",) not in maintainer.result.rows()
+        maintainer.check_consistency()
+
     def test_delete_unrelated_row_is_cheap(self, maintainer, engine):
         engine.database.insert("Ligand", (7, "Ligand-7", "peptide"))
         engine.database.delete("Ligand", (7, "Ligand-7", "peptide"))

@@ -11,6 +11,16 @@ from every built-in combinator in every slot, the engine must produce the
 same expression text, records, row order and aggregate citation, on a cold
 and on a warm record cache.
 
+The engine joins each rewriting's expansion over the base relations; the
+reference evaluates the rewriting itself over materialized views.  Besides
+the paper's identity views, drawn queries cite through views whose
+expansions differ from their atoms (:func:`unfolding_views`): views that
+project columns away, so one rewriting binding has several expansion
+frames, and views whose λ-parameter resolves through the expansion's
+unifier.  Their queries use lower-case variables, which sort after the
+expansion's fresh ``_e…`` names, so ranking ``+`` on any slot but the
+rewriting's variables shows.
+
 The engine folds the policy without ``policy.evaluate``; a recording policy
 checks that it still makes the reference's combinator calls, in the same
 order and with equal operands — the contract custom policies rely on.
@@ -24,7 +34,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CitationEngine, CitationPolicy
+from repro import CitationEngine, CitationPolicy, parse_query
+from repro.core.citation_view import CitationView, DefaultCitationFunction
 from repro.core.policy import Combinators
 from repro.core.record import CitationRecord, set_size
 from repro.core.expression import (
@@ -37,6 +48,7 @@ from repro.core.expression import (
 from repro.errors import CitationError
 from repro.query.ast import ConjunctiveQuery, Constant, Variable
 from repro.query.evaluator import QueryEvaluator
+from repro.rewriting.rewriting import Rewriting
 from repro.workloads import gtopdb
 
 COMBINATORS = ("union", "join", "min_size", "max_coverage", "first")
@@ -46,6 +58,59 @@ SLOTS = ("joint", "alternative", "rewrite_alternative", "aggregate")
 AGGREGATES = ("union", "min_size", "max_coverage", "first")
 QUERIES = tuple(gtopdb.example_queries())
 VARIANTS = ("original", "renamed", "reordered", "renamed+reordered")
+#: Queries over :func:`unfolding_views`, in lower-case variables.
+UNFOLDING_QUERIES = tuple(map(parse_query, (
+    "Qp(fname) :- Family(fid, fname, desc)",
+    "Qt(fname) :- Family(fid, fname, desc), Target(tid, fid, tname, type)",
+    'Qg(tname) :- Target(tid, fid, tname, "GPCR")',
+    "Qr(tid, lname) :- Interaction(tid, lid, act, aff), Ligand(lid, lname, lt)",
+)))
+
+
+def unfolding_views() -> list[CitationView]:
+    """The extended views plus four whose expansions are not their atoms:
+
+    * ``VP`` projects ``Desc`` away from ``Family``, as V7–V10 project;
+    * ``VT`` joins ``Family`` and ``Target``, as V12 joins two relations,
+      keeping one row per family: a binding has a frame per target;
+    * ``VG`` fixes its head variable ``Type`` with an equality, so a
+      rewriting's fresh term there resolves to the constant ``"GPCR"``;
+    * ``VR`` repeats its head variable ``LID``.
+    """
+    function = DefaultCitationFunction(constants={"source": gtopdb.DATABASE_TITLE})
+    return gtopdb.citation_views(extended=True) + [
+        CitationView(
+            "lambda FID. VP(FID, FName) :- Family(FID, FName, Desc)",
+            ["lambda FID. CVP(FID, PName) :- Committee(FID, PName)"],
+            function,
+        ),
+        CitationView(
+            "lambda FID. VT(FID, FName) :- Family(FID, FName, Desc), "
+            "Target(TID, FID, TName, Type)",
+            ["lambda FID. CVT(FID, TName) :- Target(TID, FID, TName, Type)"],
+            function,
+        ),
+        CitationView(
+            'lambda Type. VG(TID, TName, Type) :- Target(TID, FID, TName, Type), Type = "GPCR"',
+            ["lambda Type. CVG(Type, PName) :- Target(T, F, N, Type), Contributor(T, PName)"],
+            function,
+        ),
+        CitationView(
+            "lambda LID. VR(TID, LID, LID) :- Interaction(TID, LID, Action, Affinity)",
+            ["lambda LID. CVR(LID, LName) :- Ligand(LID, LName, LType)"],
+            function,
+        ),
+    ]
+
+
+class FixedRewriter:
+    """A rewriter returning given rewritings, whatever the query."""
+
+    def __init__(self, *rewritings: Rewriting) -> None:
+        self.rewritings = list(rewritings)
+
+    def rewrite(self, query) -> list[Rewriting]:
+        return self.rewritings
 
 
 class ReferenceAssembly:
@@ -220,6 +285,31 @@ class TestAssemblyEquivalence:
     def test_compiled_assembly_matches_reference(self, database, query, kind, mode, policy):
         engine = CitationEngine(database, gtopdb.citation_views(extended=True))
         check(engine, variant(query, kind), mode, policy)
+
+    @given(
+        instances,
+        st.sampled_from(UNFOLDING_QUERIES),
+        st.sampled_from(VARIANTS),
+        st.sampled_from(["formal", "economical"]),
+        policies,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unfolded_views_match_the_reference(self, database, query, kind, mode, policy):
+        engine = CitationEngine(database, unfolding_views())
+        check(engine, variant(query, kind), mode, policy)
+
+    @given(instances, st.sampled_from(["formal", "economical"]), policies)
+    @settings(max_examples=20, deadline=None)
+    def test_parameter_resolves_through_a_merged_head_variable(self, database, mode, policy):
+        # VR's head repeats LID, so the expansion of VR(tid, l, m) merges l
+        # into m: VR's λ-parameter, at l's position, is read from m's slot.
+        views = unfolding_views()
+        rewriting = Rewriting(
+            parse_query("Qr(tid, l) :- VR(tid, l, m)"), [cv.view for cv in views]
+        )
+        assert rewriting.resolve(Variable("l")) == Variable("m")
+        engine = CitationEngine(database, views, rewriter=FixedRewriter(rewriting))
+        check(engine, parse_query("Qr(tid, l) :- Interaction(tid, l, a, f)"), mode, policy)
 
     @pytest.mark.parametrize("slot", SLOTS)
     @pytest.mark.parametrize("name", COMBINATORS)

@@ -1,11 +1,11 @@
 """Property: delta-scoped cache refresh is indistinguishable from a fresh engine.
 
-A long-lived :class:`CitationEngine` keeps its citation records and view
-materializations across database changes, evicting only what each logged
-change can reach.  After every step of a hypothesis-drawn edit sequence over
-all seven GtoPdb relations, its cited results must be byte-identical to those
-of an engine built fresh on the same data, in both modes and under the drawn
-policy.  The steps mix
+A long-lived :class:`CitationEngine` keeps its citation records across
+database changes, evicting only what each logged change can reach.  After
+every step of a hypothesis-drawn edit sequence over all seven GtoPdb
+relations, its cited results must be byte-identical to those of an engine
+built fresh on the same data, in both modes and under the drawn policy.  The
+steps mix
 
 * in-band edits (``Database.insert`` / ``delete``), among them a row
   rewritten in place: its key kept, another attribute redrawn,
@@ -18,8 +18,8 @@ policy.  The steps mix
 The long-lived engine also holds one formal-mode plan per query, compiled
 and executed before the edit sequence, and executes each again after every
 step.  Compiled state lives only on plans, and a plan's join programs hold
-no data: they must run every edit's data through the engine's current views
-and indexes, across ``invalidate_caches()`` too, with no epoch check.  (An
+no data: they must run every edit's data through the base relations and
+their indexes, across ``invalidate_caches()`` too, with no epoch check.  (An
 economical plan embeds a selection made against the data, so a
 held one may rightly differ from a fresh engine's.)
 
@@ -46,12 +46,12 @@ Besides the paper's extended views the engine carries six more:
 * ``V8``, a parameterized view with an unparameterized citation query over
   ``Committee``;
 * ``V9``, an unparameterized view whose citation query reads ``Contributor``;
-* ``V10``, whose head drops the key of ``Family``, so its extent is
-  materialized again after a change instead of patched;
+* ``V10``, whose head drops the key of ``Family``, so one of its bindings
+  has an expansion frame per family of that name;
 * ``V11``, one atom over ``Target`` with a constant, whose head keeps the
-  key but drops ``FID``: patched, selecting rows by the constant, and a
-  target moved to another family keeps its image;
-* ``V12``, a two-atom body, materialized again after a change.
+  key but drops ``FID``: it selects rows by the constant, and a target
+  moved to another family keeps its ``V11`` row;
+* ``V12``, a two-atom body, joined again by every execution.
 
 Each step also reads every target's ``V4`` record under the non-canonical
 key ``{"TID": t, "extra": 1}``, which must follow the data like the

@@ -139,21 +139,25 @@ class TestViewIndexing:
 
     def test_view_probe_uses_manager_index(self):
         db, view = self._setup()
-        manager = IndexManager(db)
-        evaluator = QueryEvaluator(db, extra_relations={"V": view}, index_manager=manager)
+        evaluator = QueryEvaluator(db, extra_relations={"V": view})
         query = parse_query("Q(B, Tag) :- Base(A, B), V(A, Tag)")
         result = evaluator.evaluate(query)
         assert len(result) == 50
-        assert len(manager) == 1  # an index over the view was built
+        assert len(evaluator.index_manager) == 1  # an index over the view was built
 
-    def test_view_index_shared_across_evaluators(self):
+    def test_view_index_reused_until_the_view_changes(self):
         db, view = self._setup()
-        manager = IndexManager(db)
+        evaluator = QueryEvaluator(db, extra_relations={"V": view})
+        manager = evaluator.index_manager
         query = parse_query("Q(B, Tag) :- Base(A, B), V(A, Tag)")
-        QueryEvaluator(db, extra_relations={"V": view}, index_manager=manager).evaluate(query)
+        evaluator.evaluate(query)
         index = manager.index_for("V", view, (0,))
-        QueryEvaluator(db, extra_relations={"V": view}, index_manager=manager).evaluate(query)
+        evaluator.evaluate(query)
         assert manager.index_for("V", view, (0,)) is index
+        view.insert((1, "again"))
+        rows = evaluator.evaluate(query).rows
+        assert manager.index_for("V", view, (0,)) is not index
+        assert rows == brute_force(query, db, {"V": view})
 
     def test_view_index_invalidated_by_mutation(self):
         db, view = self._setup()

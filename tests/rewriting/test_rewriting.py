@@ -3,7 +3,9 @@
 import pytest
 
 from repro.errors import RewritingError
+from repro.query.ast import Variable
 from repro.query.containment import is_equivalent_to
+from repro.query.evaluator import evaluate
 from repro.query.parser import parse_query
 from repro.rewriting.rewriting import (
     Rewriting,
@@ -13,7 +15,8 @@ from repro.rewriting.rewriting import (
     is_equivalent_rewriting,
     minimize_rewriting,
 )
-from repro.rewriting.view import View, views_by_name
+from repro.rewriting.view import View, materialize_views, views_by_name
+from repro.workloads import gtopdb
 
 
 @pytest.fixture
@@ -76,6 +79,20 @@ class TestExpansion:
             parse_query("Q(FID, D) :- VC(FID, D)"), views_by_name(views)
         )
         assert expansion.predicates() == {"Family"}
+
+    def test_rewriting_equality_follows_a_merged_variable(self):
+        # VR's head repeats L, so the expansion merges l into m: the
+        # rewriting's equality on l must constrain m, or it filters nothing.
+        views = [View(parse_query("VR(T, L, L) :- Interaction(T, L, A, F)"))]
+        database = gtopdb.generate(families=6, targets_per_family=2, seed=3)
+        lid = min(row[1] for row in database.relation("Interaction").rows)
+        rewriting = Rewriting(parse_query(f"Q(t) :- VR(t, l, m), l = {lid}"), views)
+        assert rewriting.resolve(Variable("l")) == Variable("m")
+        assert [str(e) for e in rewriting.expansion.equalities] == [f"m = {lid}"]
+        over_views = evaluate(
+            rewriting.query, database, extra_relations=materialize_views(views, database)
+        )
+        assert evaluate(rewriting.expansion, database).rows == over_views.rows != set()
 
 
 class TestRewritingObject:

@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-import repro.core.engine as engine_module
 from repro import CitationEngine, CitationPolicy, CitationRequest, CitationService, parse_query
 from repro.core.incremental import IncrementalCitationMaintainer
 from repro.errors import NoRewritingError
@@ -200,31 +199,6 @@ class TestInvalidation:
         service.invalidate()
         assert len(service.plan_cache) == 0 and len(service.result_cache) == 0
 
-    def test_view_materialization_hoisted_per_generation(self, engine, monkeypatch):
-        calls = {"count": 0}
-        original = engine_module.materialize_views
-
-        def counting(views, database):
-            calls["count"] += 1
-            return original(views, database)
-
-        monkeypatch.setattr(engine_module, "materialize_views", counting)
-        with CitationService(engine, cache_results=False) as service:
-            for _ in range(4):
-                cite(service, QUERY)
-            assert calls["count"] == 1
-            # V1 and V2 are one atom over Family keeping its key: patched.
-            engine.database.insert("Family", (9003, "Yet another family", "d"))
-            cite(service, QUERY)
-            assert calls["count"] == 1
-            assert engine.refresh_stats()["views_patched"] == 2
-            # Drift names no rows, so both are materialized again, once.
-            engine.database.relation("Family").insert((9004, "Drifted family", "d"))
-            cite(service, QUERY)
-            cite(service, QUERY)
-            assert calls["count"] == 2
-            assert engine.refresh_stats()["views_rematerialized"] == 2
-
 
 class TestBatching:
     def test_cite_batch_matches_sequential(self, service, engine):
@@ -315,27 +289,12 @@ class TestStats:
         tid = min(row[0] for row in db.relation("Target").rows)
         db.insert("Contributor", (tid, "A. Newcomer"))
         assert service.submit(q5).ok
-        # Only V4(tid) was evicted, and no view reads Contributor.
+        # Only V4(tid) was evicted.
         refresh = service.stats()["engine"]["refresh"]
         assert refresh["records_evicted"] == 1 and refresh["records_kept"] > 1
-        assert refresh["full_drops"] == refresh["views_rematerialized"] == 0
-        row = min(db.relation("Interaction").rows)
-        db.delete("Interaction", row)
-        engine.view_relations()  # patches V6 only
-        refresh = service.stats()["engine"]["refresh"]
-        assert refresh["views_patched"] == 1 and refresh["views_rematerialized"] == 0
-        db.relation("Interaction").insert(row)  # drift: re-materializes V6 only
-        engine.view_relations()
-        refresh = service.stats()["engine"]["refresh"]
-        assert refresh["views_patched"] == 1 and refresh["views_rematerialized"] == 1
+        assert refresh["full_drops"] == 0
         exposition = service.to_prometheus()
-        for name in (
-            "records_kept",
-            "records_evicted",
-            "full_drops",
-            "views_patched",
-            "views_rematerialized",
-        ):
+        for name in ("records_kept", "records_evicted", "full_drops"):
             assert f"repro_engine_refresh_{name} {refresh[name]}\n" in exposition
 
     def test_mutations_observed_counter(self, service, db):
